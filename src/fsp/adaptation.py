@@ -18,6 +18,7 @@ from .estimator import (
     VarianceField,
     chebyshev_distances,
     euclidean_distances,
+    holder_powers,
     pilot_bandwidth,
     smoothed_window_means,
 )
@@ -103,20 +104,11 @@ class SelectionResult:
     table: tuple  # rows (theta, bandwidth, score)
 
 
-def _theta2_powers(dist2, thetas):
-    cache = {}
-    for theta in thetas:
-        t2 = theta.theta2
-        if t2 not in cache:
-            cache[t2] = dist2**t2 if t2 > 0 else np.where(dist2 > 0, 1.0, 0.0)
-    return cache
-
-
 def _score_pairs(pairs, train_x, train_y, f_train, val_x, val_y, f_val):
     """Validation scores for (theta, h) pairs sharing one training block."""
     dist_inf = chebyshev_distances(val_x, train_x)
     dist2 = euclidean_distances(val_x, train_x)
-    powers = _theta2_powers(dist2, [theta for theta, _ in pairs])
+    powers = {t2: holder_powers(dist2, t2) for t2 in {theta.theta2 for theta, _ in pairs}}
     rows = []
     for theta, h in pairs:
         delta = smoothed_window_means(
@@ -125,6 +117,13 @@ def _score_pairs(pairs, train_x, train_y, f_train, val_x, val_y, f_val):
         score = float(((val_y - (f_val + delta)) ** 2).sum())
         rows.append((theta, float(h), score))
     return rows
+
+
+def _select_pairs(pairs, train_x, train_y, f_train, val_x, val_y, f_val):
+    """Score the pairs in the order given; the first minimum wins."""
+    rows = _score_pairs(pairs, train_x, train_y, f_train, val_x, val_y, f_val)
+    best = min(rows, key=lambda row: row[2])
+    return SelectionResult(theta=best[0], bandwidth=best[1], score=best[2], table=tuple(rows))
 
 
 def select_theta_h(thetas, bandwidths, train_x, train_y, val_x, val_y, model, f_train=None, f_val=None):
@@ -150,12 +149,7 @@ def select_theta_h(thetas, bandwidths, train_x, train_y, val_x, val_y, model, f_
     if f_val is None:
         f_val = model.predict_batch(val_x)
     pairs = [(theta, h) for h in bandwidths for theta in thetas]
-    rows = _score_pairs(pairs, train_x, train_y, f_train, val_x, val_y, f_val)
-    best = None
-    for theta, h, score in rows:
-        if best is None or score < best[2]:
-            best = (theta, h, score)
-    return SelectionResult(theta=best[0], bandwidth=best[1], score=best[2], table=tuple(rows))
+    return _select_pairs(pairs, train_x, train_y, f_train, val_x, val_y, f_val)
 
 
 @dataclass
@@ -304,17 +298,10 @@ def _select_and_build(model, domain, rr, n, config, cap=None):
     if bandwidths is None:
         sigma_bar = mean_sigma if mean_sigma is not None else 1.0
         pairs = [
-            (theta, min(rule_bandwidth(theta.theta2, n, domain.dim, sigma_bar, domain), cap)
-             if cap is not None
-             else rule_bandwidth(theta.theta2, n, domain.dim, sigma_bar, domain))
+            (theta, rule_bandwidth(theta.theta2, n, domain.dim, sigma_bar, domain))
             for theta in sorted(thetas)
         ]
-        rows = _score_pairs(pairs, train_x, train_y, f_train, val_x, val_y, f_val)
-        best = None
-        for theta, h, score in rows:
-            if best is None or score < best[2]:
-                best = (theta, h, score)
-        selection = SelectionResult(best[0], best[1], best[2], tuple(rows))
+        selection = _select_pairs(pairs, train_x, train_y, f_train, val_x, val_y, f_val)
     else:
         selection = select_theta_h(
             thetas, bandwidths, train_x, train_y, val_x, val_y, model,

@@ -16,7 +16,8 @@ import types
 
 import numpy as np
 
-from .core import BudgetError, ConfigError, DomainError, QueryError
+from .core import BudgetError, ConfigError, DomainError, QueryError, required
+from .estimator import chebyshev_distances, row_blocks
 
 __all__ = [
     "BlackBoxModel",
@@ -56,6 +57,9 @@ class BlackBoxModel:
 
     def spec(self):
         raise ConfigError(f"{type(self).__name__} cannot be serialized")
+
+    def start(self):
+        pass
 
     def close(self):
         pass
@@ -166,11 +170,10 @@ class TableModel(BlackBoxModel):
     def predict_batch(self, xs):
         xs = np.atleast_2d(np.asarray(xs, float))
         out = np.empty(xs.shape[0])
-        chunk = max(1, 2_000_000 // max(1, self.points.shape[0]))
-        for start in range(0, xs.shape[0], chunk):
-            block = xs[start : start + chunk]
-            d2 = ((block[:, None, :] - self.points[None, :, :]) ** 2).sum(axis=2)
-            out[start : start + chunk] = self.values[np.argmin(d2, axis=1)]
+        for rows in row_blocks(xs.shape[0], self.points.shape[0]):
+            # squared: a sqrt could merge near-ties and move the lowest-index winner
+            d2 = ((xs[rows][:, None, :] - self.points[None, :, :]) ** 2).sum(axis=2)
+            out[rows] = self.values[np.argmin(d2, axis=1)]
         return _finite_or_raise(out, "table model")
 
     def spec(self):
@@ -204,13 +207,9 @@ class KernelSmoothModel(BlackBoxModel):
     def predict_batch(self, xs):
         xs = np.atleast_2d(np.asarray(xs, float))
         out = np.empty(xs.shape[0])
-        chunk = max(1, 2_000_000 // max(1, self.points.shape[0]))
-        for start in range(0, xs.shape[0], chunk):
-            block = xs[start : start + chunk]
-            dist = np.abs(block[:, None, :] - self.points[None, :, :]).max(axis=2)
-            mask = dist <= self.bandwidth
-            counts = mask.sum(axis=1)
-            out[start : start + chunk] = mask @ self.values / np.maximum(counts, 1)
+        for rows in row_blocks(xs.shape[0], self.points.shape[0]):
+            mask = chebyshev_distances(xs[rows], self.points) <= self.bandwidth
+            out[rows] = mask @ self.values / np.maximum(mask.sum(axis=1), 1)
         return _finite_or_raise(out, "kernel-smooth model")
 
     def spec(self):
@@ -340,18 +339,21 @@ class ExternalProcessModel(BlackBoxModel):
             pass
 
 
+_SPEC_FIELDS = {
+    "expression": (ExpressionModel, ("expr", "dim")),
+    "table": (TableModel, ("points", "values")),
+    "kernel-smooth": (KernelSmoothModel, ("points", "values", "bandwidth")),
+    "external": (ExternalProcessModel, ("argv", "dim")),
+}
+
+
 def model_from_spec(spec):
     """Rebuild a serializable backend from its spec dictionary."""
-    kind = spec.get("kind")
-    if kind == "expression":
-        return ExpressionModel(spec["expr"], spec["dim"])
-    if kind == "table":
-        return TableModel(spec["points"], spec["values"])
-    if kind == "kernel-smooth":
-        return KernelSmoothModel(spec["points"], spec["values"], spec["bandwidth"])
-    if kind == "external":
-        return ExternalProcessModel(spec["argv"], spec["dim"])
-    raise ConfigError(f"unknown model kind {kind!r}")
+    kind = required(spec, "kind", "model")
+    if not isinstance(kind, str) or kind not in _SPEC_FIELDS:
+        raise ConfigError(f"unknown model kind {kind!r}")
+    cls, fields = _SPEC_FIELDS[kind]
+    return cls(*(required(spec, name, f"{kind} model") for name in fields))
 
 
 class GaussianNoise:

@@ -27,13 +27,11 @@ from .blackbox import (
     BernoulliNoise,
     ExpressionModel,
     ExternalOracle,
-    ExternalProcessModel,
     GaussianNoise,
     SyntheticOracle,
-    TableModel,
     model_from_spec,
 )
-from .core import ConfigError, DataError, Domain, DomainError, load_csv
+from .core import ConfigError, DataError, Domain, DomainError, load_csv, required
 from .estimator import PersonalizedEstimator
 from .simulation import (
     run_experiment,
@@ -248,24 +246,27 @@ def _parse_domain(spec):
 
 
 def _build_model(spec, dim):
-    if not isinstance(spec, dict) or "kind" not in spec:
-        raise ConfigError("model must be an object with a 'kind' field")
-    kind = spec["kind"]
-    if kind == "expression":
-        return ExpressionModel(spec["expr"], dim)
-    if kind == "table":
-        if "csv" in spec:
-            ss = load_csv(spec["csv"], spec["covariates"], response=spec["value"])
-            return TableModel(ss.x, ss.y)
-        return TableModel(spec["points"], spec["values"])
-    if kind == "external":
-        cmd = spec["cmd"]
-        if isinstance(cmd, str):
-            cmd = shlex.split(cmd)
-        model = ExternalProcessModel(cmd, dim)
-        model.start()  # handshake now so failures surface as backend errors
-        return model
-    raise ConfigError(f"unknown model kind {kind!r}")
+    """Rewrite a user model spec into its serialized form and build the backend.
+
+    The rewrite sets `dim`, splits an external `cmd` string into `argv`, and
+    reads a table's `csv` into `points` and `values`, so a serialized spec
+    (as in an estimator file) builds unchanged.
+    """
+    kind = required(spec, "kind", "model")
+    spec = dict(spec, dim=dim)
+    if kind == "external" and "argv" not in spec:
+        cmd = required(spec, "cmd", "external model")
+        spec["argv"] = shlex.split(cmd) if isinstance(cmd, str) else cmd
+    if "csv" in spec:
+        table = load_csv(
+            spec["csv"],
+            required(spec, "covariates", "table model"),
+            response=required(spec, "value", "table model"),
+        )
+        spec["points"], spec["values"] = table.x, table.y
+    model = model_from_spec(spec)
+    model.start()  # handshake now so failures surface as backend errors
+    return model
 
 
 def _build_noise(spec, dim):
@@ -317,18 +318,21 @@ def cmd_personalize(args):
     config = _fit_config(resolved)
     covariate_names = None
 
-    kind = source.get("kind")
+    kind = required(source, "kind", "source")
     if kind == "pool":
         covariate_names = source.get("covariates")
         if not covariate_names:
             raise ConfigError("pool sources need the covariate column names")
-        ss = load_csv(source["csv"], covariate_names, response=source.get("response", "y"))
+        ss = load_csv(
+            required(source, "csv", "pool source"),
+            covariate_names,
+            response=source.get("response", "y"),
+        )
         pool_x, pool_y = ss.x, ss.y
         if n > len(pool_x):
             raise ConfigError(f"budget exceeds pool: n={n} > {len(pool_x)} pool points")
         if domain is None:
-            pad = 1e-9 * np.maximum(1.0, np.abs(pool_x).max(axis=0))
-            domain = Domain(pool_x.min(axis=0) - pad, pool_x.max(axis=0) + pad)
+            domain = Domain.bounding(pool_x)
         model = _build_model(resolved["model"], domain.dim)
         pilot = resolved["pilot_size"]
         pilot = int(pilot) if pilot is not None else max(4, int(round(config.pilot_fraction * n)))
@@ -340,16 +344,11 @@ def cmd_personalize(args):
             raise ConfigError(f"{kind} sources require an explicit domain")
         model = _build_model(resolved["model"], domain.dim)
         if kind == "synthetic":
-            truth = ExpressionModel(source["f_star"], domain.dim)
+            truth = ExpressionModel(required(source, "f_star", "synthetic source"), domain.dim)
             noise = _build_noise(source.get("noise"), domain.dim)
             oracle = SyntheticOracle(truth.predict_batch, noise, domain)
         else:
-            cmd = source["cmd"]
-            if isinstance(cmd, str):
-                cmd = shlex.split(cmd)
-            label_model = ExternalProcessModel(cmd, domain.dim)
-            label_model.start()
-            oracle = ExternalOracle(label_model)
+            oracle = ExternalOracle(_build_model(source, domain.dim))
         fitter = fit_personalized_small_domain if resolved["small_domain"] else fit_personalized
         fit = fitter(model, domain, n, oracle, config=config, seed=seed)
     else:
@@ -374,6 +373,7 @@ def cmd_personalize(args):
         "bandwidth": fit.bandwidth,
         "train_x": fit.estimator.train_x.tolist(),
         "train_y": fit.estimator.train_y.tolist(),
+        "f_train": fit.estimator.f_train.tolist(),
         "model": model_spec,
         "warnings": warnings,
     })
@@ -398,19 +398,19 @@ def load_estimator(path):
         raise ConfigError(f"cannot read estimator file: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"estimator file is not valid JSON: {exc}") from None
-    if payload.get("format") != "fsp-estimator":
+    if not isinstance(payload, dict) or payload.get("format") != "fsp-estimator":
         raise ConfigError("not an estimator file (missing format marker)")
-    domain = Domain(payload["domain"]["lo"], payload["domain"]["hi"])
-    model = model_from_spec(payload["model"])
-    if payload["model"]["kind"] == "external":
-        model.start()
+    box = required(payload, "domain", "estimator file")
+    domain = Domain(required(box, "lo", "estimator domain"), required(box, "hi", "estimator domain"))
+    train_x = np.asarray(required(payload, "train_x", "estimator file"), float)
+    train_y = np.asarray(required(payload, "train_y", "estimator file"), float)
+    pair = required(payload, "theta", "estimator file")
+    theta = (required(pair, "theta1", "estimator theta"), required(pair, "theta2", "estimator theta"))
+    bandwidth = required(payload, "bandwidth", "estimator file")
+    model = _build_model(required(payload, "model", "estimator file"), domain.dim)
+    # files written before f_train was stored query the model at the training points
     est = PersonalizedEstimator(
-        np.asarray(payload["train_x"], float),
-        np.asarray(payload["train_y"], float),
-        model,
-        (payload["theta"]["theta1"], payload["theta"]["theta2"]),
-        payload["bandwidth"],
-        domain,
+        train_x, train_y, model, theta, bandwidth, domain, f_train=payload.get("f_train")
     )
     return est, payload.get("covariates") or [f"x{j+1}" for j in range(domain.dim)]
 

@@ -26,6 +26,7 @@ __all__ = [
     "rng_stream",
     "derive_seed",
     "load_csv",
+    "required",
     "default_quadrature_points",
 ]
 
@@ -81,6 +82,13 @@ class Domain:
     @classmethod
     def cube(cls, dim, lo=0.0, hi=1.0):
         return cls((lo,) * dim, (hi,) * dim)
+
+    @classmethod
+    def bounding(cls, points):
+        """The box spanned by the rows of `points`, padded so every row lies inside."""
+        points = np.atleast_2d(np.asarray(points, float))
+        pad = 1e-9 * np.maximum(1.0, np.abs(points).max(axis=0))
+        return cls(points.min(axis=0) - pad, points.max(axis=0) + pad)
 
     @property
     def dim(self):
@@ -321,6 +329,15 @@ def load_csv(path, covariates, response=None, allow_empty=False):
         return x
     y = np.array([cell(row, r, response) for r, row in enumerate(rows, start=1)], dtype=float)
     return SampleSet(x, y)
+
+
+def required(spec, key, what):
+    """spec[key] from a JSON object; ConfigError naming `what` and the key otherwise."""
+    if not isinstance(spec, dict):
+        raise ConfigError(f"{what} must be a JSON object, got {type(spec).__name__}")
+    if key not in spec:
+        raise ConfigError(f"{what} needs the field {key!r}")
+    return spec[key]
 
 
 def default_quadrature_points(dim):

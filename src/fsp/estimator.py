@@ -10,8 +10,10 @@ import numpy as np
 from .core import HolderParams
 
 __all__ = [
+    "row_blocks",
     "chebyshev_distances",
     "euclidean_distances",
+    "holder_powers",
     "smoothed_window_means",
     "PersonalizedEstimator",
     "VarianceField",
@@ -19,6 +21,13 @@ __all__ = [
 ]
 
 _CHUNK_ELEMENTS = 2_000_000
+
+
+def row_blocks(n_rows, n_points):
+    """Row slices of a batch whose (rows, n_points) blocks hold about
+    _CHUNK_ELEMENTS pairs each; a block holds at least one row."""
+    step = max(1, _CHUNK_ELEMENTS // max(1, n_points))
+    return [slice(start, start + step) for start in range(0, n_rows, step)]
 
 
 def chebyshev_distances(a, b):
@@ -29,6 +38,13 @@ def chebyshev_distances(a, b):
 def euclidean_distances(a, b):
     """Pairwise Euclidean distances, shape (len(a), len(b))."""
     return np.sqrt(((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2))
+
+
+def holder_powers(dist2, theta2):
+    """Euclidean distances raised to theta2; with theta2 = 0, distance 0 maps to 0."""
+    if theta2 > 0:
+        return dist2**theta2
+    return np.where(dist2 > 0, 1.0, 0.0)
 
 
 def smoothed_window_means(y_train, f_train, f_eval, dist_inf, dist2_pow, theta1, h):
@@ -70,6 +86,8 @@ class PersonalizedEstimator:
         if f_train is None:
             f_train = model.predict_batch(train_x)
         f_train = np.asarray(f_train, float)
+        if f_train.shape != train_y.shape or not np.isfinite(f_train).all():
+            raise ValueError("f_train must be a finite vector aligned with train_x rows")
         for arr in (train_x, train_y):
             arr.setflags(write=False)
         self.train_x = train_x
@@ -86,8 +104,9 @@ class PersonalizedEstimator:
 
     def estimate_bias(self, x):
         """Kernel estimate of the bias at one point."""
-        x = np.atleast_1d(np.asarray(x, float))
-        return float(self._bias_batch(x[None, :])[0])
+        xs = np.atleast_1d(np.asarray(x, float))[None, :]
+        self.domain.require(xs, "query point")
+        return float(self._bias_given_f(xs, self.model.predict_batch(xs))[0])
 
     def predict(self, x):
         x = np.atleast_1d(np.asarray(x, float))
@@ -102,30 +121,22 @@ class PersonalizedEstimator:
         f_eval = self.model.predict_batch(xs)
         return f_eval + self._bias_given_f(xs, f_eval)
 
-    def _bias_batch(self, xs):
-        self.domain.require(xs, "query point")
-        f_eval = self.model.predict_batch(xs)
-        return self._bias_given_f(xs, f_eval)
-
     def _bias_given_f(self, xs, f_eval):
         out = np.empty(xs.shape[0])
-        chunk = max(1, _CHUNK_ELEMENTS // max(1, self.train_x.shape[0]))
         t = self.theta
-        for start in range(0, xs.shape[0], chunk):
-            block = xs[start : start + chunk]
-            dist_inf = chebyshev_distances(block, self.train_x)
-            dist2 = euclidean_distances(block, self.train_x)
-            dist2_pow = dist2**t.theta2 if t.theta2 > 0 else np.where(dist2 > 0, 1.0, 0.0)
-            out[start : start + chunk] = smoothed_window_means(
+        for rows in row_blocks(xs.shape[0], self.train_x.shape[0]):
+            block = xs[rows]
+            out[rows] = smoothed_window_means(
                 self.train_y,
                 self._f_train,
-                f_eval[start : start + chunk],
-                dist_inf,
-                dist2_pow,
+                f_eval[rows],
+                chebyshev_distances(block, self.train_x),
+                holder_powers(euclidean_distances(block, self.train_x), t.theta2),
                 t.theta1,
                 self.bandwidth,
             )
         return out
+
 
 def pilot_bandwidth(n, dim):
     """Default variance-pilot bandwidth n ** (-1 / (d + 2))."""
@@ -157,14 +168,12 @@ class VarianceField:
     def variance_batch(self, xs):
         xs = np.atleast_2d(np.asarray(xs, float))
         out = np.empty(xs.shape[0])
-        chunk = max(1, _CHUNK_ELEMENTS // max(1, self.pilot_x.shape[0]))
-        for start in range(0, xs.shape[0], chunk):
-            block = xs[start : start + chunk]
-            weights = np.maximum(0.0, self.h_sigma - chebyshev_distances(block, self.pilot_x))
+        for rows in row_blocks(xs.shape[0], self.pilot_x.shape[0]):
+            weights = np.maximum(0.0, self.h_sigma - chebyshev_distances(xs[rows], self.pilot_x))
             wsum = weights.sum(axis=1)
             second = weights @ (self.pilot_y**2) / np.maximum(1.0, wsum)
             first = weights @ self.pilot_y
-            out[start : start + chunk] = second - first**2 / np.maximum(1.0, wsum**2)
+            out[rows] = second - first**2 / np.maximum(1.0, wsum**2)
         return np.maximum(out, 0.0)
 
     def variance_at(self, x):

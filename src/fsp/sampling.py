@@ -398,8 +398,7 @@ def retrieve_from_pool(
     if not (big_n >= n > n0 >= 4):
         raise ConfigError(f"need pool N >= n > pilot >= 4, got N={big_n}, n={n}, pilot={n0}")
     if domain is None:
-        pad = 1e-9 * np.maximum(1.0, np.abs(pool_x).max(axis=0))
-        domain = Domain(pool_x.min(axis=0) - pad, pool_x.max(axis=0) + pad)
+        domain = Domain.bounding(pool_x)
 
     pilot_positions = rng.choice(big_n, size=n0, replace=False)
     pilot_x = pool_x[pilot_positions]

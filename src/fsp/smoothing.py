@@ -11,6 +11,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .blackbox import BlackBoxModel
+from .estimator import holder_powers
 
 __all__ = [
     "local_smooth",
@@ -29,11 +30,7 @@ def smooth_values(anchor_value, values, distances, theta):
     the deviation is 0, so the anchor value passes through exactly.
     """
     values = np.asarray(values, float)
-    distances = np.asarray(distances, float)
-    if theta.theta2 > 0:
-        band = theta.theta1 * distances**theta.theta2
-    else:
-        band = np.where(distances > 0, theta.theta1, 0.0)
+    band = theta.theta1 * holder_powers(np.asarray(distances, float), theta.theta2)
     delta = values - anchor_value
     return anchor_value + np.sign(delta) * np.minimum(np.abs(delta), band)
 
@@ -123,6 +120,5 @@ def check_local_smooth(f, theta, anchor, probe_points, rtol=1e-12):
         f_anchor = f(anchor)
     else:
         f_anchor = _scalar_eval(f, anchor)
-    denom = distances**theta.theta2 if theta.theta2 > 0 else np.ones_like(distances)
-    max_ratio = float(np.max(np.abs(values - f_anchor) / denom))
+    max_ratio = float(np.max(np.abs(values - f_anchor) / holder_powers(distances, theta.theta2)))
     return SmoothnessCheck(max_ratio <= theta.theta1 * (1 + rtol), max_ratio)

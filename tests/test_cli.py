@@ -8,14 +8,19 @@ import pytest
 from fsp.cli import load_estimator, main
 from fsp.core import rng_stream
 
+# an optional argument names a file that receives every query row
 STUB_MODEL = """\
 import sys
+log = open(sys.argv[1], "a") if len(sys.argv) > 1 else None
 dim = int(sys.stdin.readline().split()[1])
 sys.stdout.write("OK\\n")
 sys.stdout.flush()
 for line in sys.stdin:
     if line.strip() == "":
         continue
+    if log:
+        log.write(line)
+        log.flush()
     vals = [float(t) for t in line.split(",")]
     sys.stdout.write(repr(0.5 * sum(vals)) + "\\n")
     sys.stdout.flush()
@@ -181,6 +186,74 @@ def test_personalize_synthetic_source(tmp_path):
     loaded, covs = load_estimator(est)
     assert covs == ["x1", "x2"]
     assert np.isfinite(loaded.predict(np.array([0.5, 0.5])))
+
+
+def test_loaded_external_estimator_queries_only_new_rows(tmp_path):
+    pool = tmp_path / "pool.csv"
+    _make_pool_csv(pool)
+    stub = tmp_path / "stub.py"
+    stub.write_text(STUB_MODEL)
+    est_path = tmp_path / "est.json"
+    rc = main([
+        "personalize", "-n", "60", "--pool-csv", str(pool),
+        "--covariates", "x1,x2", "--response", "y",
+        "--model-cmd", f"{sys.executable} {stub}", "--seed", "11",
+        "--out-estimator", str(est_path), "--out-report", str(tmp_path / "rep.json"),
+    ])
+    assert rc == 0
+    payload = json.loads(est_path.read_text())
+    assert len(payload["f_train"]) == len(payload["train_y"])
+    rows_log = tmp_path / "rows.log"
+    payload["model"]["argv"].append(str(rows_log))
+    est_path.write_text(json.dumps(payload))
+    est, _ = load_estimator(est_path)
+    try:
+        preds = est.predict_batch(rng_stream(3, "loaded").random((7, 2)) * 0.5 + 0.25)
+    finally:
+        est.model.close()
+    assert len(preds) == 7
+    assert len(rows_log.read_text().splitlines()) == 7  # training points are not queried again
+
+
+def _personalize_config(tmp_path, **changes):
+    config = {
+        "domain": [[0.0, 0.0], [1.0, 1.0]],
+        "n": 48,
+        "source": {"kind": "synthetic", "f_star": "x1",
+                   "noise": {"kind": "gaussian", "sigma": 0.5}},
+        "model": {"kind": "expression", "expr": "x1"},
+        "out_estimator": str(tmp_path / "e.json"),
+        "out_report": str(tmp_path / "r.json"),
+    }
+    config.update(changes)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    return path
+
+
+@pytest.mark.parametrize("changes, names", [
+    ({"source": {"kind": "synthetic"}}, "synthetic source needs the field 'f_star'"),
+    ({"model": {"kind": "expression"}}, "expression model needs the field 'expr'"),
+    ({"model": {"kind": "external"}}, "external model needs the field 'cmd'"),
+    ({"source": "pool.csv"}, "source must be a JSON object, got str"),
+    (None, "estimator file needs the field 'bandwidth'"),  # an old or edited file
+], ids=["source-f_star", "model-expr", "model-cmd", "source-not-object", "estimator-bandwidth"])
+def test_config_errors_exit_2_and_name_the_field(tmp_path, capsys, changes, names):
+    if changes is None:
+        assert main(["personalize", "--config", str(_personalize_config(tmp_path))]) == 0
+        est_path = tmp_path / "e.json"
+        payload = json.loads(est_path.read_text())
+        del payload["bandwidth"]
+        est_path.write_text(json.dumps(payload))
+        queries = tmp_path / "q.csv"
+        queries.write_text("x1,x2\n0.5,0.5\n")
+        capsys.readouterr()
+        rc = main(["predict", "--estimator", str(est_path), "--queries", str(queries),
+                   "--out", str(tmp_path / "p.csv")])
+    else:
+        rc = main(["personalize", "--config", str(_personalize_config(tmp_path, **changes))])
+    assert rc == 2
+    assert capsys.readouterr().err.strip().splitlines()[-1] == f"error: {names}"
 
 
 def test_predict_round_trip_and_empty(tmp_path):

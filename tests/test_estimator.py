@@ -6,9 +6,12 @@ from fsp import (
     ExpressionModel,
     FunctionModel,
     HolderParams,
+    KernelSmoothModel,
     PersonalizedEstimator,
+    TableModel,
     VarianceField,
 )
+from fsp import estimator
 from fsp.core import rng_stream
 from fsp.estimator import pilot_bandwidth
 from fsp.smoothing import smooth_values
@@ -143,6 +146,45 @@ def test_predict_batch_single_model_round_trip():
     calls.clear()  # construction caches the training-point values
     est.predict_batch(rng.random((50, 2)))
     assert calls == [50]  # one batched query for the whole evaluation set
+
+
+@pytest.mark.parametrize("f_train", [np.zeros(19), np.full(20, np.nan), np.zeros((20, 1))],
+                         ids=["short", "non-finite", "column"])
+def test_cached_model_values_must_align_with_training_points(f_train):
+    rng = rng_stream(9, "est")
+    with pytest.raises(ValueError, match="f_train"):
+        PersonalizedEstimator(
+            rng.random((20, 2)), rng.normal(size=20), ExpressionModel("x1", 2),
+            HolderParams(0.5, 0.5), 0.3, UNIT, f_train=f_train,
+        )
+
+
+def test_batches_spanning_several_row_blocks_match_smaller_calls():
+    rng = rng_stream(12, "blocks")
+    n = 250_000
+    points = rng.random((n, 2))
+    values = rng.normal(size=n)
+    xs = rng.random((20, 2))
+    block = estimator._CHUNK_ELEMENTS // n
+    assert 1 < block < len(xs) // 2  # the batch crosses at least two block boundaries
+    kernels = {
+        "estimator": PersonalizedEstimator(
+            points, values, ExpressionModel("x1 - x2**2", 2), HolderParams(1.0, 0.5), 0.01, UNIT
+        ).predict_batch,
+        "table": TableModel(points, values).predict_batch,
+        "variance": VarianceField(points, values, 0.02, UNIT).variance_batch,
+        "kernel-smooth": KernelSmoothModel(points, values, 0.01).predict_batch,
+    }
+    for name, kernel in kernels.items():
+        batch = kernel(xs)
+        by_block = np.concatenate([kernel(xs[s : s + block]) for s in range(0, len(xs), block)])
+        by_row = np.array([kernel(x[None, :])[0] for x in xs])
+        assert np.array_equal(batch, by_block), name
+        if name in ("estimator", "table"):
+            assert np.array_equal(batch, by_row), name
+        else:
+            # a one-row matrix product sums in another order than a block's
+            assert np.allclose(batch, by_row, rtol=0, atol=1e-12), name
 
 
 def test_out_of_domain_query_raises():
