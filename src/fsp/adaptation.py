@@ -7,21 +7,13 @@ contains theta1 = 0, so the selected fit never scores worse on validation
 than the target-only kernel estimate.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from .blackbox import FunctionModel, PoolOracle
 from .core import ConfigError, HolderParams, default_quadrature_points, rng_stream
-from .estimator import (
-    PersonalizedEstimator,
-    VarianceField,
-    chebyshev_distances,
-    euclidean_distances,
-    holder_powers,
-    pilot_bandwidth,
-    smoothed_window_means,
-)
+from .estimator import PersonalizedEstimator, VarianceField, pilot_bandwidth, window_biases
 from .sampling import (
     retrieve_budgeted,
     retrieve_from_pool,
@@ -106,17 +98,11 @@ class SelectionResult:
 
 def _score_pairs(pairs, train_x, train_y, f_train, val_x, val_y, f_val):
     """Validation scores for (theta, h) pairs sharing one training block."""
-    dist_inf = chebyshev_distances(val_x, train_x)
-    dist2 = euclidean_distances(val_x, train_x)
-    powers = {t2: holder_powers(dist2, t2) for t2 in {theta.theta2 for theta, _ in pairs}}
-    rows = []
-    for theta, h in pairs:
-        delta = smoothed_window_means(
-            train_y, f_train, f_val, dist_inf, powers[theta.theta2], theta.theta1, h
-        )
-        score = float(((val_y - (f_val + delta)) ** 2).sum())
-        rows.append((theta, float(h), score))
-    return rows
+    biases = window_biases(train_x, train_y, f_train, val_x, f_val, pairs)
+    return [
+        (theta, float(h), float(((val_y - (f_val + delta)) ** 2).sum()))
+        for (theta, h), delta in zip(pairs, biases)
+    ]
 
 
 def _select_pairs(pairs, train_x, train_y, f_train, val_x, val_y, f_val):
@@ -162,7 +148,6 @@ class FitConfig:
     bandwidth: object = "cv"  # "cv", "rule", a number, or a sequence of numbers
     full_bandwidth_set: bool = False
     h_sigma: float | None = None
-    quadrature_points_per_dim: int | None = None
     thetas: tuple | None = None
     synthetic_cap: int = 50_000
 
@@ -178,21 +163,12 @@ class FitConfig:
         return self
 
     def to_dict(self):
-        return {
-            "c1": self.c1,
-            "pilot_fraction": self.pilot_fraction,
-            "split": self.split,
-            "bandwidth": self.bandwidth
-            if isinstance(self.bandwidth, (str, int, float))
-            else [float(h) for h in self.bandwidth],
-            "full_bandwidth_set": self.full_bandwidth_set,
-            "h_sigma": self.h_sigma,
-            "quadrature_points_per_dim": self.quadrature_points_per_dim,
-            "thetas": None
-            if self.thetas is None
-            else [[t.theta1, t.theta2] for t in self.thetas],
-            "synthetic_cap": self.synthetic_cap,
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        if not isinstance(self.bandwidth, (str, int, float)):
+            out["bandwidth"] = [float(h) for h in self.bandwidth]
+        if self.thetas is not None:
+            out["thetas"] = [[t.theta1, t.theta2] for t in self.thetas]
+        return out
 
 
 @dataclass
@@ -271,7 +247,6 @@ def _resolve_bandwidths(config, n, domain, cap):
 
 
 def _mean_sigma_for(rr, config, n, domain):
-    qpd = config.quadrature_points_per_dim
     fld = rr.variance_field
     if fld is None:
         # uniform retrieval has no pilot field; estimate from the validation block
@@ -280,7 +255,7 @@ def _mean_sigma_for(rr, config, n, domain):
             return None
         h_sig = config.h_sigma if config.h_sigma is not None else pilot_bandwidth(n, domain.dim)
         fld = VarianceField(ss.val_x, ss.val_y, h_sig, domain)
-    return fld.mean_sigma(qpd or default_quadrature_points(domain.dim))
+    return fld.mean_sigma(default_quadrature_points(domain.dim))
 
 
 def _select_and_build(model, domain, rr, n, config, cap=None):
@@ -341,7 +316,6 @@ def fit_personalized(model, domain, n, oracle, config=None, seed=0):
         rng,
         split=cfg.split,
         h_sigma=cfg.h_sigma,
-        quadrature_points_per_dim=cfg.quadrature_points_per_dim,
     )
     return _select_and_build(model, domain, rr, n, cfg)
 
@@ -374,7 +348,6 @@ def fit_personalized_pool(
         split=cfg.split,
         synthetic_cap=cfg.synthetic_cap,
         h_sigma=cfg.h_sigma,
-        quadrature_points_per_dim=cfg.quadrature_points_per_dim,
         domain=domain,
     )
     return _select_and_build(model, domain, rr, n, cfg)

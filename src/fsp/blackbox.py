@@ -11,7 +11,6 @@ import os
 import select
 import subprocess
 import threading
-import time
 import types
 
 import numpy as np
@@ -46,7 +45,7 @@ def _finite_or_raise(values, context):
 
 
 class BlackBoxModel:
-    """Query-only predictor f: X -> R."""
+    """Query-only predictor f: X -> R; a context manager that starts and closes it."""
 
     def predict(self, x):
         x = np.atleast_1d(np.asarray(x, float))
@@ -63,6 +62,13 @@ class BlackBoxModel:
 
     def close(self):
         pass
+
+    def __enter__(self):
+        self.start()
+        return self
+
+    def __exit__(self, *exc_info):
+        self.close()
 
 
 def blackbox_query(model, xs, domain=None):
@@ -227,7 +233,9 @@ class ExternalProcessModel(BlackBoxModel):
     Protocol: on startup we send "DIM <d>" and expect "OK".  Each batch is
     one line per query (d comma-separated decimals) terminated by a blank
     line; the reply is one decimal per line, order preserved.  Access is
-    serialized: one in-flight batch at a time.
+    serialized: one in-flight batch at a time.  Requests are written while
+    replies are read, so a child that answers line by line never blocks on
+    a full output pipe; `timeout` bounds every wait for either pipe.
     """
 
     def __init__(self, argv, dim, timeout=30.0, start_timeout=10.0):
@@ -260,34 +268,39 @@ class ExternalProcessModel(BlackBoxModel):
             )
         except OSError as exc:
             raise QueryError(f"cannot start model process (stage: spawn): {exc}") from None
-        self._send(f"DIM {self.dim}\n")
-        reply = self._read_line(self.start_timeout, stage="handshake")
+        os.set_blocking(self._proc.stdin.fileno(), False)
+        (reply,) = self._exchange(f"DIM {self.dim}\n", 1, self.start_timeout, "handshake")
         if reply.strip() != "OK":
             raise QueryError(f"handshake failed (stage: handshake): expected OK, got {reply!r}")
 
-    def _send(self, text):
-        try:
-            self._proc.stdin.write(text.encode("utf-8"))
-            self._proc.stdin.flush()
-        except (BrokenPipeError, OSError) as exc:
-            raise QueryError(f"model process pipe broke (stage: request): {exc}") from None
-
-    def _read_line(self, timeout, stage):
-        deadline = time.monotonic() + timeout
-        fd = self._proc.stdout.fileno()
-        while b"\n" not in self._buffer:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
+    def _exchange(self, text, n_lines, timeout, stage):
+        """Write `text` and read `n_lines` reply lines, whichever pipe is ready first."""
+        request = memoryview(text.encode("utf-8"))
+        stdin = self._proc.stdin.fileno()
+        stdout = self._proc.stdout.fileno()
+        lines = []
+        while request or len(lines) < n_lines:
+            readable, writable, _ = select.select(
+                [stdout] if len(lines) < n_lines else [], [stdin] if request else [], [], timeout
+            )
+            if not readable and not writable:
                 raise QueryError(f"model process timed out (stage: {stage})")
-            ready, _, _ = select.select([fd], [], [], remaining)
-            if not ready:
-                raise QueryError(f"model process timed out (stage: {stage})")
-            chunk = os.read(fd, 65536)
-            if not chunk:
-                raise QueryError(f"model process closed its output (stage: {stage})")
-            self._buffer += chunk
-        line, _, self._buffer = self._buffer.partition(b"\n")
-        return line.decode("utf-8", errors="replace")
+            if writable:
+                try:
+                    request = request[os.write(stdin, request[:65536]) :]
+                except BlockingIOError:
+                    pass
+                except OSError as exc:
+                    raise QueryError(f"model process pipe broke (stage: request): {exc}") from None
+            if readable:
+                chunk = os.read(stdout, 65536)
+                if not chunk:
+                    raise QueryError(f"model process closed its output (stage: {stage})")
+                *done, self._buffer = (self._buffer + chunk).split(b"\n")
+                lines += done
+        # lines beyond the reply stay buffered, as if they had not been read yet
+        self._buffer = b"\n".join(lines[n_lines:] + [self._buffer])
+        return [line.decode("utf-8", errors="replace") for line in lines[:n_lines]]
 
     def predict_batch(self, xs):
         xs = np.atleast_2d(np.asarray(xs, float))
@@ -298,14 +311,13 @@ class ExternalProcessModel(BlackBoxModel):
         with self._lock:
             self._ensure_started()
             payload = "".join(",".join(repr(float(v)) for v in row) + "\n" for row in xs)
-            self._send(payload + "\n")
-            out = np.empty(xs.shape[0])
-            for i in range(xs.shape[0]):
-                line = self._read_line(self.timeout, stage="response")
-                try:
-                    out[i] = float(line.strip())
-                except ValueError:
-                    raise QueryError(f"malformed reply line {line!r}") from None
+            replies = self._exchange(payload + "\n", xs.shape[0], self.timeout, "response")
+        out = np.empty(xs.shape[0])
+        for i, line in enumerate(replies):
+            try:
+                out[i] = float(line.strip())
+            except ValueError:
+                raise QueryError(f"malformed reply line {line!r}") from None
         return _finite_or_raise(out, "external model")
 
     def spec(self):
@@ -323,14 +335,8 @@ class ExternalProcessModel(BlackBoxModel):
                     self._proc.wait(timeout=5)
                 except subprocess.TimeoutExpired:
                     self._proc.kill()
+                self._proc.stdout.close()
                 self._proc = None
-
-    def __enter__(self):
-        self.start()
-        return self
-
-    def __exit__(self, *exc_info):
-        self.close()
 
     def __del__(self):
         try:
@@ -394,10 +400,6 @@ class BernoulliNoise:
             raise ValueError("Bernoulli labels need f(x) in [0, 1]")
         p = np.clip(p, 0.0, 1.0)
         return (rng.random(len(p)) < p).astype(float)
-
-    def sigma(self, f_values):
-        p = np.clip(np.asarray(f_values, float), 0.0, 1.0)
-        return np.sqrt(p * (1.0 - p))
 
 
 class SyntheticOracle:

@@ -7,7 +7,9 @@ runtime/backend failure, 2 configuration or usage error.
 """
 
 import argparse
+import contextlib
 import csv
+import dataclasses
 import json
 import os
 import shlex
@@ -46,6 +48,12 @@ SCENARIOS = {
     "adversarial": scenario_adversarial,
 }
 
+
+def _fit_defaults(*keys):
+    """FitConfig's defaults for the fit keys a command accepts."""
+    return {f.name: f.default for f in dataclasses.fields(FitConfig) if f.name in keys}
+
+
 _SIMULATE_DEFAULTS = {
     "scenario": None,
     "n": 300,
@@ -56,30 +64,23 @@ _SIMULATE_DEFAULTS = {
     "seed": 0,
     "out_dir": ".",
     "prefix": None,
-    "pilot_fraction": 0.25,
-    "c1": 2.0,
-    "split": "reuse",
-    "bandwidth": "cv",
-    "full_bandwidth_set": False,
+    **_fit_defaults("pilot_fraction", "c1", "split", "bandwidth", "full_bandwidth_set"),
 }
 
 _PERSONALIZE_DEFAULTS = {
     "domain": None,
     "n": None,
     "pilot_size": None,
-    "pilot_fraction": 0.25,
     "source": None,
     "model": None,
     "small_domain": False,
     "seed": 0,
-    "c1": 2.0,
-    "split": "reuse",
-    "bandwidth": "cv",
-    "full_bandwidth_set": False,
-    "h_sigma": None,
-    "synthetic_cap": 50_000,
     "out_estimator": "estimator.json",
     "out_report": "personalize_report.json",
+    **_fit_defaults(
+        "pilot_fraction", "c1", "split", "bandwidth", "full_bandwidth_set", "h_sigma",
+        "synthetic_cap",
+    ),
 }
 
 _PREDICT_DEFAULTS = {"estimator": None, "queries": None, "out": "predictions.csv", "seed": 0}
@@ -102,18 +103,24 @@ def _load_config_file(path):
     return data
 
 
-def _resolve(defaults, file_config, overrides):
-    """Merge file config and flag overrides onto defaults; reject unknown keys."""
+def _resolve(defaults, args, **overrides):
+    """Merge the config file, then the flags, onto defaults; reject unknown keys.
+
+    A flag sets the key named by its argparse dest; `overrides` replace the
+    flags whose values need converting first.  A None value sets nothing.
+    """
+    file_config = _load_config_file(args.config)
     unknown = set(file_config) - set(defaults)
     if unknown:
         raise ConfigError(f"unknown config keys {sorted(unknown)}")
     resolved = dict(defaults)
     resolved.update(file_config)
-    for key, value in overrides.items():
+    flags = {key: value for key, value in vars(args).items() if key in defaults}
+    for key, value in {**flags, **overrides}.items():
         if value is not None:
             resolved[key] = value
     env_seed = os.environ.get("FSP_SEED")
-    if overrides.get("seed") is None and env_seed is not None:
+    if args.seed is None and env_seed is not None:
         try:
             resolved["seed"] = int(env_seed)
         except ValueError:
@@ -161,24 +168,14 @@ def _fit_config(resolved):
         bandwidth=bandwidth,
         full_bandwidth_set=bool(resolved["full_bandwidth_set"]),
         h_sigma=resolved.get("h_sigma"),
-        synthetic_cap=int(resolved.get("synthetic_cap", 50_000)),
+        synthetic_cap=int(resolved.get("synthetic_cap", FitConfig.synthetic_cap)),
     ).validate()
 
 
 def cmd_simulate(args):
-    resolved = _resolve(_SIMULATE_DEFAULTS, _load_config_file(args.config), {
-        "scenario": args.scenario,
-        "n": args.n,
-        "n_ptr": args.n_ptr,
-        "repetitions": args.repetitions,
-        "n_test": args.n_test,
-        "methods": args.methods.split(",") if args.methods else None,
-        "seed": args.seed,
-        "out_dir": args.out_dir,
-        "prefix": args.prefix,
-        "split": args.split,
-        "bandwidth": args.bandwidth,
-    })
+    resolved = _resolve(
+        _SIMULATE_DEFAULTS, args, methods=args.methods.split(",") if args.methods else None
+    )
     if resolved["scenario"] not in SCENARIOS:
         raise ConfigError(
             f"unknown scenario {resolved['scenario']!r}; valid names: "
@@ -272,6 +269,8 @@ def _build_model(spec, dim):
 def _build_noise(spec, dim):
     if spec is None:
         return GaussianNoise(1.0)
+    if not isinstance(spec, dict):
+        raise ConfigError(f"noise must be a JSON object, got {type(spec).__name__}")
     kind = spec.get("kind", "gaussian")
     if kind == "gaussian":
         return GaussianNoise(spec.get("sigma", 1.0), dim=dim)
@@ -281,18 +280,7 @@ def _build_noise(spec, dim):
 
 
 def cmd_personalize(args):
-    file_config = _load_config_file(args.config)
-    overrides = {
-        "n": args.n,
-        "pilot_size": args.pilot_size,
-        "seed": args.seed,
-        "domain": args.domain,
-        "split": args.split,
-        "bandwidth": args.bandwidth,
-        "out_estimator": args.out_estimator,
-        "out_report": args.out_report,
-        "small_domain": args.small_domain or None,
-    }
+    overrides = {}
     if args.pool_csv:
         overrides["source"] = {
             "kind": "pool",
@@ -304,12 +292,18 @@ def cmd_personalize(args):
         overrides["model"] = {"kind": "expression", "expr": args.model_expr}
     if args.model_cmd:
         overrides["model"] = {"kind": "external", "cmd": args.model_cmd}
-    resolved = _resolve(_PERSONALIZE_DEFAULTS, file_config, overrides)
+    resolved = _resolve(_PERSONALIZE_DEFAULTS, args, **overrides)
     if resolved["n"] is None:
         raise ConfigError("a labeling budget n is required")
     if resolved["source"] is None or resolved["model"] is None:
         raise ConfigError("both a label source and a model backend are required")
     _echo(resolved)
+    with contextlib.ExitStack() as backends:
+        return _personalize(resolved, backends)
+
+
+def _personalize(resolved, backends):
+    """Fit and write the estimator and its report; `backends` closes every backend built."""
     started = time.time()
     n = int(resolved["n"])
     seed = int(resolved["seed"])
@@ -333,7 +327,7 @@ def cmd_personalize(args):
             raise ConfigError(f"budget exceeds pool: n={n} > {len(pool_x)} pool points")
         if domain is None:
             domain = Domain.bounding(pool_x)
-        model = _build_model(resolved["model"], domain.dim)
+        model = backends.enter_context(_build_model(resolved["model"], domain.dim))
         pilot = resolved["pilot_size"]
         pilot = int(pilot) if pilot is not None else max(4, int(round(config.pilot_fraction * n)))
         fit = fit_personalized_pool(
@@ -342,13 +336,13 @@ def cmd_personalize(args):
     elif kind in ("synthetic", "external"):
         if domain is None:
             raise ConfigError(f"{kind} sources require an explicit domain")
-        model = _build_model(resolved["model"], domain.dim)
+        model = backends.enter_context(_build_model(resolved["model"], domain.dim))
         if kind == "synthetic":
             truth = ExpressionModel(required(source, "f_star", "synthetic source"), domain.dim)
             noise = _build_noise(source.get("noise"), domain.dim)
             oracle = SyntheticOracle(truth.predict_batch, noise, domain)
         else:
-            oracle = ExternalOracle(_build_model(source, domain.dim))
+            oracle = ExternalOracle(backends.enter_context(_build_model(source, domain.dim)))
         fitter = fit_personalized_small_domain if resolved["small_domain"] else fit_personalized
         fit = fitter(model, domain, n, oracle, config=config, seed=seed)
     else:
@@ -416,65 +410,43 @@ def load_estimator(path):
 
 
 def cmd_predict(args):
-    resolved = _resolve(_PREDICT_DEFAULTS, _load_config_file(args.config), {
-        "estimator": args.estimator,
-        "queries": args.queries,
-        "out": args.out,
-        "seed": args.seed,
-    })
+    resolved = _resolve(_PREDICT_DEFAULTS, args)
     if not resolved["estimator"] or not resolved["queries"]:
         raise ConfigError("predict needs --estimator and --queries")
     _echo(resolved)
     est, covariates = load_estimator(resolved["estimator"])
-    xs = load_csv(resolved["queries"], covariates, allow_empty=True)
-    ok = est.domain.contains(xs) if len(xs) else np.ones(0, bool)
-    if len(xs) and not ok.all():
-        bad = int(np.flatnonzero(~ok)[0])
-        raise DomainError(
-            f"query row {bad + 1} of {resolved['queries']} lies outside the "
-            f"estimator's domain: {xs[bad].tolist()}"
-        )
-    preds = est.predict_batch(xs) if len(xs) else np.empty(0)
+    with est.model:
+        xs = load_csv(resolved["queries"], covariates, allow_empty=True)
+        ok = est.domain.contains(xs) if len(xs) else np.ones(0, bool)
+        if len(xs) and not ok.all():
+            bad = int(np.flatnonzero(~ok)[0])
+            raise DomainError(
+                f"query row {bad + 1} of {resolved['queries']} lies outside the "
+                f"estimator's domain: {xs[bad].tolist()}"
+            )
+        preds = est.predict_batch(xs) if len(xs) else np.empty(0)
     _write_csv(resolved["out"], ["prediction"], [[float(p)] for p in preds])
     return 0
 
 
 def _read_column(path, preferred):
+    """The only column of a file, else its first column named in `preferred`."""
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise DataError(f"empty data: {path} has no header row")
-        header = [c.strip() for c in header]
-        rows = [row for row in reader if row]
-    if len(header) == 1:
-        col = 0
-    else:
-        matches = [name for name in preferred if name in header]
-        if not matches:
-            raise ConfigError(
-                f"{path} has columns {header}; expected one of {list(preferred)} "
-                "or a single-column file"
-            )
-        col = header.index(matches[0])
-    out = []
-    for r, row in enumerate(rows, start=1):
-        try:
-            out.append(float(row[col].strip()))
-        except (ValueError, IndexError):
-            raise DataError(
-                f"non-numeric value at row {r}, column {header[col]!r} of {path}"
-            ) from None
-    return np.asarray(out)
+        header = next(csv.reader(fh), None)
+    if header is None:
+        raise DataError(f"empty data: {path} has no header row")
+    header = [c.strip() for c in header]
+    names = header if len(header) == 1 else [name for name in preferred if name in header]
+    if not names:
+        raise ConfigError(
+            f"{path} has columns {header}; expected one of {list(preferred)} "
+            "or a single-column file"
+        )
+    return load_csv(path, names[:1], allow_empty=True)[:, 0]
 
 
 def cmd_eval(args):
-    resolved = _resolve(_EVAL_DEFAULTS, _load_config_file(args.config), {
-        "predictions": args.predictions,
-        "truth": args.truth,
-        "metric": args.metric,
-        "seed": args.seed,
-    })
+    resolved = _resolve(_EVAL_DEFAULTS, args)
     if not resolved["predictions"] or not resolved["truth"]:
         raise ConfigError("eval needs --predictions and --truth")
     if resolved["metric"] not in ("mse", "mce"):
@@ -533,7 +505,7 @@ def build_parser():
     per.add_argument("--domain")
     per.add_argument("--split", choices=["reuse", "strict"])
     per.add_argument("--bandwidth")
-    per.add_argument("--small-domain", action="store_true", dest="small_domain")
+    per.add_argument("--small-domain", action="store_true", dest="small_domain", default=None)
     per.add_argument("--seed", type=int)
     per.add_argument("--out-estimator", dest="out_estimator")
     per.add_argument("--out-report", dest="out_report")

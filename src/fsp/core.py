@@ -311,13 +311,13 @@ def load_csv(path, covariates, response=None, allow_empty=False):
     def cell(row_values, row_number, name):
         j = positions[name]
         if j >= len(row_values):
-            raise DataError(f"row {row_number} is too short for column {name!r}")
+            raise DataError(f"row {row_number} is too short for column {name!r} of {path}")
         text = row_values[j].strip()
         try:
             return float(text)
         except ValueError:
             raise DataError(
-                f"non-numeric value {text!r} at row {row_number}, column {name!r}"
+                f"non-numeric value {text!r} at row {row_number}, column {name!r} of {path}"
             ) from None
 
     x = np.array(

@@ -15,6 +15,7 @@ __all__ = [
     "euclidean_distances",
     "holder_powers",
     "smoothed_window_means",
+    "window_biases",
     "PersonalizedEstimator",
     "VarianceField",
     "pilot_bandwidth",
@@ -62,6 +63,26 @@ def smoothed_window_means(y_train, f_train, f_eval, dist_inf, dist2_pow, theta1,
     omega = f_eval[:, None] + trunc
     num = ((y_train[None, :] - omega) * mask).sum(axis=1)
     return num / np.maximum(counts, 1)
+
+
+def window_biases(train_x, train_y, f_train, xs, f_eval, pairs):
+    """Bias estimates at xs for each (theta, h) pair, shape (len(pairs), len(xs)).
+
+    Per row block, the distances are computed once and the Holder powers
+    once per distinct theta2, so memory stays bounded by the block size.
+    """
+    theta2s = {theta.theta2 for theta, _ in pairs}
+    out = np.empty((len(pairs), xs.shape[0]))
+    for rows in row_blocks(xs.shape[0], train_x.shape[0]):
+        dist_inf = chebyshev_distances(xs[rows], train_x)
+        dist2 = euclidean_distances(xs[rows], train_x)
+        powers = {theta2: holder_powers(dist2, theta2) for theta2 in theta2s}
+        del dist2  # the window means need only the powers
+        for k, (theta, h) in enumerate(pairs):
+            out[k, rows] = smoothed_window_means(
+                train_y, f_train, f_eval[rows], dist_inf, powers[theta.theta2], theta.theta1, h
+            )
+    return out
 
 
 class PersonalizedEstimator:
@@ -122,20 +143,8 @@ class PersonalizedEstimator:
         return f_eval + self._bias_given_f(xs, f_eval)
 
     def _bias_given_f(self, xs, f_eval):
-        out = np.empty(xs.shape[0])
-        t = self.theta
-        for rows in row_blocks(xs.shape[0], self.train_x.shape[0]):
-            block = xs[rows]
-            out[rows] = smoothed_window_means(
-                self.train_y,
-                self._f_train,
-                f_eval[rows],
-                chebyshev_distances(block, self.train_x),
-                holder_powers(euclidean_distances(block, self.train_x), t.theta2),
-                t.theta1,
-                self.bandwidth,
-            )
-        return out
+        pair = (self.theta, self.bandwidth)
+        return window_biases(self.train_x, self.train_y, self._f_train, xs, f_eval, [pair])[0]
 
 
 def pilot_bandwidth(n, dim):

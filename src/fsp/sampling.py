@@ -6,7 +6,7 @@ higher estimated noise; the pool scheme approximates that allocation over
 a fixed set of unlabeled points via a logistic density-ratio fit.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -172,18 +172,7 @@ class RetrievalDiagnostics:
     pool_indices: np.ndarray | None = field(default=None, repr=False)
 
     def to_dict(self):
-        out = {
-            "scheme": self.scheme,
-            "acceptance_rate": self.acceptance_rate,
-            "proposals": self.proposals,
-            "floor": self.floor,
-            "floor_active_fraction": self.floor_active_fraction,
-            "uniform_fallback": self.uniform_fallback,
-            "synthetic_draws": self.synthetic_draws,
-            "synthetic_cap_applied": self.synthetic_cap_applied,
-            "logistic_converged": self.logistic_converged,
-            "logistic_iterations": self.logistic_iterations,
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "pool_indices"}
         return {k: v for k, v in out.items() if v is not None}
 
 
@@ -197,26 +186,27 @@ class RetrievalResult:
     diagnostics: RetrievalDiagnostics
 
 
-def _pilot_split(n0, split):
-    """Index partitions for the pilot block: (variance rows, validation rows)."""
+def _pilot_density(pilot_x, pilot_y, n, split, h_sigma, domain):
+    """Validation rows, variance field and plug-in density of a labeled pilot.
+
+    The field uses the first pilot half under 'strict', which validates on
+    the second half, and the whole pilot under 'reuse', which validates on
+    all of it.  h_sigma defaults to the pilot bandwidth for budget n.
+    """
+    n0 = pilot_x.shape[0]
     if split == "strict":
-        half = n0 // 2
-        return np.arange(half), np.arange(half, n0)
-    if split == "reuse":
-        return np.arange(n0), np.arange(n0)
-    raise ConfigError(f"unknown split mode {split!r} (use 'strict' or 'reuse')")
+        var_rows, val_rows = np.arange(n0 // 2), np.arange(n0 // 2, n0)
+    elif split == "reuse":
+        var_rows = val_rows = np.arange(n0)
+    else:
+        raise ConfigError(f"unknown split mode {split!r} (use 'strict' or 'reuse')")
+    if h_sigma is None:
+        h_sigma = pilot_bandwidth(n, domain.dim)
+    fld = VarianceField(pilot_x[var_rows], pilot_y[var_rows], h_sigma, domain)
+    return val_rows, fld, plug_in_density(fld)
 
 
-def retrieve_budgeted(
-    n,
-    pilot_fraction,
-    domain,
-    oracle,
-    rng,
-    split="reuse",
-    h_sigma=None,
-    quadrature_points_per_dim=None,
-):
+def retrieve_budgeted(n, pilot_fraction, domain, oracle, rng, split="reuse", h_sigma=None):
     """Two-phase retrieval: uniform pilot, then draws from the plug-in density.
 
     The pilot of size n0 = round(pilot_fraction * n) estimates the noise
@@ -233,10 +223,7 @@ def retrieve_budgeted(
     n0 = min(max(n0, 2), n - 1)
     pilot_x = domain.uniform(n0, rng)
     pilot_y = oracle.label(pilot_x, rng)
-    var_rows, val_rows = _pilot_split(n0, split)
-    h_sig = h_sigma if h_sigma is not None else pilot_bandwidth(n, domain.dim)
-    fld = VarianceField(pilot_x[var_rows], pilot_y[var_rows], h_sig, domain)
-    density = plug_in_density(fld, quadrature_points_per_dim)
+    val_rows, fld, density = _pilot_density(pilot_x, pilot_y, n, split, h_sigma, domain)
     step2_x, rej = rejection_sample(density, n - n0, rng, return_diagnostics=True)
     step2_y = oracle.label(step2_x, rng)
     ss = SampleSet(
@@ -380,7 +367,6 @@ def retrieve_from_pool(
     split="reuse",
     synthetic_cap=50_000,
     h_sigma=None,
-    quadrature_points_per_dim=None,
     domain=None,
 ):
     """Budgeted retrieval from a fixed pool of unlabeled covariates.
@@ -403,10 +389,7 @@ def retrieve_from_pool(
     pilot_positions = rng.choice(big_n, size=n0, replace=False)
     pilot_x = pool_x[pilot_positions]
     pilot_y = _pool_labels(oracle, pool_x, pilot_positions, rng)
-    var_rows, val_rows = _pilot_split(n0, split)
-    h_sig = h_sigma if h_sigma is not None else pilot_bandwidth(n, domain.dim)
-    fld = VarianceField(pilot_x[var_rows], pilot_y[var_rows], h_sig, domain)
-    density = plug_in_density(fld, quadrature_points_per_dim)
+    val_rows, fld, density = _pilot_density(pilot_x, pilot_y, n, split, h_sigma, domain)
 
     rest_mask = np.ones(big_n, dtype=bool)
     rest_mask[pilot_positions] = False

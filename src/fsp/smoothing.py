@@ -116,9 +116,6 @@ def check_local_smooth(f, theta, anchor, probe_points, rtol=1e-12):
     if (distances == 0).any():
         raise ValueError("probe points must differ from the anchor")
     values = _batch_eval(f, probes)
-    if isinstance(f, SmoothedView):
-        f_anchor = f(anchor)
-    else:
-        f_anchor = _scalar_eval(f, anchor)
+    f_anchor = _scalar_eval(f, anchor)
     max_ratio = float(np.max(np.abs(values - f_anchor) / holder_powers(distances, theta.theta2)))
     return SmoothnessCheck(max_ratio <= theta.theta1 * (1 + rtol), max_ratio)

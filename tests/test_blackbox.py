@@ -1,4 +1,5 @@
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -135,6 +136,25 @@ def test_external_sum_round_trip(tmp_path):
         assert np.array_equal(out, again)
 
 
+def test_external_large_batch_finishes(tmp_path):
+    # a child that answers line by line fills its output pipe long before
+    # it has read a request this size
+    xs = rng_stream(2, "ext").random((50_000, 2))
+    m = _external(tmp_path, SUM_SCRIPT, 2)
+    m.start()
+    result = {}
+    worker = threading.Thread(target=lambda: result.update(out=m.predict_batch(xs)))
+    worker.start()
+    worker.join(60)
+    hung = worker.is_alive()
+    if hung:
+        m._proc.kill()  # breaks the pipe, so the blocked writer returns
+        worker.join(10)
+    m.close()
+    assert not hung
+    assert result["out"] == pytest.approx(xs.sum(axis=1))
+
+
 def test_external_handshake_failure(tmp_path):
     bad = "import sys\nsys.stdin.readline()\nsys.stdout.write('NOPE\\n')\nsys.stdout.flush()\n"
     m = _external(tmp_path, bad, 1)
@@ -167,13 +187,12 @@ def test_gaussian_noise_law():
     assert abs(y.mean()) < 0.03
 
 
-def test_bernoulli_noise_values_and_sigma():
+def test_bernoulli_noise_values():
     noise = BernoulliNoise()
     f = np.full(5000, 0.25)
     y = noise.sample(f, None, rng_stream(0, "b"))
     assert set(np.unique(y)) <= {0.0, 1.0}
     assert y.mean() == pytest.approx(0.25, abs=0.03)
-    assert noise.sigma(f)[0] == pytest.approx(np.sqrt(0.25 * 0.75))
     with pytest.raises(ValueError):
         noise.sample(np.array([1.5]), None, rng_stream(0, "b"))
 

@@ -1,17 +1,26 @@
+import argparse
 import csv
+import dataclasses
 import json
+import os
 import sys
 
 import numpy as np
 import pytest
 
-from fsp.cli import load_estimator, main
+from fsp import cli
+from fsp.adaptation import FitConfig
+from fsp.cli import build_parser, load_estimator, main
 from fsp.core import rng_stream
 
-# an optional argument names a file that receives every query row
+# optional arguments name a file that receives every query row and one that
+# receives the process id
 STUB_MODEL = """\
-import sys
+import os, sys
 log = open(sys.argv[1], "a") if len(sys.argv) > 1 else None
+if len(sys.argv) > 2:
+    with open(sys.argv[2], "a") as pids:
+        pids.write(f"{os.getpid()}\\n")
 dim = int(sys.stdin.readline().split()[1])
 sys.stdout.write("OK\\n")
 sys.stdout.flush()
@@ -236,8 +245,11 @@ def _personalize_config(tmp_path, **changes):
     ({"model": {"kind": "expression"}}, "expression model needs the field 'expr'"),
     ({"model": {"kind": "external"}}, "external model needs the field 'cmd'"),
     ({"source": "pool.csv"}, "source must be a JSON object, got str"),
+    ({"source": {"kind": "synthetic", "f_star": "x1", "noise": 0.5}},
+     "noise must be a JSON object, got float"),
     (None, "estimator file needs the field 'bandwidth'"),  # an old or edited file
-], ids=["source-f_star", "model-expr", "model-cmd", "source-not-object", "estimator-bandwidth"])
+], ids=["source-f_star", "model-expr", "model-cmd", "source-not-object", "noise-not-object",
+        "estimator-bandwidth"])
 def test_config_errors_exit_2_and_name_the_field(tmp_path, capsys, changes, names):
     if changes is None:
         assert main(["personalize", "--config", str(_personalize_config(tmp_path))]) == 0
@@ -349,3 +361,92 @@ def test_eval_length_mismatch(tmp_path, capsys):
     rc = main(["eval", "--predictions", str(tmp_path / "p.csv"), "--truth", str(tmp_path / "t.csv"), "--metric", "mse"])
     assert rc == 2
     assert "mismatch" in capsys.readouterr().err
+
+
+def test_option_surface_is_pinned():
+    subcommands = next(
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    flags = {
+        name: {a.dest: a.option_strings for a in sub._actions if a.dest != "help"}
+        for name, sub in subcommands.choices.items()
+    }
+    assert flags == {
+        "simulate": {
+            "config": ["--config"], "scenario": ["--scenario"], "n": ["-n"],
+            "n_ptr": ["--n-ptr"], "repetitions": ["--repetitions", "--reps"],
+            "n_test": ["--n-test"], "methods": ["--methods"], "seed": ["--seed"],
+            "out_dir": ["--out-dir"], "prefix": ["--prefix"], "split": ["--split"],
+            "bandwidth": ["--bandwidth"],
+        },
+        "personalize": {
+            "config": ["--config"], "n": ["-n", "--budget"], "pilot_size": ["--pilot-size"],
+            "pool_csv": ["--pool-csv"], "covariates": ["--covariates"],
+            "response": ["--response"], "model_expr": ["--model-expr"],
+            "model_cmd": ["--model-cmd"], "domain": ["--domain"], "split": ["--split"],
+            "bandwidth": ["--bandwidth"], "small_domain": ["--small-domain"],
+            "seed": ["--seed"], "out_estimator": ["--out-estimator"],
+            "out_report": ["--out-report"],
+        },
+        "predict": {
+            "config": ["--config"], "estimator": ["--estimator"], "queries": ["--queries"],
+            "out": ["--out"], "seed": ["--seed"],
+        },
+        "eval": {
+            "config": ["--config"], "predictions": ["--predictions"], "truth": ["--truth"],
+            "metric": ["--metric"], "seed": ["--seed"],
+        },
+    }
+    keys = {
+        "simulate": cli._SIMULATE_DEFAULTS,
+        "personalize": cli._PERSONALIZE_DEFAULTS,
+        "predict": cli._PREDICT_DEFAULTS,
+        "eval": cli._EVAL_DEFAULTS,
+    }
+    assert {name: sorted(defaults) for name, defaults in keys.items()} == {
+        "simulate": [
+            "bandwidth", "c1", "full_bandwidth_set", "methods", "n", "n_ptr", "n_test",
+            "out_dir", "pilot_fraction", "prefix", "repetitions", "scenario", "seed", "split",
+        ],
+        "personalize": [
+            "bandwidth", "c1", "domain", "full_bandwidth_set", "h_sigma", "model", "n",
+            "out_estimator", "out_report", "pilot_fraction", "pilot_size", "seed",
+            "small_domain", "source", "split", "synthetic_cap",
+        ],
+        "predict": ["estimator", "out", "queries", "seed"],
+        "eval": ["metric", "predictions", "seed", "truth"],
+    }
+    assert [f.name for f in dataclasses.fields(FitConfig)] == [
+        "c1", "pilot_fraction", "split", "bandwidth", "full_bandwidth_set", "h_sigma",
+        "thetas", "synthetic_cap",
+    ]
+
+
+def test_cli_closes_the_processes_it_starts(tmp_path, monkeypatch):
+    # holding every backend the CLI builds keeps garbage collection from closing it
+    built = []
+    build = cli.model_from_spec
+    monkeypatch.setattr(cli, "model_from_spec", lambda spec: built.append(build(spec)) or built[-1])
+    stub = tmp_path / "stub.py"
+    stub.write_text(STUB_MODEL)
+    pids = tmp_path / "pids.log"
+    cmd = f"{sys.executable} {stub} {tmp_path / 'rows.log'} {pids}"
+    config = _personalize_config(
+        tmp_path,
+        source={"kind": "external", "cmd": cmd},
+        model={"kind": "external", "cmd": cmd},
+    )
+    queries = tmp_path / "q.csv"
+    queries.write_text("x1,x2\n0.5,0.5\n")
+    try:
+        assert main(["personalize", "--config", str(config)]) == 0
+        assert main(["predict", "--estimator", str(tmp_path / "e.json"),
+                     "--queries", str(queries), "--out", str(tmp_path / "p.csv")]) == 0
+        started = [int(pid) for pid in pids.read_text().split()]
+        assert len(started) == 3  # label source and model, then the model for predict
+        for pid in started:
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
+    finally:
+        for model in built:
+            model.close()

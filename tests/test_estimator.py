@@ -11,7 +11,7 @@ from fsp import (
     TableModel,
     VarianceField,
 )
-from fsp import estimator
+from fsp import adaptation, estimator
 from fsp.core import rng_stream
 from fsp.estimator import pilot_bandwidth
 from fsp.smoothing import smooth_values
@@ -159,7 +159,7 @@ def test_cached_model_values_must_align_with_training_points(f_train):
         )
 
 
-def test_batches_spanning_several_row_blocks_match_smaller_calls():
+def test_batches_spanning_several_row_blocks_match_smaller_calls(monkeypatch):
     rng = rng_stream(12, "blocks")
     n = 250_000
     points = rng.random((n, 2))
@@ -185,6 +185,15 @@ def test_batches_spanning_several_row_blocks_match_smaller_calls():
         else:
             # a one-row matrix product sums in another order than a block's
             assert np.allclose(batch, by_row, rtol=0, atol=1e-12), name
+    # validation scores: the block split must not move a bit of the table
+    pairs = [
+        (HolderParams(t1, t2), h) for h in (0.01, 0.03) for t1 in (0.0, 1.0) for t2 in (0.0, 0.5)
+    ]
+    f_points = points[:, 0] - points[:, 1] ** 2
+    args = (pairs, points, values, f_points, xs, values[: len(xs)], xs[:, 0] - xs[:, 1] ** 2)
+    several = adaptation._score_pairs(*args)
+    monkeypatch.setattr(estimator, "_CHUNK_ELEMENTS", len(xs) * n)
+    assert adaptation._score_pairs(*args) == several
 
 
 def test_out_of_domain_query_raises():
