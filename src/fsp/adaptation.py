@@ -122,8 +122,8 @@ def select_theta_h(thetas, bandwidths, train_x, train_y, val_x, val_y, model, f_
     bandwidths = sorted(float(h) for h in bandwidths)
     if not bandwidths:
         raise ValueError("need at least one bandwidth")
-    if any(h <= 0 for h in bandwidths):
-        raise ValueError("bandwidths must be positive")
+    if not all(h > 0 for h in bandwidths):  # also rejects NaN
+        raise ValueError("bandwidths must be positive numbers")
     train_x = np.atleast_2d(np.asarray(train_x, float))
     train_y = np.asarray(train_y, float)
     val_x = np.atleast_2d(np.asarray(val_x, float))
@@ -235,8 +235,8 @@ def _resolve_bandwidths(config, n, domain, cap):
         values = [float(h) for h in bw]
     if not values:
         raise ConfigError("bandwidth list must be nonempty")
-    if any(h <= 0 for h in values):
-        raise ConfigError("bandwidths must be positive")
+    if not all(h > 0 for h in values):  # also rejects NaN
+        raise ConfigError("bandwidths must be positive numbers")
     if cap is not None:
         bad = [h for h in values if h > cap * (1 + 1e-12)]
         if bad:

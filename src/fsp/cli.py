@@ -320,7 +320,7 @@ def _personalize(resolved, backends):
         ss = load_csv(
             required(source, "csv", "pool source"),
             covariate_names,
-            response=source.get("response", "y"),
+            response=source.get("response") or "y",
         )
         pool_x, pool_y = ss.x, ss.y
         if n > len(pool_x):

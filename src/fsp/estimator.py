@@ -48,6 +48,15 @@ def holder_powers(dist2, theta2):
     return np.where(dist2 > 0, 1.0, 0.0)
 
 
+def _window_residuals(y_train, f_train, f_eval, dist2_pow, theta1):
+    """Residuals y_i - omega(f_train_i), one row per eval point, against the
+    black box smoothed around that eval point."""
+    delta = f_train[None, :] - f_eval[:, None]
+    trunc = np.sign(delta) * np.minimum(np.abs(delta), theta1 * dist2_pow)
+    omega = f_eval[:, None] + trunc
+    return y_train[None, :] - omega
+
+
 def smoothed_window_means(y_train, f_train, f_eval, dist_inf, dist2_pow, theta1, h):
     """Window-averaged residuals against the smoothed black-box values.
 
@@ -58,11 +67,15 @@ def smoothed_window_means(y_train, f_train, f_eval, dist_inf, dist2_pow, theta1,
     """
     mask = dist_inf <= h
     counts = mask.sum(axis=1)
-    delta = f_train[None, :] - f_eval[:, None]
-    trunc = np.sign(delta) * np.minimum(np.abs(delta), theta1 * dist2_pow)
-    omega = f_eval[:, None] + trunc
-    num = ((y_train[None, :] - omega) * mask).sum(axis=1)
-    return num / np.maximum(counts, 1)
+    residuals = _window_residuals(y_train, f_train, f_eval, dist2_pow, theta1)
+    return (residuals * mask).sum(axis=1) / np.maximum(counts, 1)
+
+
+def _ladder_sums(bins, n_rows, n_bins, weights=None):
+    """Per-row cumulative sums over the ladder rungs, shape (n_rows, n_bins - 1);
+    the last bin, points outside every window, is dropped."""
+    sums = np.bincount(bins, weights=weights, minlength=n_rows * n_bins)
+    return sums.reshape(n_rows, n_bins)[:, :-1].cumsum(axis=1)
 
 
 def window_biases(train_x, train_y, f_train, xs, f_eval, pairs):
@@ -70,18 +83,46 @@ def window_biases(train_x, train_y, f_train, xs, f_eval, pairs):
 
     Per row block, the distances are computed once and the Holder powers
     once per distinct theta2, so memory stays bounded by the block size.
+    When every theta carries one bandwidth (prediction, rule mode), each pair
+    takes the masked row sum of smoothed_window_means.  Otherwise the pairs
+    of a theta share one residual pass: the sup-norm windows are nested in
+    h, so each training point is binned by the first rung of the sorted
+    bandwidth ladder whose window holds it, and cumulative sums over the
+    rungs give every window.  Rungs that hold the same points read
+    bit-equal sums.
     """
+    pair_hs = [float(h) for _, h in pairs]
+    hs = np.unique(pair_hs)
     theta2s = {theta.theta2 for theta, _ in pairs}
+    columns = {}  # theta -> (pair index, rung) of each of its pairs
+    for k, ((theta, _), rung) in enumerate(zip(pairs, np.searchsorted(hs, pair_hs))):
+        columns.setdefault(theta, []).append((k, rung))
+    n_bins = len(hs) + 1
+    ladder = len(columns) < len(pairs)  # some theta carries several bandwidths
     out = np.empty((len(pairs), xs.shape[0]))
-    for rows in row_blocks(xs.shape[0], train_x.shape[0]):
+    for rows in row_blocks(xs.shape[0], train_x.shape[0] + n_bins):
         dist_inf = chebyshev_distances(xs[rows], train_x)
         dist2 = euclidean_distances(xs[rows], train_x)
         powers = {theta2: holder_powers(dist2, theta2) for theta2 in theta2s}
         del dist2  # the window means need only the powers
-        for k, (theta, h) in enumerate(pairs):
-            out[k, rows] = smoothed_window_means(
-                train_y, f_train, f_eval[rows], dist_inf, powers[theta.theta2], theta.theta1, h
+        if not ladder:
+            for k, (theta, h) in enumerate(pairs):
+                out[k, rows] = smoothed_window_means(
+                    train_y, f_train, f_eval[rows], dist_inf, powers[theta.theta2], theta.theta1, h
+                )
+            continue
+        n_rows = dist_inf.shape[0]
+        rungs = np.searchsorted(hs, dist_inf, side="left")
+        bins = (rungs + n_bins * np.arange(n_rows)[:, None]).ravel()
+        del dist_inf, rungs
+        counts = np.maximum(_ladder_sums(bins, n_rows, n_bins), 1)
+        for theta, cols in columns.items():
+            residuals = _window_residuals(
+                train_y, f_train, f_eval[rows], powers[theta.theta2], theta.theta1
             )
+            means = _ladder_sums(bins, n_rows, n_bins, residuals.ravel()) / counts
+            for k, rung in cols:
+                out[k, rows] = means[:, rung]
     return out
 
 

@@ -113,7 +113,9 @@ def rejection_sample(density, count, rng, return_diagnostics=False):
 
     Proposals are uniform on the box and accepted with probability
     pdf(x) * volume / envelope.  A sustained acceptance rate below 1e-4
-    over 1e5 consecutive proposals raises EnvelopeError.
+    over 1e5 consecutive proposals raises EnvelopeError.  Proposals whose
+    acceptance probability exceeds 1, where the envelope underestimates the
+    density, are counted as envelope violations in the diagnostics.
     """
     count = int(count)
     if count < 0:
@@ -126,12 +128,14 @@ def rejection_sample(density, count, rng, return_diagnostics=False):
     accepted_total = 0
     window_proposed = 0
     window_accepted = 0
+    violations = 0
     rate_estimate = 1.0 / density.envelope
     while filled < count:
         need = count - filled
         size = int(min(262_144, max(64, np.ceil(1.1 * need / max(rate_estimate, 1e-3)))))
         xs = domain.uniform(size, rng)
         accept_prob = density.pdf(xs) * volume / density.envelope
+        violations += int((accept_prob > 1).sum())
         keep = rng.random(size) < accept_prob
         taken = xs[keep][:need]
         out[filled : filled + len(taken)] = taken
@@ -151,7 +155,11 @@ def rejection_sample(density, count, rng, return_diagnostics=False):
             window_accepted = 0
     if return_diagnostics:
         rate = accepted_total / proposed_total if proposed_total else 1.0
-        return out, {"proposals": proposed_total, "acceptance_rate": rate}
+        return out, {
+            "proposals": proposed_total,
+            "acceptance_rate": rate,
+            "envelope_violations": violations,
+        }
     return out
 
 
@@ -162,6 +170,7 @@ class RetrievalDiagnostics:
     scheme: str
     acceptance_rate: float | None = None
     proposals: int = 0
+    envelope_violations: int | None = None  # proposals with acceptance probability > 1
     floor: float | None = None
     floor_active_fraction: float | None = None
     uniform_fallback: bool = False
@@ -236,6 +245,7 @@ def retrieve_budgeted(n, pilot_fraction, domain, oracle, rng, split="reuse", h_s
         scheme="budgeted",
         acceptance_rate=rej["acceptance_rate"],
         proposals=rej["proposals"],
+        envelope_violations=rej["envelope_violations"],
         floor=density.floor,
         floor_active_fraction=density.floor_active_fraction,
         uniform_fallback=density.uniform_fallback,
@@ -413,6 +423,7 @@ def retrieve_from_pool(
         selected = rest_positions[order]
         diag.acceptance_rate = rej["acceptance_rate"]
         diag.proposals = rej["proposals"]
+        diag.envelope_violations = rej["envelope_violations"]
         diag.synthetic_draws = m_synth
         diag.synthetic_cap_applied = m_synth < big_n - n0
         diag.logistic_converged = fit.converged

@@ -137,6 +137,52 @@ def test_select_theta_h_tie_prefers_smaller_bandwidth():
     assert sel.bandwidth == 0.2
 
 
+def test_rungs_holding_the_same_points_tie_bit_for_bit():
+    rng = rng_stream(8, "sel")
+    train_x = rng.random((40, 2))
+    train_y = rng.normal(size=40)
+    val_x = rng.random((12, 2))
+    val_y = rng.normal(size=12)
+    model = ExpressionModel("sin(3*x1) + x2", 2)
+    # two bandwidths inside the widest gap between sorted window radii hold
+    # the same training points for every validation row
+    radii = np.unique(np.abs(val_x[:, None, :] - train_x[None, :, :]).max(axis=2))
+    gap = int(np.argmax(np.diff(radii)))
+    lo, hi = radii[gap] + np.diff(radii)[gap] * np.array([0.25, 0.75])
+    thetas = [HolderParams(0.0, 0.0), HolderParams(0.8, 0.5), HolderParams(1.6, 1.0)]
+    sel = select_theta_h(thetas, [hi, lo], train_x, train_y, val_x, val_y, model)
+    scores = {(t, h): s for t, h, s in sel.table}
+    for theta in thetas:
+        assert scores[(theta, lo)] == scores[(theta, hi)]
+    assert sel.bandwidth == lo  # ties go to the smaller bandwidth
+
+
+@pytest.mark.parametrize("bad", [0.0, -0.1, float("nan")], ids=["zero", "negative", "nan"])
+def test_bandwidths_must_be_positive_numbers(bad):
+    rng = rng_stream(9, "sel")
+    train_x, val_x = rng.random((10, 2)), rng.random((5, 2))
+    with pytest.raises(ValueError, match="bandwidths must be positive numbers"):
+        select_theta_h(
+            [HolderParams(0.0, 0.0)], [0.3, bad], train_x, rng.normal(size=10),
+            val_x, rng.normal(size=5), ExpressionModel("x1", 2),
+        )
+    for bandwidth in (bad, [0.3, bad]):
+        with pytest.raises(ConfigError, match="bandwidths must be positive numbers"):
+            fit_personalized(
+                ExpressionModel("x1", 2), UNIT2, 40, _oracle(),
+                FitConfig(bandwidth=bandwidth), seed=0,
+            )
+
+
+def test_infinite_bandwidth_is_the_global_mean_window():
+    config = FitConfig(bandwidth=np.inf, thetas=(HolderParams(0.0, 0.0),))
+    fit = fit_personalized(ExpressionModel("x1", 2), UNIT2, 40, _oracle(), config, seed=3)
+    assert fit.bandwidth == np.inf
+    # with theta1 = 0 every prediction is the mean training label
+    want = fit.estimator.train_y.mean()
+    assert fit.estimator.predict(np.array([0.2, 0.9])) == pytest.approx(want, rel=1e-12)
+
+
 def test_select_theta_h_zero_score_when_model_is_truth():
     rng = rng_stream(5, "sel")
 

@@ -110,6 +110,17 @@ def test_simulate_seed_env_precedence(tmp_path, monkeypatch):
     assert payload["resolved_config"]["seed"] == 5
 
 
+def test_simulate_nan_bandwidth_exits_2(tmp_path, capsys):
+    rc = main([
+        "simulate", "--scenario", "regression", "-n", "32", "--reps", "1",
+        "--n-test", "10", "--n-ptr", "50", "--bandwidth", "nan", "--out-dir", str(tmp_path),
+    ])
+    assert rc == 2
+    assert capsys.readouterr().err.strip().splitlines()[-1] == (
+        "error: bandwidths must be positive numbers"
+    )
+
+
 def test_simulate_rejects_unknown_config_keys(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"scenario": "regression", "bogus_knob": 1}))
@@ -140,6 +151,20 @@ def test_personalize_pool_with_external_model(tmp_path):
     assert payload["warnings"]
     report = json.loads(rep_path.read_text())
     assert report["fit"]["retrieval"]["scheme"] == "pool"
+
+
+def test_personalize_pool_reads_the_y_column_by_default(tmp_path):
+    pool = tmp_path / "pool.csv"
+    _make_pool_csv(pool, n=150)
+    rep_path = tmp_path / "rep.json"
+    rc = main([
+        "personalize", "-n", "100", "--pool-csv", str(pool), "--covariates", "x1,x2",
+        "--model-expr", "abs(x1)",
+        "--out-estimator", str(tmp_path / "est.json"), "--out-report", str(rep_path),
+    ])
+    assert rc == 0
+    retrieval = json.loads(rep_path.read_text())["fit"]["retrieval"]
+    assert retrieval["envelope_violations"] >= 0  # the sampler reports its violations
 
 
 def test_personalize_budget_exceeds_pool(tmp_path, capsys):

@@ -15,7 +15,7 @@ from fsp import adaptation, estimator
 from fsp.core import rng_stream
 from fsp.estimator import pilot_bandwidth
 from fsp.smoothing import smooth_values
-from helpers import local_mean_oracle, variance_oracle
+from helpers import fsp_predict_oracle, local_mean_oracle, variance_oracle
 
 UNIT = Domain.cube(2)
 
@@ -192,8 +192,69 @@ def test_batches_spanning_several_row_blocks_match_smaller_calls(monkeypatch):
     f_points = points[:, 0] - points[:, 1] ** 2
     args = (pairs, points, values, f_points, xs, values[: len(xs)], xs[:, 0] - xs[:, 1] ** 2)
     several = adaptation._score_pairs(*args)
-    monkeypatch.setattr(estimator, "_CHUNK_ELEMENTS", len(xs) * n)
+    # the bandwidth ladder must match the masked sums that one bandwidth's
+    # pairs take on their own, where every theta carries one bandwidth
+    ladder = {(theta, h): score for theta, h, score in several}
+    for h_alone in (0.01, 0.03):
+        alone = [pair for pair in pairs if pair[1] == h_alone]
+        for theta, h, score in adaptation._score_pairs(alone, *args[1:]):
+            assert ladder[(theta, h)] == pytest.approx(score, rel=1e-12)
+    monkeypatch.setattr(estimator, "_CHUNK_ELEMENTS", 10 * len(xs) * n)
     assert adaptation._score_pairs(*args) == several
+
+
+def _dense_window_means(train_x, train_y, f_train, xs, f_eval, theta, h):
+    """Reference: one smoothed_window_means call over the full distance matrices."""
+    dist_inf = estimator.chebyshev_distances(xs, train_x)
+    powers = estimator.holder_powers(estimator.euclidean_distances(xs, train_x), theta.theta2)
+    return estimator.smoothed_window_means(
+        train_y, f_train, f_eval, dist_inf, powers, theta.theta1, h
+    )
+
+
+def test_bandwidth_ladder_matches_per_pair_window_means():
+    rng = rng_stream(13, "ladder")
+    for dim in (1, 2, 3):
+        # grid points put training points at exactly h = 0.25 from some rows
+        train_x = rng.integers(0, 9, size=(60, dim)) / 8.0
+        train_y = rng.normal(size=60)
+        xs = np.vstack([rng.random((20, dim)), rng.integers(0, 9, size=(5, dim)) / 8.0])
+        f_train = np.sin(4 * train_x).sum(axis=1)
+        f_eval = np.sin(4 * xs).sum(axis=1)
+        thetas = [HolderParams(0.0, 0.0), HolderParams(1.5, 0.0), HolderParams(0.7, 0.4)]
+        # unsorted, repeated across thetas, one rung so narrow that some
+        # windows are empty, and the global window h = inf
+        ladder = [0.4, 0.05, float(rng.uniform(0.1, 0.3)), np.inf, 0.003, 0.25]
+        pairs = [(theta, h) for theta in thetas for h in ladder]
+        pairs += [(HolderParams(2.0, 1.0), 0.4), (HolderParams(2.0, 1.0), 0.003)]
+        got = estimator.window_biases(train_x, train_y, f_train, xs, f_eval, pairs)
+        empty = ~(estimator.chebyshev_distances(xs, train_x) <= 0.003).any(axis=1)
+        assert empty.any()
+        for row, (theta, h) in zip(got, pairs):
+            want = _dense_window_means(train_x, train_y, f_train, xs, f_eval, theta, h)
+            assert np.allclose(row, want, rtol=1e-12, atol=1e-15), (dim, theta, h)
+            if h == 0.003:
+                assert (row[empty] == 0.0).all()  # the max(1, count) guard
+        # against the hand-rolled prediction loop as well
+        model = FunctionModel(lambda q: np.sin(4 * np.atleast_2d(q)).sum(axis=1))
+        for k in rng.choice(len(pairs), size=4, replace=False):
+            theta, h = pairs[k]
+            for i in (0, 7):
+                want = fsp_predict_oracle(train_x, train_y, model, theta, h, xs[i])
+                assert f_eval[i] + got[k, i] == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+
+def test_one_pair_window_biases_is_the_dense_window_mean():
+    rng = rng_stream(14, "ladder")
+    train_x = rng.random((80, 2))
+    train_y = rng.normal(size=80)
+    xs = rng.random((30, 2))
+    f_train = train_x[:, 0] - train_x[:, 1] ** 2
+    f_eval = xs[:, 0] - xs[:, 1] ** 2
+    for theta, h in [(HolderParams(0.0, 0.0), 0.2), (HolderParams(1.3, 0.6), 0.35)]:
+        got = estimator.window_biases(train_x, train_y, f_train, xs, f_eval, [(theta, h)])
+        want = _dense_window_means(train_x, train_y, f_train, xs, f_eval, theta, h)
+        assert np.array_equal(got[0], want)  # the prediction path, bit for bit
 
 
 def test_out_of_domain_query_raises():

@@ -18,6 +18,7 @@ from fsp import (
     retrieve_budgeted,
     retrieve_from_pool,
     retrieve_uniform_small_domain,
+    scenario_classification,
     uniform_density,
 )
 from fsp.core import rng_stream
@@ -76,6 +77,25 @@ def test_rejection_uniform_acceptance_rate():
         uniform_density(UNIT2, safety=1.0), 20000, rng, return_diagnostics=True
     )
     assert diag["acceptance_rate"] == pytest.approx(1.0, abs=1e-12)
+
+
+def test_rejection_counts_envelope_violations():
+    # pdf(x) = 2x on [0, 1] has supremum 2; an envelope of 1 is too low
+    low = SamplingDensity(domain=UNIT1, weight=lambda xs: 2 * np.atleast_2d(xs)[:, 0],
+                          normalization=1.0, envelope=1.0)
+    _, diag = rejection_sample(low, 2000, rng_stream(6, "rej"), return_diagnostics=True)
+    assert diag["envelope_violations"] > 0
+    _, diag = rejection_sample(_linear_density(), 2000, rng_stream(6, "rej"),
+                               return_diagnostics=True)
+    assert diag["envelope_violations"] == 0
+
+
+def test_shipped_scenario_retrieval_has_no_envelope_violations():
+    scenario = scenario_classification()
+    rr = retrieve_budgeted(1000, 0.25, scenario.domain, scenario.make_oracle(),
+                           rng_stream(7, "retrieval"))
+    assert rr.diagnostics.envelope_violations == 0
+    assert rr.diagnostics.to_dict()["envelope_violations"] == 0
 
 
 def test_rejection_count_zero_and_support():
