@@ -7,6 +7,7 @@ contains theta1 = 0, so the selected fit never scores worse on validation
 than the target-only kernel estimate.
 """
 
+import numbers
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -138,6 +139,13 @@ def select_theta_h(thetas, bandwidths, train_x, train_y, val_x, val_y, model, f_
     return _select_pairs(pairs, train_x, train_y, f_train, val_x, val_y, f_val)
 
 
+def _real(value, ok, message):
+    """float(value) for a real number (not a bool) that passes `ok`, else ConfigError(message)."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool) and ok(float(value)):
+        return float(value)
+    raise ConfigError(message)
+
+
 @dataclass
 class FitConfig:
     """Knobs for the fitting pipelines; defaults match the shipped experiments."""
@@ -152,20 +160,58 @@ class FitConfig:
     synthetic_cap: int = 50_000
 
     def validate(self):
-        if not self.c1 > 0:
-            raise ConfigError("c1 must be positive")
-        if not 0 < self.pilot_fraction < 1:
-            raise ConfigError("pilot_fraction must lie in (0, 1)")
+        """The checked copy every fit uses: c1, pilot_fraction and h_sigma are floats, a
+        numeric bandwidth a float or a tuple of floats, thetas a tuple of HolderParams.
+
+        A bad setting raises ConfigError naming its field, before any label is spent.
+        """
+        c1 = _real(
+            self.c1, lambda v: 0 < v < np.inf, f"c1 must be a finite positive number, got {self.c1!r}"
+        )
+        pilot_fraction = _real(
+            self.pilot_fraction, lambda v: 0 < v < 1,
+            f"pilot_fraction must be a number in (0, 1), got {self.pilot_fraction!r}",
+        )
+        h_sigma = self.h_sigma
+        if h_sigma is not None:
+            h_sigma = _real(
+                h_sigma, lambda v: 0 < v < np.inf,
+                f"h_sigma must be a finite positive number, got {h_sigma!r}",
+            )
         if self.split not in ("reuse", "strict"):
             raise ConfigError(f"unknown split mode {self.split!r}")
-        if isinstance(self.bandwidth, str) and self.bandwidth not in ("cv", "rule"):
-            raise ConfigError("bandwidth must be 'cv', 'rule', a number, or a list")
-        return self
+        if not isinstance(self.full_bandwidth_set, bool):
+            raise ConfigError(
+                f"full_bandwidth_set must be true or false, got {self.full_bandwidth_set!r}"
+            )
+        cap = self.synthetic_cap
+        if isinstance(cap, bool) or not isinstance(cap, numbers.Integral) or not cap > 0:
+            raise ConfigError(f"synthetic_cap must be a positive integer, got {cap!r}")
+        bandwidth = self.bandwidth
+        if isinstance(bandwidth, str):
+            if bandwidth not in ("cv", "rule"):
+                raise ConfigError("bandwidth must be 'cv', 'rule', a number, or a list")
+        else:
+            is_list = isinstance(bandwidth, (list, tuple, np.ndarray))
+            values = list(bandwidth) if is_list else [bandwidth]
+            if not values:
+                raise ConfigError("bandwidth list must be nonempty")
+            # v > 0 also rejects NaN
+            values = tuple(_real(h, lambda v: v > 0, "bandwidths must be positive numbers") for h in values)
+            bandwidth = values if is_list else values[0]
+        thetas = self.thetas
+        if thetas is not None:
+            try:
+                thetas = tuple(t if isinstance(t, HolderParams) else HolderParams(*t) for t in thetas)
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"thetas: {exc}") from None
+        return replace(
+            self, c1=c1, pilot_fraction=pilot_fraction, h_sigma=h_sigma, bandwidth=bandwidth,
+            thetas=thetas, synthetic_cap=int(cap),
+        )
 
     def to_dict(self):
         out = {f.name: getattr(self, f.name) for f in fields(self)}
-        if not isinstance(self.bandwidth, (str, int, float)):
-            out["bandwidth"] = [float(h) for h in self.bandwidth]
         if self.thetas is not None:
             out["thetas"] = [[t.theta1, t.theta2] for t in self.thetas]
         return out
@@ -220,29 +266,18 @@ def rule_bandwidth(theta2, n, dim, sigma_bar, domain):
     return float(min(max(raw, floor), cap))
 
 
-def _resolve_bandwidths(config, n, domain, cap):
-    """Candidate bandwidths for CV modes; None means rule mode."""
+def _resolve_bandwidths(config, n, domain, cap=None):
+    """Candidate bandwidths of a checked config, all at most `cap`; None means rule mode."""
     bw = config.bandwidth
-    if isinstance(bw, str):
-        if bw == "rule":
-            return None
+    if bw == "rule":
+        return None
+    if bw == "cv":
         scale = cap if cap is not None else domain.max_edge()
-        ladder = default_bandwidth_set(n, scale, full=config.full_bandwidth_set)
-        return ladder
-    if np.isscalar(bw):
-        values = [float(bw)]
-    else:
-        values = [float(h) for h in bw]
-    if not values:
-        raise ConfigError("bandwidth list must be nonempty")
-    if not all(h > 0 for h in values):  # also rejects NaN
-        raise ConfigError("bandwidths must be positive numbers")
-    if cap is not None:
-        bad = [h for h in values if h > cap * (1 + 1e-12)]
-        if bad:
-            raise ConfigError(
-                f"bandwidth {bad[0]} exceeds the small-domain edge {cap}"
-            )
+        return default_bandwidth_set(n, scale, full=config.full_bandwidth_set)
+    values = list(bw) if isinstance(bw, tuple) else [bw]
+    bad = [h for h in values if cap is not None and h > cap * (1 + 1e-12)]
+    if bad:
+        raise ConfigError(f"bandwidth {bad[0]} exceeds the small-domain edge {cap}")
     return values
 
 
@@ -258,18 +293,16 @@ def _mean_sigma_for(rr, config, n, domain):
     return fld.mean_sigma(default_quadrature_points(domain.dim))
 
 
-def _select_and_build(model, domain, rr, n, config, cap=None):
+def _select_and_build(model, domain, rr, n, config, bandwidths):
     ss = rr.samples
     train_x, train_y = ss.train_x, ss.train_y
     val_x, val_y = ss.val_x, ss.val_y
     if train_x.shape[0] == 0 or val_x.shape[0] == 0:
         raise ConfigError("retrieval produced an empty training or validation block")
-    thetas = tuple(config.thetas) if config.thetas else build_grid(n, config.c1).points
-    thetas = tuple(t if isinstance(t, HolderParams) else HolderParams(*t) for t in thetas)
+    thetas = config.thetas or build_grid(n, config.c1).points
     f_train = model.predict_batch(train_x)
     f_val = model.predict_batch(val_x)
     mean_sigma = _mean_sigma_for(rr, config, n, domain)
-    bandwidths = _resolve_bandwidths(config, n, domain, cap)
     if bandwidths is None:
         sigma_bar = mean_sigma if mean_sigma is not None else 1.0
         pairs = [
@@ -307,6 +340,7 @@ def fit_personalized(model, domain, n, oracle, config=None, seed=0):
     the frozen winning estimator with its report.
     """
     cfg = (config or FitConfig()).validate()
+    bandwidths = _resolve_bandwidths(cfg, n, domain)
     rng = rng_stream(seed, "retrieval")
     rr = retrieve_budgeted(
         n,
@@ -317,16 +351,16 @@ def fit_personalized(model, domain, n, oracle, config=None, seed=0):
         split=cfg.split,
         h_sigma=cfg.h_sigma,
     )
-    return _select_and_build(model, domain, rr, n, cfg)
+    return _select_and_build(model, domain, rr, n, cfg, bandwidths)
 
 
 def fit_personalized_small_domain(model, domain, n, oracle, config=None, seed=0):
     """Pipeline variant for small target boxes: uniform retrieval, h <= edge."""
     cfg = (config or FitConfig()).validate()
-    nu = domain.min_edge()
+    bandwidths = _resolve_bandwidths(cfg, n, domain, cap=domain.min_edge())
     rng = rng_stream(seed, "retrieval")
     rr = retrieve_uniform_small_domain(n, domain, oracle, cfg.pilot_fraction, rng)
-    return _select_and_build(model, domain, rr, n, cfg, cap=nu)
+    return _select_and_build(model, domain, rr, n, cfg, bandwidths)
 
 
 def fit_personalized_pool(
@@ -334,6 +368,7 @@ def fit_personalized_pool(
 ):
     """Pipeline over a fixed pool of unlabeled covariates (labels on demand)."""
     cfg = (config or FitConfig()).validate()
+    bandwidths = _resolve_bandwidths(cfg, n, domain)
     if oracle is None:
         if pool_y is None:
             raise ConfigError("provide pool labels or an oracle")
@@ -350,12 +385,11 @@ def fit_personalized_pool(
         h_sigma=cfg.h_sigma,
         domain=domain,
     )
-    return _select_and_build(model, domain, rr, n, cfg)
+    return _select_and_build(model, domain, rr, n, cfg, bandwidths)
 
 
 def fit_single_task(domain, n, oracle, config=None, seed=0):
     """Target-only kernel estimate: theta1 = 0 with a constant-zero model."""
-    cfg = (config or FitConfig()).validate()
-    cfg = replace(cfg, thetas=(HolderParams(0.0, 0.0),))
+    cfg = replace(config or FitConfig(), thetas=(HolderParams(0.0, 0.0),))
     model = FunctionModel(lambda xs: np.zeros(np.atleast_2d(xs).shape[0]))
     return fit_personalized_small_domain(model, domain, n, oracle, cfg, seed)

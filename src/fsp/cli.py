@@ -11,6 +11,7 @@ import contextlib
 import csv
 import dataclasses
 import json
+import math
 import os
 import shlex
 import sys
@@ -125,7 +126,26 @@ def _resolve(defaults, args, **overrides):
             resolved["seed"] = int(env_seed)
         except ValueError:
             raise ConfigError(f"FSP_SEED must be an integer, got {env_seed!r}") from None
+    _check_types(resolved, defaults)
     return resolved
+
+
+_INT_KEYS = ("n", "n_ptr", "repetitions", "n_test", "seed", "pilot_size")
+
+
+def _check_types(resolved, defaults):
+    """Reject a command key of the wrong type; a key whose default is None may stay None."""
+    for key, value in resolved.items():
+        if value is None and defaults[key] is None:
+            continue
+        if key in _INT_KEYS and (isinstance(value, bool) or not isinstance(value, int)):
+            raise ConfigError(f"{key} must be an integer, got {value!r}")
+        if key == "small_domain" and not isinstance(value, bool):
+            raise ConfigError(f"small_domain must be true or false, got {value!r}")
+        if key == "methods" and not (
+            isinstance(value, list) and all(isinstance(m, str) for m in value)
+        ):
+            raise ConfigError(f"methods must be a list of names, got {value!r}")
 
 
 def _echo(resolved):
@@ -148,28 +168,34 @@ def _write_csv(path, header, rows):
             writer.writerow([_fmt(v) for v in row])
 
 
+def _strict(value):
+    """`value` with every non-finite float replaced by the string "inf", "-inf" or "nan"."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else repr(float(value))
+    if isinstance(value, dict):
+        return {key: _strict(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_strict(item) for item in value]
+    return value
+
+
 def _write_json(path, payload):
+    """Strict JSON: non-finite numbers are written as strings."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(_strict(payload), fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 
 def _fit_config(resolved):
-    bandwidth = resolved["bandwidth"]
+    """The checked FitConfig of the fit keys in `resolved`; a numeric bandwidth string is parsed."""
+    settings = {f.name: resolved[f.name] for f in dataclasses.fields(FitConfig) if f.name in resolved}
+    bandwidth = settings["bandwidth"]
     if isinstance(bandwidth, str) and bandwidth not in ("cv", "rule"):
         try:
-            bandwidth = float(bandwidth)
+            settings["bandwidth"] = float(bandwidth)
         except ValueError:
             raise ConfigError("bandwidth must be 'cv', 'rule', or a number") from None
-    return FitConfig(
-        c1=float(resolved["c1"]),
-        pilot_fraction=float(resolved["pilot_fraction"]),
-        split=resolved["split"],
-        bandwidth=bandwidth,
-        full_bandwidth_set=bool(resolved["full_bandwidth_set"]),
-        h_sigma=resolved.get("h_sigma"),
-        synthetic_cap=int(resolved.get("synthetic_cap", FitConfig.synthetic_cap)),
-    ).validate()
+    return FitConfig(**settings).validate()
 
 
 def cmd_simulate(args):
@@ -183,15 +209,16 @@ def cmd_simulate(args):
         )
     _echo(resolved)
     started = time.time()
-    scenario = SCENARIOS[resolved["scenario"]](n_test=int(resolved["n_test"]))
+    config = _fit_config(resolved)
+    scenario = SCENARIOS[resolved["scenario"]](n_test=resolved["n_test"])
     result = run_experiment(
         scenario,
         methods=tuple(resolved["methods"]),
-        n=int(resolved["n"]),
-        n_ptr=int(resolved["n_ptr"]),
-        repetitions=int(resolved["repetitions"]),
-        seed=int(resolved["seed"]),
-        config=_fit_config(resolved),
+        n=resolved["n"],
+        n_ptr=resolved["n_ptr"],
+        repetitions=resolved["repetitions"],
+        seed=resolved["seed"],
+        config=config,
     )
     prefix = resolved["prefix"] or resolved["scenario"]
     out_dir = resolved["out_dir"]
@@ -305,8 +332,7 @@ def cmd_personalize(args):
 def _personalize(resolved, backends):
     """Fit and write the estimator and its report; `backends` closes every backend built."""
     started = time.time()
-    n = int(resolved["n"])
-    seed = int(resolved["seed"])
+    n, seed = resolved["n"], resolved["seed"]
     source = resolved["source"]
     domain = _parse_domain(resolved["domain"])
     config = _fit_config(resolved)
@@ -329,7 +355,7 @@ def _personalize(resolved, backends):
             domain = Domain.bounding(pool_x)
         model = backends.enter_context(_build_model(resolved["model"], domain.dim))
         pilot = resolved["pilot_size"]
-        pilot = int(pilot) if pilot is not None else max(4, int(round(config.pilot_fraction * n)))
+        pilot = pilot if pilot is not None else max(4, int(round(config.pilot_fraction * n)))
         fit = fit_personalized_pool(
             model, domain, n, pilot, pool_x, pool_y, config=config, seed=seed
         )
@@ -401,6 +427,10 @@ def load_estimator(path):
     pair = required(payload, "theta", "estimator file")
     theta = (required(pair, "theta1", "estimator theta"), required(pair, "theta2", "estimator theta"))
     bandwidth = required(payload, "bandwidth", "estimator file")
+    try:
+        bandwidth = float(bandwidth)  # a non-finite bandwidth is stored as a string
+    except (TypeError, ValueError):
+        raise ConfigError(f"estimator bandwidth must be a number, got {bandwidth!r}") from None
     model = _build_model(required(payload, "model", "estimator file"), domain.dim)
     # files written before f_train was stored query the model at the training points
     est = PersonalizedEstimator(

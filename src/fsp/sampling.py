@@ -39,6 +39,8 @@ __all__ = [
 
 _MIN_ACCEPT_RATE = 1e-4
 _ACCEPT_WINDOW = 100_000
+_DENSITY_FLOOR_FRACTION = 0.01  # of the mean sigma-hat
+_NEWTON_TOL, _NEWTON_RIDGE = 1e-8, 1e-8  # gradient max-norm to stop at; Hessian ridge
 
 
 @dataclass(frozen=True)
@@ -75,10 +77,10 @@ def uniform_density(domain, safety=1.1):
     )
 
 
-def plug_in_density(variance_field, quadrature_points_per_dim=None, floor_fraction=0.01, safety=1.1):
+def plug_in_density(variance_field, quadrature_points_per_dim=None, safety=1.1):
     """Density proportional to the estimated noise level sigma-hat.
 
-    The weight is floored at floor_fraction times the average sigma-hat so
+    The weight is floored at 1% of the average sigma-hat so
     every subregion keeps positive mass; a field that is identically zero
     falls back to the uniform density with the fallback flag set.
     """
@@ -89,7 +91,7 @@ def plug_in_density(variance_field, quadrature_points_per_dim=None, floor_fracti
     mean_sig = float(sig.mean())
     if mean_sig <= 0.0:
         return uniform_density(domain, safety=safety)
-    floor = floor_fraction * mean_sig
+    floor = _DENSITY_FLOOR_FRACTION * mean_sig
 
     def weight(xs):
         return np.maximum(variance_field.sigma_batch(xs), floor)
@@ -289,7 +291,7 @@ def _log_likelihood(scores, labels):
     return float(labels @ scores - np.logaddexp(0.0, scores).sum())
 
 
-def fit_density_ratio(class0_x, class1_x, max_iter=100, tol=1e-8, ridge=1e-8):
+def fit_density_ratio(class0_x, class1_x, max_iter=100):
     """Logistic regression separating two point clouds, by damped Newton.
 
     class0_x are pool (reference) points, class1_x synthetic target draws;
@@ -315,11 +317,11 @@ def fit_density_ratio(class0_x, class1_x, max_iter=100, tol=1e-8, ridge=1e-8):
         p = 1.0 / (1.0 + np.exp(-scores))
         grad = design.T @ (labels - p)
         grad_norm = float(np.abs(grad).max())
-        if grad_norm <= tol:
+        if grad_norm <= _NEWTON_TOL:
             iterations -= 1
             break
         w = p * (1.0 - p)
-        hess = design.T @ (design * w[:, None]) + ridge * np.eye(design.shape[1])
+        hess = design.T @ (design * w[:, None]) + _NEWTON_RIDGE * np.eye(design.shape[1])
         direction = np.linalg.solve(hess, grad)
         step = 1.0
         for _ in range(30):
@@ -345,7 +347,7 @@ def fit_density_ratio(class0_x, class1_x, max_iter=100, tol=1e-8, ridge=1e-8):
         )
     return LogisticFit(
         beta=beta,
-        converged=grad_norm <= tol,
+        converged=grad_norm <= _NEWTON_TOL,
         iterations=iterations,
         gradient_norm=grad_norm,
     )

@@ -10,6 +10,7 @@ from fsp import (
     GaussianNoise,
     HolderParams,
     PersonalizedEstimator,
+    PoolOracle,
     SyntheticOracle,
     build_grid,
     fit_personalized,
@@ -172,6 +173,66 @@ def test_bandwidths_must_be_positive_numbers(bad):
                 ExpressionModel("x1", 2), UNIT2, 40, _oracle(),
                 FitConfig(bandwidth=bandwidth), seed=0,
             )
+
+
+_BAD_SETTINGS = [
+    ({"bandwidth": []}, "bandwidth list must be nonempty"),
+    ({"bandwidth": ["0.2"]}, "bandwidths must be positive numbers"),
+    ({"thetas": [(0, 2)]}, "thetas: theta2 must lie in [0, 1], got 2.0"),
+    ({"thetas": [0.5]}, "thetas: "),
+    ({"c1": np.inf}, "c1 must be a finite positive number, got inf"),
+    ({"c1": "abc"}, "c1 must be a finite positive number, got 'abc'"),
+    ({"c1": True}, "c1 must be a finite positive number, got True"),
+    ({"pilot_fraction": "0.25"}, "pilot_fraction must be a number in (0, 1), got '0.25'"),
+    ({"h_sigma": -1}, "h_sigma must be a finite positive number, got -1"),
+    ({"h_sigma": np.inf}, "h_sigma must be a finite positive number, got inf"),
+    ({"full_bandwidth_set": "false"}, "full_bandwidth_set must be true or false, got 'false'"),
+    ({"synthetic_cap": 0}, "synthetic_cap must be a positive integer, got 0"),
+    ({"synthetic_cap": 5.0}, "synthetic_cap must be a positive integer, got 5.0"),
+]
+
+
+@pytest.mark.parametrize("fitter", ["budgeted", "small-domain", "pool"])
+@pytest.mark.parametrize(
+    "setting, message", _BAD_SETTINGS, ids=[
+        "empty-bandwidths", "string-bandwidth", "theta2-above-1", "theta-not-a-pair", "c1-inf",
+        "c1-string", "c1-bool", "pilot-fraction-string", "h-sigma-negative", "h-sigma-inf",
+        "full-set-string", "cap-zero", "cap-float",
+    ],
+)
+def test_bad_fit_settings_fail_before_the_first_label(fitter, setting, message):
+    config = FitConfig(**setting)
+    model = ExpressionModel("x1", 2)
+    pool_x = rng_stream(3, "pool").random((200, 2))
+    oracle = PoolOracle(pool_x, pool_x[:, 0]) if fitter == "pool" else _oracle()
+    with pytest.raises(ConfigError) as err:
+        if fitter == "pool":
+            fit_personalized_pool(model, UNIT2, 60, 15, pool_x, oracle=oracle, config=config)
+        elif fitter == "budgeted":
+            fit_personalized(model, UNIT2, 60, oracle, config)
+        else:
+            fit_personalized_small_domain(model, UNIT2, 60, oracle, config)
+    assert str(err.value).startswith(message)
+    assert oracle.labels_issued == 0
+
+
+def test_validate_returns_the_checked_copy():
+    config = FitConfig(c1=3, pilot_fraction=1 / 3, bandwidth=[1, 0.5], h_sigma=1,
+                       thetas=[(0, 0), HolderParams(1.0, 0.5)])
+    checked = config.validate()
+    assert config.c1 == 3 and config.thetas[0] == (0, 0)  # the input is left alone
+    assert type(checked.c1) is float and type(checked.h_sigma) is float
+    assert checked.bandwidth == (1.0, 0.5) and all(type(h) is float for h in checked.bandwidth)
+    assert checked.thetas == (HolderParams(0.0, 0.0), HolderParams(1.0, 0.5))
+    assert FitConfig(bandwidth=np.float64(0.2)).validate().bandwidth == 0.2
+    assert checked.validate() == checked
+
+
+def test_fit_config_with_theta_pairs_serializes():
+    config = FitConfig(thetas=[(0, 0), (1, 0.5)])
+    fit = fit_personalized(ExpressionModel("x1", 2), UNIT2, 40, _oracle(), config, seed=1)
+    assert fit.to_dict()["config"]["thetas"] == [[0.0, 0.0], [1.0, 0.5]]
+    assert fit.theta in (HolderParams(0.0, 0.0), HolderParams(1.0, 0.5))
 
 
 def test_infinite_bandwidth_is_the_global_mean_window():

@@ -1,6 +1,7 @@
 import argparse
 import csv
 import dataclasses
+import inspect
 import json
 import os
 import sys
@@ -9,9 +10,11 @@ import numpy as np
 import pytest
 
 from fsp import cli
-from fsp.adaptation import FitConfig
+from fsp.adaptation import FitConfig, fit_personalized
+from fsp.blackbox import ExpressionModel, GaussianNoise, SyntheticOracle
 from fsp.cli import build_parser, load_estimator, main
-from fsp.core import rng_stream
+from fsp.core import Domain, rng_stream
+from fsp.sampling import fit_density_ratio, plug_in_density
 
 # optional arguments name a file that receives every query row and one that
 # receives the process id
@@ -265,18 +268,40 @@ def _personalize_config(tmp_path, **changes):
     return path
 
 
-@pytest.mark.parametrize("changes, names", [
-    ({"source": {"kind": "synthetic"}}, "synthetic source needs the field 'f_star'"),
-    ({"model": {"kind": "expression"}}, "expression model needs the field 'expr'"),
-    ({"model": {"kind": "external"}}, "external model needs the field 'cmd'"),
-    ({"source": "pool.csv"}, "source must be a JSON object, got str"),
-    ({"source": {"kind": "synthetic", "f_star": "x1", "noise": 0.5}},
+def _simulate_config(tmp_path, **changes):
+    config = {"scenario": "regression", "n": 32, "repetitions": 1, "n_test": 10, "n_ptr": 50,
+              "out_dir": str(tmp_path)}
+    config.update(changes)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    return path
+
+
+@pytest.mark.parametrize("command, changes, names", [
+    ("personalize", {"source": {"kind": "synthetic"}}, "synthetic source needs the field 'f_star'"),
+    ("personalize", {"model": {"kind": "expression"}}, "expression model needs the field 'expr'"),
+    ("personalize", {"model": {"kind": "external"}}, "external model needs the field 'cmd'"),
+    ("personalize", {"source": "pool.csv"}, "source must be a JSON object, got str"),
+    ("personalize", {"source": {"kind": "synthetic", "f_star": "x1", "noise": 0.5}},
      "noise must be a JSON object, got float"),
-    (None, "estimator file needs the field 'bandwidth'"),  # an old or edited file
+    ("predict", None, "estimator file needs the field 'bandwidth'"),  # an old or edited file
+    ("simulate", {"full_bandwidth_set": "false"},
+     "full_bandwidth_set must be true or false, got 'false'"),
+    ("personalize", {"c1": "abc"}, "c1 must be a finite positive number, got 'abc'"),
+    ("personalize", {"synthetic_cap": 0}, "synthetic_cap must be a positive integer, got 0"),
+    ("personalize", {"h_sigma": -1}, "h_sigma must be a finite positive number, got -1"),
+    ("personalize", {"bandwidth": []}, "bandwidth list must be nonempty"),
+    ("simulate", {"n": 40.7}, "n must be an integer, got 40.7"),
+    ("personalize", {"n": "abc"}, "n must be an integer, got 'abc'"),
+    ("personalize", {"seed": True}, "seed must be an integer, got True"),
+    ("personalize", {"small_domain": "false"}, "small_domain must be true or false, got 'false'"),
+    ("simulate", {"methods": "fsp"}, "methods must be a list of names, got 'fsp'"),
 ], ids=["source-f_star", "model-expr", "model-cmd", "source-not-object", "noise-not-object",
-        "estimator-bandwidth"])
-def test_config_errors_exit_2_and_name_the_field(tmp_path, capsys, changes, names):
-    if changes is None:
+        "estimator-bandwidth", "full-set-string", "c1-string", "cap-zero", "h-sigma-negative",
+        "empty-bandwidths", "n-float", "n-string", "seed-bool", "small-domain-string",
+        "methods-string"])
+def test_config_errors_exit_2_and_name_the_field(tmp_path, capsys, command, changes, names):
+    if command == "predict":
         assert main(["personalize", "--config", str(_personalize_config(tmp_path))]) == 0
         est_path = tmp_path / "e.json"
         payload = json.loads(est_path.read_text())
@@ -287,10 +312,40 @@ def test_config_errors_exit_2_and_name_the_field(tmp_path, capsys, changes, name
         capsys.readouterr()
         rc = main(["predict", "--estimator", str(est_path), "--queries", str(queries),
                    "--out", str(tmp_path / "p.csv")])
+    elif command == "simulate":
+        rc = main(["simulate", "--config", str(_simulate_config(tmp_path, **changes))])
+        assert not (tmp_path / "regression_runs.csv").exists()
     else:
         rc = main(["personalize", "--config", str(_personalize_config(tmp_path, **changes))])
+        assert not (tmp_path / "e.json").exists()
     assert rc == 2
     assert capsys.readouterr().err.strip().splitlines()[-1] == f"error: {names}"
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def test_json_outputs_are_strict_and_round_trip_infinite_bandwidth(tmp_path):
+    config = _personalize_config(tmp_path, bandwidth="inf", seed=4)
+    assert main(["personalize", "--config", str(config)]) == 0
+    est_path, report_path = tmp_path / "e.json", tmp_path / "r.json"
+    estimator = json.loads(est_path.read_text(), parse_constant=_reject_constant)
+    report = json.loads(report_path.read_text(), parse_constant=_reject_constant)
+    assert estimator["bandwidth"] == "inf" and report["fit"]["bandwidth"] == "inf"
+    assert report["fit"]["config"]["bandwidth"] == "inf"
+    queries = tmp_path / "q.csv"
+    xs = rng_stream(4, "strict-json").random((5, 2))
+    queries.write_text("x1,x2\n" + "".join(f"{a!r},{b!r}\n" for a, b in xs.tolist()))
+    assert main(["predict", "--estimator", str(est_path), "--queries", str(queries),
+                 "--out", str(tmp_path / "p.csv")]) == 0
+    got = [float(row[0]) for row in _read_rows(tmp_path / "p.csv")[1:]]
+    # the same fit in process: an infinite window predicts f + the mean training residual
+    oracle = SyntheticOracle(ExpressionModel("x1", 2).predict_batch, GaussianNoise(0.5, dim=2),
+                             Domain([0.0, 0.0], [1.0, 1.0]))
+    fit = fit_personalized(ExpressionModel("x1", 2), Domain([0.0, 0.0], [1.0, 1.0]), 48, oracle,
+                           FitConfig(bandwidth=float("inf")), seed=4)
+    assert got == fit.estimator.predict_batch(xs).tolist()
 
 
 def test_predict_round_trip_and_empty(tmp_path):
@@ -444,6 +499,12 @@ def test_option_surface_is_pinned():
     assert [f.name for f in dataclasses.fields(FitConfig)] == [
         "c1", "pilot_fraction", "split", "bandwidth", "full_bandwidth_set", "h_sigma",
         "thetas", "synthetic_cap",
+    ]
+    assert list(inspect.signature(plug_in_density).parameters) == [
+        "variance_field", "quadrature_points_per_dim", "safety",
+    ]
+    assert list(inspect.signature(fit_density_ratio).parameters) == [
+        "class0_x", "class1_x", "max_iter",
     ]
 
 
