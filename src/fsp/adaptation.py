@@ -13,7 +13,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .blackbox import FunctionModel, PoolOracle
-from .core import ConfigError, HolderParams, default_quadrature_points, rng_stream
+from .core import ConfigError, Domain, HolderParams, default_quadrature_points, rng_stream
 from .estimator import PersonalizedEstimator, VarianceField, pilot_bandwidth, window_biases
 from .sampling import (
     retrieve_budgeted,
@@ -366,8 +366,13 @@ def fit_personalized_small_domain(model, domain, n, oracle, config=None, seed=0)
 def fit_personalized_pool(
     model, domain, n, pilot_size, pool_x, pool_y=None, oracle=None, config=None, seed=0
 ):
-    """Pipeline over a fixed pool of unlabeled covariates (labels on demand)."""
+    """Pipeline over a fixed pool of unlabeled covariates (labels on demand).
+
+    With domain None the domain is the pool's bounding box.
+    """
     cfg = (config or FitConfig()).validate()
+    if domain is None:
+        domain = Domain.bounding(pool_x)
     bandwidths = _resolve_bandwidths(cfg, n, domain)
     if oracle is None:
         if pool_y is None:

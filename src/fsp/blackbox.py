@@ -16,7 +16,7 @@ import types
 import numpy as np
 
 from .core import BudgetError, ConfigError, DomainError, QueryError, required
-from .estimator import chebyshev_distances, row_blocks
+from .estimator import _squared_distances, chebyshev_distances, row_blocks
 
 __all__ = [
     "BlackBoxModel",
@@ -178,7 +178,7 @@ class TableModel(BlackBoxModel):
         out = np.empty(xs.shape[0])
         for rows in row_blocks(xs.shape[0], self.points.shape[0]):
             # squared: a sqrt could merge near-ties and move the lowest-index winner
-            d2 = ((xs[rows][:, None, :] - self.points[None, :, :]) ** 2).sum(axis=2)
+            d2 = _squared_distances(xs[rows], self.points)
             out[rows] = self.values[np.argmin(d2, axis=1)]
         return _finite_or_raise(out, "table model")
 

@@ -37,6 +37,7 @@ from .blackbox import (
 from .core import ConfigError, DataError, Domain, DomainError, load_csv, required
 from .estimator import PersonalizedEstimator
 from .simulation import (
+    METHODS,
     run_experiment,
     scenario_adversarial,
     scenario_classification,
@@ -131,21 +132,33 @@ def _resolve(defaults, args, **overrides):
 
 
 _INT_KEYS = ("n", "n_ptr", "repetitions", "n_test", "seed", "pilot_size")
+_POSITIVE_KEYS = ("n", "n_ptr", "repetitions", "n_test")
+_PATH_KEYS = (
+    "out_dir", "prefix", "out_estimator", "out_report", "estimator", "queries", "out",
+    "predictions", "truth",
+)
 
 
 def _check_types(resolved, defaults):
-    """Reject a command key of the wrong type; a key whose default is None may stay None."""
+    """Reject a command key of the wrong type or range; a key whose default
+    is None may stay None."""
     for key, value in resolved.items():
         if value is None and defaults[key] is None:
             continue
         if key in _INT_KEYS and (isinstance(value, bool) or not isinstance(value, int)):
             raise ConfigError(f"{key} must be an integer, got {value!r}")
+        if key in _POSITIVE_KEYS and value < 1:
+            raise ConfigError(f"{key} must be a positive integer, got {value!r}")
+        if key in _PATH_KEYS and not isinstance(value, str):
+            raise ConfigError(f"{key} must be a path string, got {value!r}")
         if key == "small_domain" and not isinstance(value, bool):
             raise ConfigError(f"small_domain must be true or false, got {value!r}")
-        if key == "methods" and not (
-            isinstance(value, list) and all(isinstance(m, str) for m in value)
-        ):
-            raise ConfigError(f"methods must be a list of names, got {value!r}")
+        if key == "methods":
+            if not (isinstance(value, list) and all(isinstance(m, str) for m in value)):
+                raise ConfigError(f"methods must be a list of names, got {value!r}")
+            for name in value:
+                if name not in METHODS:
+                    raise ConfigError(f"methods must be among {', '.join(METHODS)}, got {name!r}")
 
 
 def _echo(resolved):

@@ -26,19 +26,43 @@ _CHUNK_ELEMENTS = 2_000_000
 
 def row_blocks(n_rows, n_points):
     """Row slices of a batch whose (rows, n_points) blocks hold about
-    _CHUNK_ELEMENTS pairs each; a block holds at least one row."""
+    _CHUNK_ELEMENTS pairs each; a block holds at least one row.
+
+    The distance kernels work one coordinate at a time, so _CHUNK_ELEMENTS
+    bounds the largest temporaries too: a (rows, n, d) broadcast would
+    allocate d times the budget.
+    """
     step = max(1, _CHUNK_ELEMENTS // max(1, n_points))
     return [slice(start, start + step) for start in range(0, n_rows, step)]
 
 
+def _fold_coordinates(a, b, term, fold):
+    """fold(term(a_j - b_j)) over the coordinates j in order, shape (len(a), len(b)):
+    one (rows, n) pass per coordinate through one scratch buffer."""
+    out = np.subtract.outer(a[:, 0], b[:, 0])
+    term(out, out=out)
+    scratch = np.empty_like(out)
+    for j in range(1, a.shape[1]):
+        np.subtract.outer(a[:, j], b[:, j], out=scratch)
+        term(scratch, out=scratch)
+        fold(out, scratch, out=out)
+    return out
+
+
 def chebyshev_distances(a, b):
     """Pairwise sup-norm distances, shape (len(a), len(b))."""
-    return np.abs(a[:, None, :] - b[None, :, :]).max(axis=2)
+    return _fold_coordinates(a, b, np.abs, np.maximum)
+
+
+def _squared_distances(a, b):
+    """Pairwise squared Euclidean distances, summed over the coordinates in order."""
+    return _fold_coordinates(a, b, np.square, np.add)
 
 
 def euclidean_distances(a, b):
     """Pairwise Euclidean distances, shape (len(a), len(b))."""
-    return np.sqrt(((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2))
+    out = _squared_distances(a, b)
+    return np.sqrt(out, out=out)
 
 
 def holder_powers(dist2, theta2):
@@ -50,11 +74,25 @@ def holder_powers(dist2, theta2):
 
 def _window_residuals(y_train, f_train, f_eval, dist2_pow, theta1):
     """Residuals y_i - omega(f_train_i), one row per eval point, against the
-    black box smoothed around that eval point."""
-    delta = f_train[None, :] - f_eval[:, None]
-    trunc = np.sign(delta) * np.minimum(np.abs(delta), theta1 * dist2_pow)
-    omega = f_eval[:, None] + trunc
-    return y_train[None, :] - omega
+    black box smoothed around that eval point; written in place into one
+    (rows, n) buffer beside the truncation."""
+    out = f_train[None, :] - f_eval[:, None]
+    trunc = np.abs(out)
+    np.minimum(trunc, theta1 * dist2_pow, out=trunc)
+    np.sign(out, out=out)
+    out *= trunc
+    del trunc
+    out += f_eval[:, None]
+    return np.subtract(y_train[None, :], out, out=out)
+
+
+def _masked_means(residuals, dist_inf, h, out=None):
+    """Row means of the residuals inside the sup-norm windows dist_inf <= h,
+    with the max(1, count) guard; the masked residuals go to `out`, which
+    may be the residuals themselves."""
+    mask = dist_inf <= h
+    masked = np.multiply(residuals, mask, out=out)
+    return masked.sum(axis=1) / np.maximum(mask.sum(axis=1), 1)
 
 
 def smoothed_window_means(y_train, f_train, f_eval, dist_inf, dist2_pow, theta1, h):
@@ -65,10 +103,8 @@ def smoothed_window_means(y_train, f_train, f_eval, dist_inf, dist2_pow, theta1,
     dist2_pow holds the Euclidean distances already raised to theta2.  An
     empty window contributes 0 through the max(1, count) guard.
     """
-    mask = dist_inf <= h
-    counts = mask.sum(axis=1)
     residuals = _window_residuals(y_train, f_train, f_eval, dist2_pow, theta1)
-    return (residuals * mask).sum(axis=1) / np.maximum(counts, 1)
+    return _masked_means(residuals, dist_inf, h, out=residuals)
 
 
 def _ladder_sums(bins, n_rows, n_bins, weights=None):
@@ -81,48 +117,65 @@ def _ladder_sums(bins, n_rows, n_bins, weights=None):
 def window_biases(train_x, train_y, f_train, xs, f_eval, pairs):
     """Bias estimates at xs for each (theta, h) pair, shape (len(pairs), len(xs)).
 
-    Per row block, the distances are computed once and the Holder powers
-    once per distinct theta2, so memory stays bounded by the block size.
-    When every theta carries one bandwidth (prediction, rule mode), each pair
-    takes the masked row sum of smoothed_window_means.  Otherwise the pairs
-    of a theta share one residual pass: the sup-norm windows are nested in
+    Per row block, the sup-norm distances are computed once and the Holder
+    powers once per distinct theta2; blocks shrink with the number of theta2
+    values, so memory stays near the block budget.  With theta1 = 0 the
+    truncation is +-0.0 whatever theta2 is, so all such thetas share one
+    residual pass y_i - f(x0), and the Euclidean distances are computed only
+    for thetas with theta1 > 0.  When every theta carries one bandwidth
+    (prediction, rule mode), each pair takes the masked row sum of
+    smoothed_window_means, or of the shared pass.  Otherwise the pairs of a
+    residual pass share its window sums: the sup-norm windows are nested in
     h, so each training point is binned by the first rung of the sorted
     bandwidth ladder whose window holds it, and cumulative sums over the
-    rungs give every window.  Rungs that hold the same points read
-    bit-equal sums.
+    rungs give every window.  Rungs that hold the same points read bit-equal
+    sums.
     """
     pair_hs = [float(h) for _, h in pairs]
     hs = np.unique(pair_hs)
-    theta2s = {theta.theta2 for theta, _ in pairs}
-    columns = {}  # theta -> (pair index, rung) of each of its pairs
+    ladder = len({theta for theta, _ in pairs}) < len(pairs)  # a theta carries several bandwidths
+    columns = {}  # residual pass (a theta1 > 0 theta, or None) -> (pair index, rung) of its pairs
     for k, ((theta, _), rung) in enumerate(zip(pairs, np.searchsorted(hs, pair_hs))):
-        columns.setdefault(theta, []).append((k, rung))
+        columns.setdefault(theta if theta.theta1 > 0 else None, []).append((k, rung))
+    theta2s = {theta.theta2 for theta in columns if theta is not None}
     n_bins = len(hs) + 1
-    ladder = len(columns) < len(pairs)  # some theta carries several bandwidths
     out = np.empty((len(pairs), xs.shape[0]))
-    for rows in row_blocks(xs.shape[0], train_x.shape[0] + n_bins):
+    # the block budget covers every (rows, n) buffer alive at once: the
+    # sup-norm distances or their rungs, one power per theta2, and the
+    # residual chain
+    width = (train_x.shape[0] + n_bins) * (len(theta2s) + 5)
+    for rows in row_blocks(xs.shape[0], width):
         dist_inf = chebyshev_distances(xs[rows], train_x)
-        dist2 = euclidean_distances(xs[rows], train_x)
+        dist2 = euclidean_distances(xs[rows], train_x) if theta2s else None
         powers = {theta2: holder_powers(dist2, theta2) for theta2 in theta2s}
         del dist2  # the window means need only the powers
-        if not ladder:
-            for k, (theta, h) in enumerate(pairs):
-                out[k, rows] = smoothed_window_means(
-                    train_y, f_train, f_eval[rows], dist_inf, powers[theta.theta2], theta.theta1, h
-                )
-            continue
-        n_rows = dist_inf.shape[0]
-        rungs = np.searchsorted(hs, dist_inf, side="left")
-        bins = (rungs + n_bins * np.arange(n_rows)[:, None]).ravel()
-        del dist_inf, rungs
-        counts = np.maximum(_ladder_sums(bins, n_rows, n_bins), 1)
+        if ladder:
+            n_rows = dist_inf.shape[0]
+            rungs = np.searchsorted(hs, dist_inf, side="left")
+            bins = (rungs + n_bins * np.arange(n_rows)[:, None]).ravel()
+            del dist_inf, rungs
+            counts = np.maximum(_ladder_sums(bins, n_rows, n_bins), 1)
         for theta, cols in columns.items():
-            residuals = _window_residuals(
-                train_y, f_train, f_eval[rows], powers[theta.theta2], theta.theta1
-            )
-            means = _ladder_sums(bins, n_rows, n_bins, residuals.ravel()) / counts
-            for k, rung in cols:
-                out[k, rows] = means[:, rung]
+            if theta is not None and not ladder:
+                (k, _), = cols
+                out[k, rows] = smoothed_window_means(
+                    train_y, f_train, f_eval[rows], dist_inf, powers[theta.theta2], theta.theta1,
+                    pair_hs[k],
+                )
+                continue
+            if theta is None:
+                residuals = train_y[None, :] - f_eval[rows, None]
+            else:
+                residuals = _window_residuals(
+                    train_y, f_train, f_eval[rows], powers[theta.theta2], theta.theta1
+                )
+            if ladder:
+                means = _ladder_sums(bins, n_rows, n_bins, residuals.ravel()) / counts
+                for k, rung in cols:
+                    out[k, rows] = means[:, rung]
+            else:
+                for k, _ in cols:
+                    out[k, rows] = _masked_means(residuals, dist_inf, pair_hs[k])
     return out
 
 

@@ -10,6 +10,16 @@ from fsp import HolderParams, check_local_smooth, local_smooth
 from fsp.core import rng_stream
 
 
+def chebyshev_broadcast(a, b):
+    """Reference sup-norm distances through the (rows, n, d) broadcast."""
+    return np.abs(a[:, None, :] - b[None, :, :]).max(axis=2)
+
+
+def euclidean_broadcast(a, b):
+    """Reference Euclidean distances through the (rows, n, d) broadcast."""
+    return np.sqrt(((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2))
+
+
 def local_mean_oracle(train_x, train_y, x, h):
     """Box-kernel local mean, hand-rolled: sum y_i 1(||x_i-x||_inf<=h) / max(1, count)."""
     total = 0.0

@@ -377,6 +377,21 @@ def test_fit_personalized_pool_smoke():
     assert np.isfinite(fit.estimator.predict(np.array([0.4, 0.6])))
 
 
+def test_fit_personalized_pool_without_a_domain_uses_the_pool_bounding_box():
+    rng = rng_stream(8, "pool")
+    pool_x = rng.random((300, 2)) * 0.6 + 0.2
+    pool_y = np.abs(pool_x[:, 0]) + rng.normal(size=300)
+    model = ExpressionModel("abs(x1)", 2)
+    config = FitConfig(bandwidth="cv")
+    fit = fit_personalized_pool(model, None, 80, 20, pool_x, pool_y, config=config, seed=5)
+    want = fit_personalized_pool(
+        model, Domain.bounding(pool_x), 80, 20, pool_x, pool_y, config=config, seed=5
+    )
+    assert (fit.theta, fit.bandwidth, fit.score_table) == (want.theta, want.bandwidth, want.score_table)
+    assert fit.estimator.domain.to_dict() == Domain.bounding(pool_x).to_dict()
+    assert np.array_equal(fit.estimator.predict_batch(pool_x), want.estimator.predict_batch(pool_x))
+
+
 def test_fit_single_task_ignores_model_entirely():
     fit = fit_single_task(UNIT2, 60, _oracle(), seed=6)
     assert fit.theta == HolderParams(0.0, 0.0)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,13 @@ from fsp import adaptation, estimator
 from fsp.core import rng_stream
 from fsp.estimator import pilot_bandwidth
 from fsp.smoothing import smooth_values
-from helpers import fsp_predict_oracle, local_mean_oracle, variance_oracle
+from helpers import (
+    chebyshev_broadcast,
+    euclidean_broadcast,
+    fsp_predict_oracle,
+    local_mean_oracle,
+    variance_oracle,
+)
 
 UNIT = Domain.cube(2)
 
@@ -255,6 +263,109 @@ def test_one_pair_window_biases_is_the_dense_window_mean():
         got = estimator.window_biases(train_x, train_y, f_train, xs, f_eval, [(theta, h)])
         want = _dense_window_means(train_x, train_y, f_train, xs, f_eval, theta, h)
         assert np.array_equal(got[0], want)  # the prediction path, bit for bit
+
+
+@pytest.mark.parametrize("dim", range(1, 11))
+def test_distance_kernels_match_the_broadcast_reference(dim):
+    rng = rng_stream(17, f"kernels-{dim}")
+    a = rng.normal(size=(40, dim))
+    b = rng.normal(size=(30, dim))
+    b[:5] = a[:5]  # zero distances
+    a[7, dim - 1] = np.nan
+    b[3, 0] = np.nan
+    for rows, points in ((a, b), (a[:1], b), (a[:0], b), (a, b[:0])):
+        cheb = estimator.chebyshev_distances(rows, points)
+        assert np.array_equal(cheb, chebyshev_broadcast(rows, points), equal_nan=True)
+        eucl = estimator.euclidean_distances(rows, points)
+        want = euclidean_broadcast(rows, points)
+        if dim <= 7:
+            assert np.array_equal(eucl, want, equal_nan=True)
+        else:
+            # numpy's reduction sums eight or more terms with several accumulators
+            assert np.allclose(eucl, want, rtol=1e-15, atol=0, equal_nan=True)
+    for kernel in (estimator.chebyshev_distances, estimator.euclidean_distances):
+        dist = kernel(a, b)
+        assert np.isnan(dist[7]).all() and np.isnan(dist[:, 3]).all()
+        assert np.isfinite(np.delete(np.delete(dist, 7, axis=0), 3, axis=1)).all()
+
+
+@pytest.mark.parametrize("dim", [1, 2, 8])
+def test_distance_kernels_allocate_about_two_result_blocks(dim):
+    rng = rng_stream(18, "kernel-memory")
+    a = rng.random((500, dim))
+    b = rng.random((400, dim))
+    block = 500 * 400 * 8
+    for kernel in (estimator.chebyshev_distances, estimator.euclidean_distances):
+        tracemalloc.start()
+        try:
+            kernel(a, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * block, (kernel.__name__, peak / block)
+
+
+def test_window_biases_holds_its_buffers_near_the_block_budget(monkeypatch):
+    monkeypatch.setattr(estimator, "_CHUNK_ELEMENTS", 100_000)
+    rng = rng_stream(19, "window-memory")
+    train_x = rng.random((600, 2))
+    train_y = rng.normal(size=600)
+    xs = rng.random((400, 2))
+    thetas = adaptation.build_grid(1000, 2.0).points  # eight theta2 values
+    ladder = [(theta, h) for h in (0.05, 0.1, 0.2, 0.4) for theta in thetas]
+    rule = [(theta, 0.05 + 0.01 * i) for i, theta in enumerate(thetas)]
+    for pairs in (ladder, rule):
+        tracemalloc.start()
+        try:
+            out = estimator.window_biases(train_x, train_y, train_x[:, 0], xs, xs[:, 0], pairs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - out.nbytes <= 4 * estimator._CHUNK_ELEMENTS * 8, len(pairs)
+
+
+def test_theta1_zero_pairs_never_compute_euclidean_distances(monkeypatch):
+    rng = rng_stream(15, "theta1-zero")
+    train_x = rng.random((70, 2))
+    train_y = rng.normal(size=70)
+    xs = rng.random((25, 2))
+    f_train = np.cos(3 * train_x).sum(axis=1)
+    f_eval = np.cos(3 * xs).sum(axis=1)
+    prediction = [(HolderParams(0.0, 0.0), 0.2)]
+    rule = [(HolderParams(0.0, t2), h) for t2, h in ((0.0, 0.15), (0.5, 0.3), (1.0, 0.3))]
+    want = {
+        pair: _dense_window_means(train_x, train_y, f_train, xs, f_eval, *pair)
+        for pair in prediction + rule
+    }
+
+    def refuse(a, b):
+        raise AssertionError("theta1 = 0 needs no Euclidean distances")
+
+    monkeypatch.setattr(estimator, "euclidean_distances", refuse)
+    for pairs in (prediction, rule):
+        got = estimator.window_biases(train_x, train_y, f_train, xs, f_eval, pairs)
+        for row, pair in zip(got, pairs):
+            assert np.array_equal(row, want[pair]), pair
+    ladder = [(HolderParams(0.0, t2), h) for h in (0.15, 0.3) for t2 in (0.0, 1.0)]
+    estimator.window_biases(train_x, train_y, f_train, xs, f_eval, ladder)
+
+
+def test_theta1_zero_ladder_rows_equal_per_pair_masked_sums():
+    # dyadic coordinates, labels and model values keep every sum exact, so
+    # the ladder's binned sums and the masked row sums agree bit for bit
+    rng = rng_stream(16, "theta1-zero-ladder")
+    train_x = rng.integers(0, 17, size=(80, 2)) / 16.0
+    train_y = rng.integers(-16, 16, size=80) / 8.0
+    xs = rng.integers(0, 17, size=(30, 2)) / 16.0
+    f_train = rng.integers(-8, 8, size=80) / 4.0
+    f_eval = rng.integers(-8, 8, size=30) / 4.0
+    thetas = [HolderParams(0.0, t2) for t2 in (0.0, 0.25, 0.5, 1.0)] + [HolderParams(0.5, 0.5)]
+    pairs = [(theta, h) for h in (0.0625, 0.125, 0.25, 0.5, 1.0) for theta in thetas]
+    got = estimator.window_biases(train_x, train_y, f_train, xs, f_eval, pairs)
+    for row, (theta, h) in zip(got, pairs):
+        if theta.theta1 == 0:
+            want = _dense_window_means(train_x, train_y, f_train, xs, f_eval, theta, h)
+            assert np.array_equal(row, want), (theta, h)
 
 
 def test_out_of_domain_query_raises():
