@@ -73,26 +73,24 @@ def holder_powers(dist2, theta2):
 
 
 def _window_residuals(y_train, f_train, f_eval, dist2_pow, theta1):
-    """Residuals y_i - omega(f_train_i), one row per eval point, against the
-    black box smoothed around that eval point; written in place into one
-    (rows, n) buffer beside the truncation."""
-    out = f_train[None, :] - f_eval[:, None]
+    """Residuals y_i - omega(f_train_i) against the black box smoothed around
+    the eval point, elementwise over operands that broadcast to the shape of
+    dist2_pow; written in place into one buffer beside the truncation."""
+    out = f_train - f_eval
     trunc = np.abs(out)
     np.minimum(trunc, theta1 * dist2_pow, out=trunc)
     np.sign(out, out=out)
     out *= trunc
     del trunc
-    out += f_eval[:, None]
-    return np.subtract(y_train[None, :], out, out=out)
+    out += f_eval
+    return np.subtract(y_train, out, out=out)
 
 
-def _masked_means(residuals, dist_inf, h, out=None):
+def _masked_means(residuals, dist_inf, h):
     """Row means of the residuals inside the sup-norm windows dist_inf <= h,
-    with the max(1, count) guard; the masked residuals go to `out`, which
-    may be the residuals themselves."""
+    with the max(1, count) guard."""
     mask = dist_inf <= h
-    masked = np.multiply(residuals, mask, out=out)
-    return masked.sum(axis=1) / np.maximum(mask.sum(axis=1), 1)
+    return (residuals * mask).sum(axis=1) / np.maximum(mask.sum(axis=1), 1)
 
 
 def smoothed_window_means(y_train, f_train, f_eval, dist_inf, dist2_pow, theta1, h):
@@ -102,9 +100,19 @@ def smoothed_window_means(y_train, f_train, f_eval, dist_inf, dist2_pow, theta1,
     points with sup-norm distance <= h, anchored at the eval point itself;
     dist2_pow holds the Euclidean distances already raised to theta2.  An
     empty window contributes 0 through the max(1, count) guard.
+
+    Only the pairs inside a window enter the residual chain.  Their residuals
+    are scattered into zeroed rows, and each full row is summed, so the sums
+    add in the same order as a masked sum over every training point and read
+    the same bits, up to the sign of a zero sum.
     """
-    residuals = _window_residuals(y_train, f_train, f_eval, dist2_pow, theta1)
-    return _masked_means(residuals, dist_inf, h, out=residuals)
+    mask = dist_inf <= h
+    rows, cols = np.nonzero(mask)
+    inside = (y_train[cols], f_train[cols], f_eval[rows], dist2_pow[mask])
+    del rows, cols  # a window as wide as the domain holds every pair
+    sums = np.zeros(mask.shape)
+    sums[mask] = _window_residuals(*inside, theta1)
+    return sums.sum(axis=1) / np.maximum(mask.sum(axis=1), 1)
 
 
 def _ladder_sums(bins, n_rows, n_bins, weights=None):
@@ -167,7 +175,8 @@ def window_biases(train_x, train_y, f_train, xs, f_eval, pairs):
                 residuals = train_y[None, :] - f_eval[rows, None]
             else:
                 residuals = _window_residuals(
-                    train_y, f_train, f_eval[rows], powers[theta.theta2], theta.theta1
+                    train_y[None, :], f_train[None, :], f_eval[rows, None], powers[theta.theta2],
+                    theta.theta1,
                 )
             if ladder:
                 means = _ladder_sums(bins, n_rows, n_bins, residuals.ravel()) / counts

@@ -20,6 +20,16 @@ def euclidean_broadcast(a, b):
     return np.sqrt(((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2))
 
 
+def window_means_dense(y_train, f_train, f_eval, dist_inf, dist2_pow, theta1, h):
+    """Reference window means: the residual chain over every pair, then the
+    masked sum over full rows."""
+    delta = f_train[None, :] - f_eval[:, None]
+    trunc = np.sign(delta) * np.minimum(np.abs(delta), theta1 * dist2_pow)
+    residuals = y_train[None, :] - (f_eval[:, None] + trunc)
+    mask = dist_inf <= h
+    return (residuals * mask).sum(axis=1) / np.maximum(mask.sum(axis=1), 1)
+
+
 def local_mean_oracle(train_x, train_y, x, h):
     """Box-kernel local mean, hand-rolled: sum y_i 1(||x_i-x||_inf<=h) / max(1, count)."""
     total = 0.0

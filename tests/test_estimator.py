@@ -23,6 +23,7 @@ from helpers import (
     fsp_predict_oracle,
     local_mean_oracle,
     variance_oracle,
+    window_means_dense,
 )
 
 UNIT = Domain.cube(2)
@@ -322,6 +323,27 @@ def test_window_biases_holds_its_buffers_near_the_block_budget(monkeypatch):
         finally:
             tracemalloc.stop()
         assert peak - out.nbytes <= 4 * estimator._CHUNK_ELEMENTS * 8, len(pairs)
+
+
+def test_window_means_on_the_window_only_keep_the_dense_bits():
+    rng = rng_stream(23, "window-only")
+    for trial in range(60):
+        dim = 1 + trial % 3
+        train_x = rng.random((int(rng.integers(1, 200)), dim))
+        xs = rng.random((int(rng.integers(1, 80)), dim))
+        if trial % 2:  # grid points put training points exactly on window edges
+            train_x, xs = np.round(train_x * 8) / 8, np.round(xs * 8) / 8
+        train_y = rng.normal(size=len(train_x))
+        f_train, f_eval = np.sin(3 * train_x).sum(axis=1), np.sin(3 * xs).sum(axis=1)
+        dist_inf = estimator.chebyshev_distances(xs, train_x)
+        theta1 = (0.0, 0.5, 6 / 7, 3.0)[trial % 4]
+        powers = estimator.holder_powers(
+            estimator.euclidean_distances(xs, train_x), (0.0, 0.625, 1.0)[trial % 3]
+        )
+        for h in (0.01, 0.125, 0.3, 2.0):  # 2.0: every pair is inside the window
+            args = (train_y, f_train, f_eval, dist_inf, powers, theta1, h)
+            got = estimator.smoothed_window_means(*args)
+            assert got.tobytes() == window_means_dense(*args).tobytes(), (trial, h)
 
 
 def test_theta1_zero_pairs_never_compute_euclidean_distances(monkeypatch):
