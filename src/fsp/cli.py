@@ -156,6 +156,8 @@ def _check_types(resolved, defaults):
         if key == "methods":
             if not (isinstance(value, list) and all(isinstance(m, str) for m in value)):
                 raise ConfigError(f"methods must be a list of names, got {value!r}")
+            if not value:
+                raise ConfigError("methods must name at least one method, got []")
             for name in value:
                 if name not in METHODS:
                     raise ConfigError(f"methods must be among {', '.join(METHODS)}, got {name!r}")

@@ -22,6 +22,7 @@ __all__ = [
 ]
 
 _CHUNK_ELEMENTS = 2_000_000
+_TILE_PAIRS = 32_768  # a distance tile and its scratch take 512 KB, well inside a core's L2
 
 
 def row_blocks(n_rows, n_points):
@@ -36,16 +37,39 @@ def row_blocks(n_rows, n_points):
     return [slice(start, start + step) for start in range(0, n_rows, step)]
 
 
-def _fold_coordinates(a, b, term, fold):
-    """fold(term(a_j - b_j)) over the coordinates j in order, shape (len(a), len(b)):
-    one (rows, n) pass per coordinate through one scratch buffer."""
-    out = np.subtract.outer(a[:, 0], b[:, 0])
-    term(out, out=out)
-    scratch = np.empty_like(out)
-    for j in range(1, a.shape[1]):
-        np.subtract.outer(a[:, j], b[:, j], out=scratch)
-        term(scratch, out=scratch)
-        fold(out, scratch, out=out)
+def _fold_coordinates(a, b, term, fold, pairs=None):
+    """fold(term(a_j - b_j)) over the coordinates j in order: over every (row of a,
+    row of b), shape (len(a), len(b)), or over the index pairs (rows, cols) given,
+    shape (len(rows),).
+
+    Each coordinate takes one pass per tile of about _TILE_PAIRS pairs through
+    one scratch tile, so the passes stay in cache; every pair gets the same
+    operations whatever the tiling.
+    """
+    if pairs is None:
+        out = np.empty((a.shape[0], b.shape[0]))
+        step = max(1, _TILE_PAIRS // max(1, b.shape[0]))
+
+        def diff(j, tile, dest):
+            np.subtract.outer(a[tile, j], b[:, j], out=dest)
+    else:
+        rows, cols = pairs
+        out = np.empty(rows.shape)
+        step = _TILE_PAIRS
+
+        def diff(j, tile, dest):
+            np.subtract(a[rows[tile], j], b[cols[tile], j], out=dest)
+    scratch = np.empty((min(step, out.shape[0]),) + out.shape[1:])
+    for start in range(0, out.shape[0], step):
+        tile = slice(start, start + step)
+        acc = out[tile]
+        tmp = scratch[: acc.shape[0]]
+        diff(0, tile, acc)
+        term(acc, out=acc)
+        for j in range(1, a.shape[1]):
+            diff(j, tile, tmp)
+            term(tmp, out=tmp)
+            fold(acc, tmp, out=acc)
     return out
 
 
@@ -54,9 +78,10 @@ def chebyshev_distances(a, b):
     return _fold_coordinates(a, b, np.abs, np.maximum)
 
 
-def _squared_distances(a, b):
-    """Pairwise squared Euclidean distances, summed over the coordinates in order."""
-    return _fold_coordinates(a, b, np.square, np.add)
+def _squared_distances(a, b, pairs=None):
+    """Squared Euclidean distances, summed over the coordinates in order: pairwise,
+    or over the index pairs (rows, cols) given."""
+    return _fold_coordinates(a, b, np.square, np.add, pairs)
 
 
 def euclidean_distances(a, b):
@@ -93,26 +118,43 @@ def _masked_means(residuals, dist_inf, h):
     return (residuals * mask).sum(axis=1) / np.maximum(mask.sum(axis=1), 1)
 
 
-def smoothed_window_means(y_train, f_train, f_eval, dist_inf, dist2_pow, theta1, h):
-    """Window-averaged residuals against the smoothed black-box values.
+def smoothed_window_means(y_train, f_train, f_eval, dist_inf, eval_x, train_x, thetas, h):
+    """Window-averaged residuals against the smoothed black-box values, shape
+    (len(thetas), len(eval_x)): one row per (theta1, theta2) in thetas, all at
+    the one bandwidth h.
 
-    For each eval point (row), averages y_i - omega(f_train_i) over training
-    points with sup-norm distance <= h, anchored at the eval point itself;
-    dist2_pow holds the Euclidean distances already raised to theta2.  An
-    empty window contributes 0 through the max(1, count) guard.
+    For each eval point, averages y_i - omega(f_train_i) over training points
+    with sup-norm distance dist_inf <= h, anchored at the eval point itself.
+    An empty window contributes 0 through the max(1, count) guard.
 
-    Only the pairs inside a window enter the residual chain.  Their residuals
-    are scattered into zeroed rows, and each full row is summed, so the sums
-    add in the same order as a masked sum over every training point and read
-    the same bits, up to the sign of a zero sum.
+    Only the pairs inside the window are gathered, once for every theta.  The
+    Euclidean distances are computed on those pairs alone, with the operations
+    of euclidean_distances in the same order, and raised once per theta2 of a
+    theta1 > 0 theta; theta1 = 0 needs neither.  Each theta's residuals are
+    scattered into zeroed rows and each full row is summed, so the sums add in
+    the same order as a masked sum over every training point and read the same
+    bits, up to the sign of a zero sum.
     """
     mask = dist_inf <= h
     rows, cols = np.nonzero(mask)
-    inside = (y_train[cols], f_train[cols], f_eval[rows], dist2_pow[mask])
+    theta2s = {theta2 for theta1, theta2 in thetas if theta1 > 0}
+    if theta2s:
+        dist = _squared_distances(eval_x, train_x, (rows, cols))
+        np.sqrt(dist, out=dist)
+        powers = {theta2: holder_powers(dist, theta2) for theta2 in theta2s}
+        del dist
+    y_in, f_in, f_eval_in = y_train[cols], f_train[cols], f_eval[rows]
     del rows, cols  # a window as wide as the domain holds every pair
+    counts = np.maximum(mask.sum(axis=1), 1)
     sums = np.zeros(mask.shape)
-    sums[mask] = _window_residuals(*inside, theta1)
-    return sums.sum(axis=1) / np.maximum(mask.sum(axis=1), 1)
+    out = np.empty((len(thetas), mask.shape[0]))
+    for k, (theta1, theta2) in enumerate(thetas):
+        if theta1 > 0:
+            sums[mask] = _window_residuals(y_in, f_in, f_eval_in, powers[theta2], theta1)
+        else:
+            sums[mask] = y_in - f_eval_in
+        out[k] = sums.sum(axis=1) / counts
+    return out
 
 
 def _ladder_sums(bins, n_rows, n_bins, weights=None):
@@ -125,23 +167,61 @@ def _ladder_sums(bins, n_rows, n_bins, weights=None):
 def window_biases(train_x, train_y, f_train, xs, f_eval, pairs):
     """Bias estimates at xs for each (theta, h) pair, shape (len(pairs), len(xs)).
 
-    Per row block, the sup-norm distances are computed once and the Holder
-    powers once per distinct theta2; blocks shrink with the number of theta2
-    values, so memory stays near the block budget.  With theta1 = 0 the
-    truncation is +-0.0 whatever theta2 is, so all such thetas share one
+    Per row block, the sup-norm distances are computed once.  When every theta
+    carries one bandwidth (prediction, rule mode), the pairs are grouped by h:
+    a group holds the theta1 > 0 pairs at its h and the theta1 = 0 pairs that
+    share it, and one smoothed_window_means call per block and group does the
+    group's Euclidean and Holder work on its window's pairs only.  With
+    theta1 = 0 the truncation is +-0.0 whatever theta2 is, so the theta1 = 0
+    pairs at a bandwidth no group carries share one dense residual pass
+    y_i - f(x0) and take its masked row sums.  Otherwise, a theta carries
+    several bandwidths (CV scoring) and _ladder_biases scores the pairs.
+    """
+    if len({theta for theta, _ in pairs}) < len(pairs):
+        return _ladder_biases(train_x, train_y, f_train, xs, f_eval, pairs)
+    groups = {}  # h -> indices of the pairs at h
+    for k, (theta, h) in enumerate(pairs):
+        if theta.theta1 > 0:
+            groups.setdefault(float(h), []).append(k)
+    shared = []  # theta1 = 0 pairs at a bandwidth no theta1 > 0 pair carries
+    for k, (theta, h) in enumerate(pairs):
+        if not theta.theta1 > 0:
+            groups.get(float(h), shared).append(k)
+    # the block budget covers the (rows, n) buffers alive at once when a
+    # window holds every pair, about 9 plus one power per theta2: the sup-norm
+    # distances, the window's mask, indices and distances, three gathered
+    # operands, the residual chain and the scattered rows
+    thetas = {h: [(pairs[k][0].theta1, pairs[k][0].theta2) for k in ks] for h, ks in groups.items()}
+    most_theta2s = max((len({t2 for t1, t2 in ts if t1 > 0}) for ts in thetas.values()), default=0)
+    out = np.empty((len(pairs), xs.shape[0]))
+    for rows in row_blocks(xs.shape[0], train_x.shape[0] * (most_theta2s + 9)):
+        dist_inf = chebyshev_distances(xs[rows], train_x)
+        for h, ks in groups.items():
+            out[ks, rows] = smoothed_window_means(
+                train_y, f_train, f_eval[rows], dist_inf, xs[rows], train_x, thetas[h], h
+            )
+        if shared:
+            residuals = train_y[None, :] - f_eval[rows, None]
+            for k in shared:
+                out[k, rows] = _masked_means(residuals, dist_inf, float(pairs[k][1]))
+    return out
+
+
+def _ladder_biases(train_x, train_y, f_train, xs, f_eval, pairs):
+    """window_biases where a theta carries several bandwidths.
+
+    Per row block, the Holder powers are computed once per distinct theta2 of
+    a theta1 > 0 theta; blocks shrink with the number of theta2 values, so
+    memory stays near the block budget.  All theta1 = 0 thetas share one
     residual pass y_i - f(x0), and the Euclidean distances are computed only
-    for thetas with theta1 > 0.  When every theta carries one bandwidth
-    (prediction, rule mode), each pair takes the masked row sum of
-    smoothed_window_means, or of the shared pass.  Otherwise the pairs of a
-    residual pass share its window sums: the sup-norm windows are nested in
-    h, so each training point is binned by the first rung of the sorted
-    bandwidth ladder whose window holds it, and cumulative sums over the
-    rungs give every window.  Rungs that hold the same points read bit-equal
-    sums.
+    for thetas with theta1 > 0.  The pairs of a residual pass share its window
+    sums: the sup-norm windows are nested in h, so each training point is
+    binned by the first rung of the sorted bandwidth ladder whose window holds
+    it, and cumulative sums over the rungs give every window.  Rungs that hold
+    the same points read bit-equal sums.
     """
     pair_hs = [float(h) for _, h in pairs]
     hs = np.unique(pair_hs)
-    ladder = len({theta for theta, _ in pairs}) < len(pairs)  # a theta carries several bandwidths
     columns = {}  # residual pass (a theta1 > 0 theta, or None) -> (pair index, rung) of its pairs
     for k, ((theta, _), rung) in enumerate(zip(pairs, np.searchsorted(hs, pair_hs))):
         columns.setdefault(theta if theta.theta1 > 0 else None, []).append((k, rung))
@@ -157,20 +237,12 @@ def window_biases(train_x, train_y, f_train, xs, f_eval, pairs):
         dist2 = euclidean_distances(xs[rows], train_x) if theta2s else None
         powers = {theta2: holder_powers(dist2, theta2) for theta2 in theta2s}
         del dist2  # the window means need only the powers
-        if ladder:
-            n_rows = dist_inf.shape[0]
-            rungs = np.searchsorted(hs, dist_inf, side="left")
-            bins = (rungs + n_bins * np.arange(n_rows)[:, None]).ravel()
-            del dist_inf, rungs
-            counts = np.maximum(_ladder_sums(bins, n_rows, n_bins), 1)
+        n_rows = dist_inf.shape[0]
+        rungs = np.searchsorted(hs, dist_inf, side="left")
+        bins = (rungs + n_bins * np.arange(n_rows)[:, None]).ravel()
+        del dist_inf, rungs
+        counts = np.maximum(_ladder_sums(bins, n_rows, n_bins), 1)
         for theta, cols in columns.items():
-            if theta is not None and not ladder:
-                (k, _), = cols
-                out[k, rows] = smoothed_window_means(
-                    train_y, f_train, f_eval[rows], dist_inf, powers[theta.theta2], theta.theta1,
-                    pair_hs[k],
-                )
-                continue
             if theta is None:
                 residuals = train_y[None, :] - f_eval[rows, None]
             else:
@@ -178,13 +250,9 @@ def window_biases(train_x, train_y, f_train, xs, f_eval, pairs):
                     train_y[None, :], f_train[None, :], f_eval[rows, None], powers[theta.theta2],
                     theta.theta1,
                 )
-            if ladder:
-                means = _ladder_sums(bins, n_rows, n_bins, residuals.ravel()) / counts
-                for k, rung in cols:
-                    out[k, rows] = means[:, rung]
-            else:
-                for k, _ in cols:
-                    out[k, rows] = _masked_means(residuals, dist_inf, pair_hs[k])
+            means = _ladder_sums(bins, n_rows, n_bins, residuals.ravel()) / counts
+            for k, rung in cols:
+                out[k, rows] = means[:, rung]
     return out
 
 

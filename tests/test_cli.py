@@ -296,6 +296,7 @@ def _simulate_config(tmp_path, **changes):
     ("personalize", {"seed": True}, "seed must be an integer, got True"),
     ("personalize", {"small_domain": "false"}, "small_domain must be true or false, got 'false'"),
     ("simulate", {"methods": "fsp"}, "methods must be a list of names, got 'fsp'"),
+    ("simulate", {"methods": []}, "methods must name at least one method, got []"),
     ("simulate", {"n_ptr": -5}, "n_ptr must be a positive integer, got -5"),
     ("simulate", {"repetitions": -1}, "repetitions must be a positive integer, got -1"),
     ("simulate", {"n_test": 0}, "n_test must be a positive integer, got 0"),
@@ -307,7 +308,7 @@ def _simulate_config(tmp_path, **changes):
 ], ids=["source-f_star", "model-expr", "model-cmd", "source-not-object", "noise-not-object",
         "estimator-bandwidth", "full-set-string", "c1-string", "cap-zero", "h-sigma-negative",
         "empty-bandwidths", "n-float", "n-string", "seed-bool", "small-domain-string",
-        "methods-string", "n-ptr-negative", "repetitions-negative", "n-test-zero",
+        "methods-string", "methods-empty", "n-ptr-negative", "repetitions-negative", "n-test-zero",
         "methods-unknown", "out-dir-int", "n-negative", "out-report-int"])
 def test_config_errors_exit_2_and_name_the_field(tmp_path, capsys, command, changes, names):
     if command == "predict":

@@ -213,12 +213,10 @@ def test_batches_spanning_several_row_blocks_match_smaller_calls(monkeypatch):
 
 
 def _dense_window_means(train_x, train_y, f_train, xs, f_eval, theta, h):
-    """Reference: one smoothed_window_means call over the full distance matrices."""
-    dist_inf = estimator.chebyshev_distances(xs, train_x)
-    powers = estimator.holder_powers(estimator.euclidean_distances(xs, train_x), theta.theta2)
-    return estimator.smoothed_window_means(
-        train_y, f_train, f_eval, dist_inf, powers, theta.theta1, h
-    )
+    """Reference: the residual chain over every pair of the broadcast distance matrices."""
+    dist_inf = chebyshev_broadcast(xs, train_x)
+    powers = estimator.holder_powers(euclidean_broadcast(xs, train_x), theta.theta2)
+    return window_means_dense(train_y, f_train, f_eval, dist_inf, powers, theta.theta1, h)
 
 
 def test_bandwidth_ladder_matches_per_pair_window_means():
@@ -274,7 +272,14 @@ def test_distance_kernels_match_the_broadcast_reference(dim):
     b[:5] = a[:5]  # zero distances
     a[7, dim - 1] = np.nan
     b[3, 0] = np.nan
-    for rows, points in ((a, b), (a[:1], b), (a[:0], b), (a, b[:0])):
+    cases = [(a, b), (a[:1], b), (a[:0], b), (a, b[:0])]
+    # a distance tile holds 32768 // 30 = 1092 rows against b, so 2500 rows
+    # end in a partial tile; 40,000 points exceed a tile, which then holds one row
+    tall = rng.normal(size=(2500, dim))
+    far = rng.normal(size=(40_000, dim))
+    far[:3], tall[:3] = a[:3], b[:3]  # zero distances
+    cases += [(tall, b), (a[:3], far)]
+    for rows, points in cases:
         cheb = estimator.chebyshev_distances(rows, points)
         assert np.array_equal(cheb, chebyshev_broadcast(rows, points), equal_nan=True)
         eucl = estimator.euclidean_distances(rows, points)
@@ -315,7 +320,9 @@ def test_window_biases_holds_its_buffers_near_the_block_budget(monkeypatch):
     thetas = adaptation.build_grid(1000, 2.0).points  # eight theta2 values
     ladder = [(theta, h) for h in (0.05, 0.1, 0.2, 0.4) for theta in thetas]
     rule = [(theta, 0.05 + 0.01 * i) for i, theta in enumerate(thetas)]
-    for pairs in (ladder, rule):
+    # every window holds every pair; each bandwidth carries all eight theta2 values
+    full = [(theta, (1.5, np.inf)[i % 2]) for i, theta in enumerate(thetas)]
+    for pairs in (ladder, rule, full):
         tracemalloc.start()
         try:
             out = estimator.window_biases(train_x, train_y, train_x[:, 0], xs, xs[:, 0], pairs)
@@ -337,13 +344,65 @@ def test_window_means_on_the_window_only_keep_the_dense_bits():
         f_train, f_eval = np.sin(3 * train_x).sum(axis=1), np.sin(3 * xs).sum(axis=1)
         dist_inf = estimator.chebyshev_distances(xs, train_x)
         theta1 = (0.0, 0.5, 6 / 7, 3.0)[trial % 4]
-        powers = estimator.holder_powers(
-            estimator.euclidean_distances(xs, train_x), (0.0, 0.625, 1.0)[trial % 3]
-        )
+        theta2 = (0.0, 0.625, 1.0)[trial % 3]
+        powers = estimator.holder_powers(estimator.euclidean_distances(xs, train_x), theta2)
         for h in (0.01, 0.125, 0.3, 2.0):  # 2.0: every pair is inside the window
-            args = (train_y, f_train, f_eval, dist_inf, powers, theta1, h)
-            got = estimator.smoothed_window_means(*args)
-            assert got.tobytes() == window_means_dense(*args).tobytes(), (trial, h)
+            got = estimator.smoothed_window_means(
+                train_y, f_train, f_eval, dist_inf, xs, train_x, [(theta1, theta2)], h
+            )
+            want = window_means_dense(train_y, f_train, f_eval, dist_inf, powers, theta1, h)
+            assert got[0].tobytes() == want.tobytes(), (trial, h)
+
+
+def _rule_style_lists(rng):
+    """Pair lists where every theta carries one bandwidth, as rule mode and
+    prediction build them."""
+    # theta1 in {0, 0.5, ..., 2}, theta2 in {0, 0.25, ..., 1}
+    thetas = adaptation.build_grid(30, 2.0).points
+    by_theta2 = {0.0: 0.3, 0.25: 0.125, 0.5: float(rng.uniform(0.1, 0.3)), 0.75: 0.003}
+    return [
+        # several thetas share each h; theta1 = 0 pairs join their theta2's group,
+        # h = 0.003 leaves windows empty and h = 0.125 sits on the grid
+        [(t, by_theta2.get(t.theta2, np.inf)) for t in thetas],
+        # theta1 = 0 pairs at a bandwidth no theta1 > 0 pair carries
+        [(t, 0.2 if t.theta1 == 0 else 0.25) for t in thetas if t.theta2 in (0.0, 1.0)],
+        [(HolderParams(0.5, 0.0), 0.125)],
+        [(HolderParams(6 / 7, 1.0), np.inf)],
+    ]
+
+
+def test_rule_style_pairs_equal_the_dense_reference_bit_for_bit():
+    rng = rng_stream(24, "rule-style")
+    for dim in (1, 2, 3):
+        # grid points put training points exactly on window edges and on the queries
+        train_x = rng.integers(0, 9, size=(250, dim)) / 8.0
+        xs = np.vstack([rng.random((280, dim)), train_x[:20]])
+        train_y = rng.normal(size=len(train_x))
+        f_train, f_eval = np.sin(4 * train_x).sum(axis=1), np.sin(4 * xs).sum(axis=1)
+        dist_inf = chebyshev_broadcast(xs, train_x)
+        assert (dist_inf == 0).any() and (dist_inf == 0.125).any()
+        assert not (dist_inf <= 0.003).any(axis=1).all()  # some windows are empty
+        # at h = inf the window's 75,000 pairs span three distance tiles
+        for pairs in _rule_style_lists(rng):
+            got = estimator.window_biases(train_x, train_y, f_train, xs, f_eval, pairs)
+            for row, (theta, h) in zip(got, pairs):
+                want = _dense_window_means(train_x, train_y, f_train, xs, f_eval, theta, h)
+                assert row.tobytes() == want.tobytes(), (dim, theta, h)
+
+
+def test_one_bandwidth_pairs_never_compute_dense_euclidean_distances(monkeypatch):
+    rng = rng_stream(25, "rule-style")
+    train_x = rng.random((90, 2))
+    train_y = rng.normal(size=90)
+    xs = rng.random((40, 2))
+    f_train, f_eval = np.cos(3 * train_x).sum(axis=1), np.cos(3 * xs).sum(axis=1)
+
+    def refuse(a, b):
+        raise AssertionError("one bandwidth per theta needs no dense Euclidean distances")
+
+    monkeypatch.setattr(estimator, "euclidean_distances", refuse)
+    for pairs in _rule_style_lists(rng):
+        estimator.window_biases(train_x, train_y, f_train, xs, f_eval, pairs)
 
 
 def test_theta1_zero_pairs_never_compute_euclidean_distances(monkeypatch):
