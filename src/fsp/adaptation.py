@@ -120,6 +120,8 @@ def select_theta_h(thetas, bandwidths, train_x, train_y, val_x, val_y, model, f_
     smaller theta.
     """
     thetas = sorted(thetas)
+    if not thetas:
+        raise ValueError("need at least one theta")
     bandwidths = sorted(float(h) for h in bandwidths)
     if not bandwidths:
         raise ValueError("need at least one bandwidth")
@@ -205,6 +207,8 @@ class FitConfig:
                 thetas = tuple(t if isinstance(t, HolderParams) else HolderParams(*t) for t in thetas)
             except (TypeError, ValueError) as exc:
                 raise ConfigError(f"thetas: {exc}") from None
+            if not thetas:
+                raise ConfigError(f"thetas must name at least one pair, got {self.thetas!r}")
         return replace(
             self, c1=c1, pilot_fraction=pilot_fraction, h_sigma=h_sigma, bandwidth=bandwidth,
             thetas=thetas, synthetic_cap=int(cap),

@@ -111,13 +111,6 @@ def _window_residuals(y_train, f_train, f_eval, dist2_pow, theta1):
     return np.subtract(y_train, out, out=out)
 
 
-def _masked_means(residuals, dist_inf, h):
-    """Row means of the residuals inside the sup-norm windows dist_inf <= h,
-    with the max(1, count) guard."""
-    mask = dist_inf <= h
-    return (residuals * mask).sum(axis=1) / np.maximum(mask.sum(axis=1), 1)
-
-
 def smoothed_window_means(y_train, f_train, f_eval, dist_inf, eval_x, train_x, thetas, h):
     """Window-averaged residuals against the smoothed black-box values, shape
     (len(thetas), len(eval_x)): one row per (theta1, theta2) in thetas, all at
@@ -127,33 +120,40 @@ def smoothed_window_means(y_train, f_train, f_eval, dist_inf, eval_x, train_x, t
     with sup-norm distance dist_inf <= h, anchored at the eval point itself.
     An empty window contributes 0 through the max(1, count) guard.
 
-    Only the pairs inside the window are gathered, once for every theta.  The
-    Euclidean distances are computed on those pairs alone, with the operations
-    of euclidean_distances in the same order, and raised once per theta2 of a
-    theta1 > 0 theta; theta1 = 0 needs neither.  Each theta's residuals are
-    scattered into zeroed rows and each full row is summed, so the sums add in
-    the same order as a masked sum over every training point and read the same
-    bits, up to the sign of a zero sum.
+    With theta1 = 0 the truncation is +-0.0 whatever theta2 is, so those rows
+    share one masked row sum of y_i - f(x0) over every training point, freed
+    before the window's pairs are gathered.  For theta1 > 0, only the pairs
+    inside the window are gathered, once for every theta.  Their Euclidean
+    distances are computed on those pairs alone, with the operations of
+    euclidean_distances in the same order, and raised once per theta2.  Each
+    theta's residuals are scattered into zeroed rows and each full row is
+    summed, so the sums add in the same order as a masked sum over every
+    training point and read the same bits, up to the sign of a zero sum.
     """
     mask = dist_inf <= h
-    rows, cols = np.nonzero(mask)
+    counts = np.maximum(mask.sum(axis=1), 1)
+    out = np.empty((len(thetas), mask.shape[0]))
+    flat = [k for k, (theta1, _) in enumerate(thetas) if not theta1 > 0]
+    if flat:
+        residuals = y_train - f_eval[:, None]
+        residuals *= mask
+        out[flat] = residuals.sum(axis=1) / counts
+        del residuals
     theta2s = {theta2 for theta1, theta2 in thetas if theta1 > 0}
-    if theta2s:
-        dist = _squared_distances(eval_x, train_x, (rows, cols))
-        np.sqrt(dist, out=dist)
-        powers = {theta2: holder_powers(dist, theta2) for theta2 in theta2s}
-        del dist
+    if not theta2s:
+        return out
+    rows, cols = np.nonzero(mask)
+    dist = _squared_distances(eval_x, train_x, (rows, cols))
+    np.sqrt(dist, out=dist)
+    powers = {theta2: holder_powers(dist, theta2) for theta2 in theta2s}
+    del dist
     y_in, f_in, f_eval_in = y_train[cols], f_train[cols], f_eval[rows]
     del rows, cols  # a window as wide as the domain holds every pair
-    counts = np.maximum(mask.sum(axis=1), 1)
     sums = np.zeros(mask.shape)
-    out = np.empty((len(thetas), mask.shape[0]))
     for k, (theta1, theta2) in enumerate(thetas):
         if theta1 > 0:
             sums[mask] = _window_residuals(y_in, f_in, f_eval_in, powers[theta2], theta1)
-        else:
-            sums[mask] = y_in - f_eval_in
-        out[k] = sums.sum(axis=1) / counts
+            out[k] = sums.sum(axis=1) / counts
     return out
 
 
@@ -167,26 +167,17 @@ def _ladder_sums(bins, n_rows, n_bins, weights=None):
 def window_biases(train_x, train_y, f_train, xs, f_eval, pairs):
     """Bias estimates at xs for each (theta, h) pair, shape (len(pairs), len(xs)).
 
-    Per row block, the sup-norm distances are computed once.  When every theta
-    carries one bandwidth (prediction, rule mode), the pairs are grouped by h:
-    a group holds the theta1 > 0 pairs at its h and the theta1 = 0 pairs that
-    share it, and one smoothed_window_means call per block and group does the
-    group's Euclidean and Holder work on its window's pairs only.  With
-    theta1 = 0 the truncation is +-0.0 whatever theta2 is, so the theta1 = 0
-    pairs at a bandwidth no group carries share one dense residual pass
-    y_i - f(x0) and take its masked row sums.  Otherwise, a theta carries
-    several bandwidths (CV scoring) and _ladder_biases scores the pairs.
+    When every theta carries one bandwidth (prediction, rule mode), the pairs
+    are grouped by h, whatever their theta1; per row block, the sup-norm
+    distances are computed once and one smoothed_window_means call per h
+    answers the group.  Otherwise, a theta carries several bandwidths (CV
+    scoring) and _ladder_biases scores the pairs.
     """
     if len({theta for theta, _ in pairs}) < len(pairs):
         return _ladder_biases(train_x, train_y, f_train, xs, f_eval, pairs)
     groups = {}  # h -> indices of the pairs at h
     for k, (theta, h) in enumerate(pairs):
-        if theta.theta1 > 0:
-            groups.setdefault(float(h), []).append(k)
-    shared = []  # theta1 = 0 pairs at a bandwidth no theta1 > 0 pair carries
-    for k, (theta, h) in enumerate(pairs):
-        if not theta.theta1 > 0:
-            groups.get(float(h), shared).append(k)
+        groups.setdefault(float(h), []).append(k)
     # the block budget covers the (rows, n) buffers alive at once when a
     # window holds every pair, about 9 plus one power per theta2: the sup-norm
     # distances, the window's mask, indices and distances, three gathered
@@ -200,10 +191,6 @@ def window_biases(train_x, train_y, f_train, xs, f_eval, pairs):
             out[ks, rows] = smoothed_window_means(
                 train_y, f_train, f_eval[rows], dist_inf, xs[rows], train_x, thetas[h], h
             )
-        if shared:
-            residuals = train_y[None, :] - f_eval[rows, None]
-            for k in shared:
-                out[k, rows] = _masked_means(residuals, dist_inf, float(pairs[k][1]))
     return out
 
 
@@ -349,7 +336,9 @@ class VarianceField:
         xs = np.atleast_2d(np.asarray(xs, float))
         out = np.empty(xs.shape[0])
         for rows in row_blocks(xs.shape[0], self.pilot_x.shape[0]):
-            weights = np.maximum(0.0, self.h_sigma - chebyshev_distances(xs[rows], self.pilot_x))
+            weights = chebyshev_distances(xs[rows], self.pilot_x)
+            np.subtract(self.h_sigma, weights, out=weights)
+            np.maximum(weights, 0.0, out=weights)
             wsum = weights.sum(axis=1)
             second = weights @ (self.pilot_y**2) / np.maximum(1.0, wsum)
             first = weights @ self.pilot_y

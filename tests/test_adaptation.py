@@ -158,6 +158,16 @@ def test_rungs_holding_the_same_points_tie_bit_for_bit():
     assert sel.bandwidth == lo  # ties go to the smaller bandwidth
 
 
+def test_select_theta_h_needs_a_theta():
+    rng = rng_stream(9, "sel")
+    model = FunctionModel(lambda xs: pytest.fail("no model query before the check"))
+    with pytest.raises(ValueError, match="need at least one theta"):
+        select_theta_h(
+            [], [0.3], rng.random((10, 2)), rng.normal(size=10), rng.random((5, 2)),
+            rng.normal(size=5), model,
+        )
+
+
 @pytest.mark.parametrize("bad", [0.0, -0.1, float("nan")], ids=["zero", "negative", "nan"])
 def test_bandwidths_must_be_positive_numbers(bad):
     rng = rng_stream(9, "sel")
@@ -180,6 +190,7 @@ _BAD_SETTINGS = [
     ({"bandwidth": ["0.2"]}, "bandwidths must be positive numbers"),
     ({"thetas": [(0, 2)]}, "thetas: theta2 must lie in [0, 1], got 2.0"),
     ({"thetas": [0.5]}, "thetas: "),
+    ({"thetas": []}, "thetas must name at least one pair, got []"),
     ({"c1": np.inf}, "c1 must be a finite positive number, got inf"),
     ({"c1": "abc"}, "c1 must be a finite positive number, got 'abc'"),
     ({"c1": True}, "c1 must be a finite positive number, got True"),
@@ -195,7 +206,8 @@ _BAD_SETTINGS = [
 @pytest.mark.parametrize("fitter", ["budgeted", "small-domain", "pool"])
 @pytest.mark.parametrize(
     "setting, message", _BAD_SETTINGS, ids=[
-        "empty-bandwidths", "string-bandwidth", "theta2-above-1", "theta-not-a-pair", "c1-inf",
+        "empty-bandwidths", "string-bandwidth", "theta2-above-1", "theta-not-a-pair", "empty-thetas",
+        "c1-inf",
         "c1-string", "c1-bool", "pilot-fraction-string", "h-sigma-negative", "h-sigma-inf",
         "full-set-string", "cap-zero", "cap-float",
     ],

@@ -366,6 +366,8 @@ def _rule_style_lists(rng):
         [(t, by_theta2.get(t.theta2, np.inf)) for t in thetas],
         # theta1 = 0 pairs at a bandwidth no theta1 > 0 pair carries
         [(t, 0.2 if t.theta1 == 0 else 0.25) for t in thetas if t.theta2 in (0.0, 1.0)],
+        # several theta1 = 0 thetas with different theta2 share an h with theta1 > 0 thetas
+        [(HolderParams(*t), 0.125) for t in ((0, 0), (0, 0.5), (0.5, 0.5), (0, 1), (1.5, 0))],
         [(HolderParams(0.5, 0.0), 0.125)],
         [(HolderParams(6 / 7, 1.0), np.inf)],
     ]
@@ -495,6 +497,20 @@ def test_variance_constant_labels_zero():
 def test_variance_no_support_zero():
     field = VarianceField(np.array([[0.1, 0.1]]), np.array([5.0]), 0.05, UNIT)
     assert field.variance_at(np.array([0.9, 0.9])) == 0.0
+
+
+def test_variance_batch_turns_its_distances_into_weights_in_place():
+    rng = rng_stream(20, "variance-memory")
+    field = VarianceField(rng.random((500, 2)), rng.normal(size=500), 0.3, UNIT)
+    xs = rng.random((2000, 2))
+    block = 2000 * 500 * 8
+    tracemalloc.start()
+    try:
+        field.variance_batch(xs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * block, peak / block
 
 
 def test_variance_matches_loop_oracle_and_nonnegative():
