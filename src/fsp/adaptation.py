@@ -286,14 +286,14 @@ def _resolve_bandwidths(config, n, domain, cap=None):
 
 
 def _mean_sigma_for(rr, config, n, domain):
-    fld = rr.variance_field
-    if fld is None:
-        # uniform retrieval has no pilot field; estimate from the validation block
-        ss = rr.samples
-        if ss.val_idx.size == 0:
-            return None
-        h_sig = config.h_sigma if config.h_sigma is not None else pilot_bandwidth(n, domain.dim)
-        fld = VarianceField(ss.val_x, ss.val_y, h_sig, domain)
+    if rr.density is not None:
+        return rr.density.mean_sigma
+    # uniform retrieval has no pilot field; estimate from the validation block
+    ss = rr.samples
+    if ss.val_idx.size == 0:
+        return None
+    h_sig = config.h_sigma if config.h_sigma is not None else pilot_bandwidth(n, domain.dim)
+    fld = VarianceField(ss.val_x, ss.val_y, h_sig, domain)
     return fld.mean_sigma(default_quadrature_points(domain.dim))
 
 

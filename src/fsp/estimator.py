@@ -12,8 +12,8 @@ from .core import HolderParams
 __all__ = [
     "row_blocks",
     "chebyshev_distances",
-    "euclidean_distances",
     "holder_powers",
+    "truncate",
     "smoothed_window_means",
     "window_biases",
     "PersonalizedEstimator",
@@ -58,7 +58,7 @@ def _fold_coordinates(a, b, term, fold, pairs=None):
         step = _TILE_PAIRS
 
         def diff(j, tile, dest):
-            np.subtract(a[rows[tile], j], b[cols[tile], j], out=dest)
+            np.subtract(a[:, j].take(rows[tile]), b[:, j].take(cols[tile]), out=dest)
     scratch = np.empty((min(step, out.shape[0]),) + out.shape[1:])
     for start in range(0, out.shape[0], step):
         tile = slice(start, start + step)
@@ -84,12 +84,6 @@ def _squared_distances(a, b, pairs=None):
     return _fold_coordinates(a, b, np.square, np.add, pairs)
 
 
-def euclidean_distances(a, b):
-    """Pairwise Euclidean distances, shape (len(a), len(b))."""
-    out = _squared_distances(a, b)
-    return np.sqrt(out, out=out)
-
-
 def holder_powers(dist2, theta2):
     """Euclidean distances raised to theta2; with theta2 = 0, distance 0 maps to 0."""
     if theta2 > 0:
@@ -97,149 +91,124 @@ def holder_powers(dist2, theta2):
     return np.where(dist2 > 0, 1.0, 0.0)
 
 
-def _window_residuals(y_train, f_train, f_eval, dist2_pow, theta1):
-    """Residuals y_i - omega(f_train_i) against the black box smoothed around
-    the eval point, elementwise over operands that broadcast to the shape of
-    dist2_pow; written in place into one buffer beside the truncation."""
-    out = f_train - f_eval
-    trunc = np.abs(out)
-    np.minimum(trunc, theta1 * dist2_pow, out=trunc)
-    np.sign(out, out=out)
-    out *= trunc
-    del trunc
-    out += f_eval
-    return np.subtract(y_train, out, out=out)
-
-
-def smoothed_window_means(y_train, f_train, f_eval, dist_inf, eval_x, train_x, thetas, h):
-    """Window-averaged residuals against the smoothed black-box values, shape
-    (len(thetas), len(eval_x)): one row per (theta1, theta2) in thetas, all at
-    the one bandwidth h.
-
-    For each eval point, averages y_i - omega(f_train_i) over training points
-    with sup-norm distance dist_inf <= h, anchored at the eval point itself.
-    An empty window contributes 0 through the max(1, count) guard.
-
-    With theta1 = 0 the truncation is +-0.0 whatever theta2 is, so those rows
-    share one masked row sum of y_i - f(x0) over every training point, freed
-    before the window's pairs are gathered.  For theta1 > 0, only the pairs
-    inside the window are gathered, once for every theta.  Their Euclidean
-    distances are computed on those pairs alone, with the operations of
-    euclidean_distances in the same order, and raised once per theta2.  Each
-    theta's residuals are scattered into zeroed rows and each full row is
-    summed, so the sums add in the same order as a masked sum over every
-    training point and read the same bits, up to the sign of a zero sum.
-    """
-    mask = dist_inf <= h
-    counts = np.maximum(mask.sum(axis=1), 1)
-    out = np.empty((len(thetas), mask.shape[0]))
-    flat = [k for k, (theta1, _) in enumerate(thetas) if not theta1 > 0]
-    if flat:
-        residuals = y_train - f_eval[:, None]
-        residuals *= mask
-        out[flat] = residuals.sum(axis=1) / counts
-        del residuals
-    theta2s = {theta2 for theta1, theta2 in thetas if theta1 > 0}
-    if not theta2s:
-        return out
-    rows, cols = np.nonzero(mask)
-    dist = _squared_distances(eval_x, train_x, (rows, cols))
-    np.sqrt(dist, out=dist)
-    powers = {theta2: holder_powers(dist, theta2) for theta2 in theta2s}
-    del dist
-    y_in, f_in, f_eval_in = y_train[cols], f_train[cols], f_eval[rows]
-    del rows, cols  # a window as wide as the domain holds every pair
-    sums = np.zeros(mask.shape)
-    for k, (theta1, theta2) in enumerate(thetas):
-        if theta1 > 0:
-            sums[mask] = _window_residuals(y_in, f_in, f_eval_in, powers[theta2], theta1)
-            out[k] = sums.sum(axis=1) / counts
+def truncate(anchor, sign, magnitude, band, out=None):
+    """omega = anchor + sign * min(magnitude, band): a value whose deviation from
+    the anchor value has this sign and magnitude, truncated to the band
+    theta1 * ||x - anchor||_2 ** theta2.  out may be band itself."""
+    out = np.minimum(magnitude, band, out=out)
+    out *= sign
+    out += anchor
     return out
 
 
-def _ladder_sums(bins, n_rows, n_bins, weights=None):
-    """Per-row cumulative sums over the ladder rungs, shape (n_rows, n_bins - 1);
-    the last bin, points outside every window, is dropped."""
-    sums = np.bincount(bins, weights=weights, minlength=n_rows * n_bins)
-    return sums.reshape(n_rows, n_bins)[:, :-1].cumsum(axis=1)
+def smoothed_window_means(train_x, train_y, f_train, xs, f_eval, hs, passes, ladder, out):
+    """Window means of y_i - omega(f(x_i)) for one row block xs, written into
+    out, one row per pair.
+
+    hs are the sorted distinct bandwidths; passes maps each residual pass to
+    the (pair index, rung) of its pairs, where the rung indexes hs.  The pass
+    of a theta1 > 0 theta is keyed by (theta1, theta2); all theta1 = 0 thetas
+    share the pass None, whose truncation is +-0.0 whatever theta2 is.
+
+    The pairs inside the widest window hs[-1] are gathered once, through flat
+    indices into the (rows, n) block, and each gets its rung: the first
+    bandwidth whose sup-norm window holds it.  Their Euclidean distances are
+    computed on those pairs alone and raised once per theta2; y, f(x_i) and
+    f(x0) are gathered once, and each pass runs one residual chain.
+
+    With ladder set (a theta carries several bandwidths), each pass sums its
+    residuals into (row, rung) bins, in the dense order, and cumulative sums
+    over the rungs give every window.  Otherwise each pair's residuals are
+    zeroed outside its own window, scattered into a zeroed (rows, n) block and
+    summed over full rows, so the sums add in the order of a masked sum over
+    every training point.  An empty window gives 0 through the max(1, count)
+    guard.
+    """
+    n_rows, n, n_rungs = xs.shape[0], train_x.shape[0], len(hs)
+    dist_inf = chebyshev_distances(xs, train_x)
+    flat = np.flatnonzero(dist_inf <= hs[-1])
+    # with one bandwidth, every gathered pair is on its one rung
+    rung = np.searchsorted(hs, dist_inf.ravel()[flat]) if n_rungs > 1 else 0
+    del dist_inf
+    rows = flat // n  # a floor division by a scalar, unlike np.divmod, is fast
+    cols = rows * n
+    np.subtract(flat, cols, out=cols)
+    if ladder:
+        del flat
+    theta2s = {key[1] for key in passes if key is not None}
+    if theta2s:
+        dist = _squared_distances(xs, train_x, (rows, cols))
+        np.sqrt(dist, out=dist)
+        powers = {theta2: holder_powers(dist, theta2) for theta2 in theta2s}
+        del dist
+        magnitude = f_train.take(cols)
+    y_in = train_y.take(cols)
+    del cols
+    f0 = f_eval.take(rows)
+    if theta2s:
+        magnitude -= f0
+        sign = np.sign(magnitude)
+        np.abs(magnitude, out=magnitude)
+    bins = rows  # in place: each pair's (row, rung) bin
+    bins *= n_rungs
+    bins += rung
+    del rows
+    counts = np.bincount(bins, minlength=n_rows * n_rungs).reshape(n_rows, n_rungs).cumsum(axis=1)
+    np.maximum(counts, 1, out=counts)
+    if ladder:
+        del rung
+    else:
+        del bins
+        block = np.zeros((n_rows, n))
+    for key, columns in passes.items():
+        if key is None:
+            residuals = y_in - f0
+        else:
+            band = np.multiply(key[0], powers[key[1]])
+            residuals = np.subtract(y_in, truncate(f0, sign, magnitude, band, out=band), out=band)
+        if ladder:
+            means = np.bincount(bins, residuals, n_rows * n_rungs).reshape(n_rows, n_rungs)
+            np.cumsum(means, axis=1, out=means)
+            means /= counts
+            for k, r in columns:
+                out[k] = means[:, r]
+            continue
+        # widest window first, so each pair zeroes what the wider ones kept
+        for k, r in sorted(columns, key=lambda column: -column[1]):
+            if r < n_rungs - 1:
+                residuals[rung > r] = 0.0
+            block.ravel()[flat] = residuals
+            out[k] = block.sum(axis=1) / counts[:, r]
 
 
 def window_biases(train_x, train_y, f_train, xs, f_eval, pairs):
     """Bias estimates at xs for each (theta, h) pair, shape (len(pairs), len(xs)).
 
-    When every theta carries one bandwidth (prediction, rule mode), the pairs
-    are grouped by h, whatever their theta1; per row block, the sup-norm
-    distances are computed once and one smoothed_window_means call per h
-    answers the group.  Otherwise, a theta carries several bandwidths (CV
-    scoring) and _ladder_biases scores the pairs.
-    """
-    if len({theta for theta, _ in pairs}) < len(pairs):
-        return _ladder_biases(train_x, train_y, f_train, xs, f_eval, pairs)
-    groups = {}  # h -> indices of the pairs at h
-    for k, (theta, h) in enumerate(pairs):
-        groups.setdefault(float(h), []).append(k)
-    # the block budget covers the (rows, n) buffers alive at once when a
-    # window holds every pair, about 9 plus one power per theta2: the sup-norm
-    # distances, the window's mask, indices and distances, three gathered
-    # operands, the residual chain and the scattered rows
-    thetas = {h: [(pairs[k][0].theta1, pairs[k][0].theta2) for k in ks] for h, ks in groups.items()}
-    most_theta2s = max((len({t2 for t1, t2 in ts if t1 > 0}) for ts in thetas.values()), default=0)
-    out = np.empty((len(pairs), xs.shape[0]))
-    for rows in row_blocks(xs.shape[0], train_x.shape[0] * (most_theta2s + 9)):
-        dist_inf = chebyshev_distances(xs[rows], train_x)
-        for h, ks in groups.items():
-            out[ks, rows] = smoothed_window_means(
-                train_y, f_train, f_eval[rows], dist_inf, xs[rows], train_x, thetas[h], h
-            )
-    return out
-
-
-def _ladder_biases(train_x, train_y, f_train, xs, f_eval, pairs):
-    """window_biases where a theta carries several bandwidths.
-
-    Per row block, the Holder powers are computed once per distinct theta2 of
-    a theta1 > 0 theta; blocks shrink with the number of theta2 values, so
-    memory stays near the block budget.  All theta1 = 0 thetas share one
-    residual pass y_i - f(x0), and the Euclidean distances are computed only
-    for thetas with theta1 > 0.  The pairs of a residual pass share its window
-    sums: the sup-norm windows are nested in h, so each training point is
-    binned by the first rung of the sorted bandwidth ladder whose window holds
-    it, and cumulative sums over the rungs give every window.  Rungs that hold
-    the same points read bit-equal sums.
+    The sorted distinct bandwidths form a ladder of nested windows.  The pairs
+    share residual passes: one per theta with theta1 > 0, and one for every
+    theta1 = 0 theta.  One smoothed_window_means call per row block answers
+    every pair; it sums over the bandwidth ladder when a theta carries several
+    bandwidths (CV scoring), and over each pair's own window otherwise (rule
+    mode, prediction).
     """
     pair_hs = [float(h) for _, h in pairs]
     hs = np.unique(pair_hs)
-    columns = {}  # residual pass (a theta1 > 0 theta, or None) -> (pair index, rung) of its pairs
+    passes = {}
     for k, ((theta, _), rung) in enumerate(zip(pairs, np.searchsorted(hs, pair_hs))):
-        columns.setdefault(theta if theta.theta1 > 0 else None, []).append((k, rung))
-    theta2s = {theta.theta2 for theta in columns if theta is not None}
-    n_bins = len(hs) + 1
+        key = (theta.theta1, theta.theta2) if theta.theta1 > 0 else None
+        passes.setdefault(key, []).append((k, rung))
+    ladder = len({theta for theta, _ in pairs}) < len(pairs)
+    n_theta2s = len({key[1] for key in passes if key is not None})
     out = np.empty((len(pairs), xs.shape[0]))
-    # the block budget covers every (rows, n) buffer alive at once: the
-    # sup-norm distances or their rungs, one power per theta2, and the
-    # residual chain
-    width = (train_x.shape[0] + n_bins) * (len(theta2s) + 5)
+    # the block budget counts every buffer alive at once when the widest window
+    # holds every pair: per pair, the flat indices, rungs, four gathered
+    # operands, the residual chain, the scattered block, one power per theta2
+    # and a temporary; per (row, rung), the ladder's counts, sums and means
+    width = train_x.shape[0] * (n_theta2s + 9) + 4 * len(hs)
     for rows in row_blocks(xs.shape[0], width):
-        dist_inf = chebyshev_distances(xs[rows], train_x)
-        dist2 = euclidean_distances(xs[rows], train_x) if theta2s else None
-        powers = {theta2: holder_powers(dist2, theta2) for theta2 in theta2s}
-        del dist2  # the window means need only the powers
-        n_rows = dist_inf.shape[0]
-        rungs = np.searchsorted(hs, dist_inf, side="left")
-        bins = (rungs + n_bins * np.arange(n_rows)[:, None]).ravel()
-        del dist_inf, rungs
-        counts = np.maximum(_ladder_sums(bins, n_rows, n_bins), 1)
-        for theta, cols in columns.items():
-            if theta is None:
-                residuals = train_y[None, :] - f_eval[rows, None]
-            else:
-                residuals = _window_residuals(
-                    train_y[None, :], f_train[None, :], f_eval[rows, None], powers[theta.theta2],
-                    theta.theta1,
-                )
-            means = _ladder_sums(bins, n_rows, n_bins, residuals.ravel()) / counts
-            for k, rung in cols:
-                out[k, rows] = means[:, rung]
+        smoothed_window_means(
+            train_x, train_y, f_train, xs[rows], f_eval[rows], hs, passes, ladder, out[:, rows]
+        )
     return out
 
 

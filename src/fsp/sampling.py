@@ -49,7 +49,8 @@ class SamplingDensity:
 
     `weight` is the unnormalized density, `normalization` its integral (by
     midpoint quadrature), and `envelope` bounds sup pdf * volume with a
-    safety margin, so that pdf(x) * volume / envelope <= 1.
+    safety margin, so that pdf(x) * volume / envelope <= 1.  A plug-in
+    density records `mean_sigma`, the quadrature mean of sigma-hat.
     """
 
     domain: object
@@ -59,6 +60,7 @@ class SamplingDensity:
     floor: float = 0.0
     floor_active_fraction: float = 0.0
     uniform_fallback: bool = False
+    mean_sigma: float = 0.0
 
     def pdf(self, xs):
         xs = np.atleast_2d(np.asarray(xs, float))
@@ -107,6 +109,7 @@ def plug_in_density(variance_field, quadrature_points_per_dim=None, safety=1.1):
         envelope=envelope,
         floor=floor,
         floor_active_fraction=float((sig < floor).mean()),
+        mean_sigma=mean_sig,
     )
 
 
@@ -197,24 +200,23 @@ class RetrievalResult:
     diagnostics: RetrievalDiagnostics
 
 
-def _pilot_density(pilot_x, pilot_y, n, split, h_sigma, domain):
-    """Validation rows, variance field and plug-in density of a labeled pilot.
-
-    The field uses the first pilot half under 'strict', which validates on
-    the second half, and the whole pilot under 'reuse', which validates on
-    all of it.  h_sigma defaults to the pilot bandwidth for budget n.
-    """
-    n0 = pilot_x.shape[0]
+def _split_rows(split, n0):
+    """Variance and validation rows of an n0-point pilot: the first half and the
+    second half under 'strict', the whole pilot for both under 'reuse'."""
     if split == "strict":
-        var_rows, val_rows = np.arange(n0 // 2), np.arange(n0 // 2, n0)
-    elif split == "reuse":
-        var_rows = val_rows = np.arange(n0)
-    else:
-        raise ConfigError(f"unknown split mode {split!r} (use 'strict' or 'reuse')")
+        return np.arange(n0 // 2), np.arange(n0 // 2, n0)
+    if split == "reuse":
+        return np.arange(n0), np.arange(n0)
+    raise ConfigError(f"unknown split mode {split!r} (use 'strict' or 'reuse')")
+
+
+def _pilot_density(pilot_x, pilot_y, n, h_sigma, domain):
+    """Variance field and plug-in density of the labeled pilot rows given;
+    h_sigma defaults to the pilot bandwidth for budget n."""
     if h_sigma is None:
         h_sigma = pilot_bandwidth(n, domain.dim)
-    fld = VarianceField(pilot_x[var_rows], pilot_y[var_rows], h_sigma, domain)
-    return val_rows, fld, plug_in_density(fld)
+    fld = VarianceField(pilot_x, pilot_y, h_sigma, domain)
+    return fld, plug_in_density(fld)
 
 
 def retrieve_budgeted(n, pilot_fraction, domain, oracle, rng, split="reuse", h_sigma=None):
@@ -232,9 +234,10 @@ def retrieve_budgeted(n, pilot_fraction, domain, oracle, rng, split="reuse", h_s
         raise ConfigError("pilot_fraction must lie in (0, 1)")
     n0 = int(round(pilot_fraction * n))
     n0 = min(max(n0, 2), n - 1)
+    var_rows, val_rows = _split_rows(split, n0)
     pilot_x = domain.uniform(n0, rng)
     pilot_y = oracle.label(pilot_x, rng)
-    val_rows, fld, density = _pilot_density(pilot_x, pilot_y, n, split, h_sigma, domain)
+    fld, density = _pilot_density(pilot_x[var_rows], pilot_y[var_rows], n, h_sigma, domain)
     step2_x, rej = rejection_sample(density, n - n0, rng, return_diagnostics=True)
     step2_y = oracle.label(step2_x, rng)
     ss = SampleSet(
@@ -395,13 +398,14 @@ def retrieve_from_pool(
     big_n = pool_x.shape[0]
     if not (big_n >= n > n0 >= 4):
         raise ConfigError(f"need pool N >= n > pilot >= 4, got N={big_n}, n={n}, pilot={n0}")
+    var_rows, val_rows = _split_rows(split, n0)
     if domain is None:
         domain = Domain.bounding(pool_x)
 
     pilot_positions = rng.choice(big_n, size=n0, replace=False)
     pilot_x = pool_x[pilot_positions]
     pilot_y = _pool_labels(oracle, pool_x, pilot_positions, rng)
-    val_rows, fld, density = _pilot_density(pilot_x, pilot_y, n, split, h_sigma, domain)
+    fld, density = _pilot_density(pilot_x[var_rows], pilot_y[var_rows], n, h_sigma, domain)
 
     rest_mask = np.ones(big_n, dtype=bool)
     rest_mask[pilot_positions] = False

@@ -11,7 +11,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .blackbox import BlackBoxModel
-from .estimator import holder_powers
+from .estimator import holder_powers, truncate
 
 __all__ = [
     "local_smooth",
@@ -29,10 +29,9 @@ def smooth_values(anchor_value, values, distances, theta):
     the band has constant width theta1 away from the anchor; at distance 0
     the deviation is 0, so the anchor value passes through exactly.
     """
-    values = np.asarray(values, float)
+    delta = np.asarray(values, float) - anchor_value
     band = theta.theta1 * holder_powers(np.asarray(distances, float), theta.theta2)
-    delta = values - anchor_value
-    return anchor_value + np.sign(delta) * np.minimum(np.abs(delta), band)
+    return truncate(anchor_value, np.sign(delta), np.abs(delta), band)
 
 
 def _scalar_eval(g, x):

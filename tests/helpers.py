@@ -8,6 +8,7 @@ import numpy as np
 
 from fsp import HolderParams, check_local_smooth, local_smooth
 from fsp.core import rng_stream
+from fsp.estimator import holder_powers
 
 
 def chebyshev_broadcast(a, b):
@@ -28,6 +29,35 @@ def window_means_dense(y_train, f_train, f_eval, dist_inf, dist2_pow, theta1, h)
     residuals = y_train[None, :] - (f_eval[:, None] + trunc)
     mask = dist_inf <= h
     return (residuals * mask).sum(axis=1) / np.maximum(mask.sum(axis=1), 1)
+
+
+def ladder_means_dense(y_train, f_train, f_eval, dist_inf, dist2, pairs):
+    """Reference CV window means, one row per (theta, h) pair: each pair of
+    points falls in the first rung of the sorted bandwidths whose window holds
+    it, or in a last bin outside every window; the residual chain runs over
+    every pair, the bins are summed with bincount in the dense order, and
+    cumulative sums over the rungs give every window."""
+    hs = np.unique([float(h) for _, h in pairs])
+    n_rows, n_bins = dist_inf.shape[0], len(hs) + 1
+    bins = (np.searchsorted(hs, dist_inf) + n_bins * np.arange(n_rows)[:, None]).ravel()
+
+    def window_sums(weights=None):
+        sums = np.bincount(bins, weights=weights, minlength=n_rows * n_bins)
+        return sums.reshape(n_rows, n_bins)[:, :-1].cumsum(axis=1)
+
+    counts = np.maximum(window_sums(), 1)
+    rows = []
+    for theta, h in pairs:
+        if theta.theta1 > 0:
+            powers = holder_powers(dist2, theta.theta2)
+            delta = f_train[None, :] - f_eval[:, None]
+            trunc = np.sign(delta) * np.minimum(np.abs(delta), theta.theta1 * powers)
+            residuals = y_train[None, :] - (f_eval[:, None] + trunc)
+        else:  # the truncation is +-0.0
+            residuals = y_train[None, :] - f_eval[:, None]
+        means = window_sums(residuals.ravel()) / counts
+        rows.append(means[:, np.searchsorted(hs, float(h))])
+    return rows
 
 
 def local_mean_oracle(train_x, train_y, x, h):

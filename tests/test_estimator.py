@@ -21,6 +21,7 @@ from helpers import (
     chebyshev_broadcast,
     euclidean_broadcast,
     fsp_predict_oracle,
+    ladder_means_dense,
     local_mean_oracle,
     variance_oracle,
     window_means_dense,
@@ -282,14 +283,19 @@ def test_distance_kernels_match_the_broadcast_reference(dim):
     for rows, points in cases:
         cheb = estimator.chebyshev_distances(rows, points)
         assert np.array_equal(cheb, chebyshev_broadcast(rows, points), equal_nan=True)
-        eucl = estimator.euclidean_distances(rows, points)
+        squared = estimator._squared_distances(rows, points)
+        eucl = np.sqrt(squared)
         want = euclidean_broadcast(rows, points)
         if dim <= 7:
             assert np.array_equal(eucl, want, equal_nan=True)
         else:
             # numpy's reduction sums eight or more terms with several accumulators
             assert np.allclose(eucl, want, rtol=1e-15, atol=0, equal_nan=True)
-    for kernel in (estimator.chebyshev_distances, estimator.euclidean_distances):
+        # on index pairs, every pair gets the operations of the dense kernel
+        pairs = np.nonzero(np.ones(squared.shape, bool))
+        on_pairs = estimator._squared_distances(rows, points, pairs)
+        assert np.array_equal(on_pairs, squared.ravel(), equal_nan=True)
+    for kernel in (estimator.chebyshev_distances, estimator._squared_distances):
         dist = kernel(a, b)
         assert np.isnan(dist[7]).all() and np.isnan(dist[:, 3]).all()
         assert np.isfinite(np.delete(np.delete(dist, 7, axis=0), 3, axis=1)).all()
@@ -301,14 +307,20 @@ def test_distance_kernels_allocate_about_two_result_blocks(dim):
     a = rng.random((500, dim))
     b = rng.random((400, dim))
     block = 500 * 400 * 8
-    for kernel in (estimator.chebyshev_distances, estimator.euclidean_distances):
+    pairs = np.nonzero(np.ones((500, 400), bool))
+    kernels = {
+        "chebyshev": estimator.chebyshev_distances,
+        "squared": estimator._squared_distances,
+        "squared on pairs": lambda a, b: estimator._squared_distances(a, b, pairs),
+    }
+    for name, kernel in kernels.items():
         tracemalloc.start()
         try:
             kernel(a, b)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 2.5 * block, (kernel.__name__, peak / block)
+        assert peak <= 2.5 * block, (name, peak / block)
 
 
 def test_window_biases_holds_its_buffers_near_the_block_budget(monkeypatch):
@@ -345,13 +357,37 @@ def test_window_means_on_the_window_only_keep_the_dense_bits():
         dist_inf = estimator.chebyshev_distances(xs, train_x)
         theta1 = (0.0, 0.5, 6 / 7, 3.0)[trial % 4]
         theta2 = (0.0, 0.625, 1.0)[trial % 3]
-        powers = estimator.holder_powers(estimator.euclidean_distances(xs, train_x), theta2)
+        powers = estimator.holder_powers(np.sqrt(estimator._squared_distances(xs, train_x)), theta2)
         for h in (0.01, 0.125, 0.3, 2.0):  # 2.0: every pair is inside the window
-            got = estimator.smoothed_window_means(
-                train_y, f_train, f_eval, dist_inf, xs, train_x, [(theta1, theta2)], h
-            )
+            pair = (HolderParams(theta1, theta2), h)
+            got = estimator.window_biases(train_x, train_y, f_train, xs, f_eval, [pair])
             want = window_means_dense(train_y, f_train, f_eval, dist_inf, powers, theta1, h)
             assert got[0].tobytes() == want.tobytes(), (trial, h)
+
+
+def test_ladder_rows_equal_the_dense_binned_reference_bit_for_bit(monkeypatch):
+    rng = rng_stream(26, "ladder-bits")
+    thetas = [HolderParams(*t) for t in ((0, 0), (0, 0.5), (0.5, 0), (6 / 7, 1), (2, 0.25))]
+    for trial, dim in enumerate((1, 2, 3, 1, 2, 3)):
+        train_x = rng.random((150, dim))
+        if trial >= 3:  # grid points put training points exactly on the rungs of grid queries
+            train_x = np.round(train_x * 8) / 8
+        xs = np.vstack([rng.random((60, dim)), train_x[:10]])
+        train_y = rng.normal(size=len(train_x))
+        f_train, f_eval = np.sin(4 * train_x).sum(axis=1), np.sin(4 * xs).sum(axis=1)
+        # unsorted, one rung so narrow that some windows are empty, and h = inf
+        ladder = [0.375, 0.004, 0.125, np.inf, float(rng.uniform(0.1, 0.3)), 0.25]
+        pairs = [(theta, h) for h in ladder for theta in thetas]
+        dist_inf = chebyshev_broadcast(xs, train_x)
+        assert not (dist_inf <= 0.004).any(axis=1).all()
+        want = ladder_means_dense(
+            train_y, f_train, f_eval, dist_inf, euclidean_broadcast(xs, train_x), pairs
+        )
+        # several row blocks on odd trials
+        monkeypatch.setattr(estimator, "_CHUNK_ELEMENTS", 20_000 if trial % 2 else 2_000_000)
+        got = estimator.window_biases(train_x, train_y, f_train, xs, f_eval, pairs)
+        for row, pair, ref in zip(got, pairs, want):
+            assert row.tobytes() == ref.tobytes(), (dim, pair)
 
 
 def _rule_style_lists(rng):
@@ -392,6 +428,16 @@ def test_rule_style_pairs_equal_the_dense_reference_bit_for_bit():
                 assert row.tobytes() == want.tobytes(), (dim, theta, h)
 
 
+def _refuse_dense(squared_distances):
+    """_squared_distances that computes distances on index pairs only."""
+
+    def on_pairs_only(a, b, pairs=None):
+        assert pairs is not None, "the window kernel needs no dense Euclidean distances"
+        return squared_distances(a, b, pairs)
+
+    return on_pairs_only
+
+
 def test_one_bandwidth_pairs_never_compute_dense_euclidean_distances(monkeypatch):
     rng = rng_stream(25, "rule-style")
     train_x = rng.random((90, 2))
@@ -399,10 +445,7 @@ def test_one_bandwidth_pairs_never_compute_dense_euclidean_distances(monkeypatch
     xs = rng.random((40, 2))
     f_train, f_eval = np.cos(3 * train_x).sum(axis=1), np.cos(3 * xs).sum(axis=1)
 
-    def refuse(a, b):
-        raise AssertionError("one bandwidth per theta needs no dense Euclidean distances")
-
-    monkeypatch.setattr(estimator, "euclidean_distances", refuse)
+    monkeypatch.setattr(estimator, "_squared_distances", _refuse_dense(estimator._squared_distances))
     for pairs in _rule_style_lists(rng):
         estimator.window_biases(train_x, train_y, f_train, xs, f_eval, pairs)
 
@@ -421,10 +464,10 @@ def test_theta1_zero_pairs_never_compute_euclidean_distances(monkeypatch):
         for pair in prediction + rule
     }
 
-    def refuse(a, b):
+    def refuse(a, b, pairs=None):
         raise AssertionError("theta1 = 0 needs no Euclidean distances")
 
-    monkeypatch.setattr(estimator, "euclidean_distances", refuse)
+    monkeypatch.setattr(estimator, "_squared_distances", refuse)
     for pairs in (prediction, rule):
         got = estimator.window_biases(train_x, train_y, f_train, xs, f_eval, pairs)
         for row, pair in zip(got, pairs):

@@ -21,7 +21,7 @@ from fsp import (
     scenario_classification,
     uniform_density,
 )
-from fsp.core import rng_stream
+from fsp.core import default_quadrature_points, rng_stream
 from fsp.sampling import weighted_sample_without_replacement
 
 UNIT1 = Domain.cube(1)
@@ -159,6 +159,26 @@ def test_retrieve_budgeted_structure():
     assert np.array_equal(rr2.samples.val_idx, np.arange(1, 2))
     with pytest.raises(ConfigError):
         retrieve_budgeted(4, 0.25, UNIT2, oracle, rng_stream(6, "r"))
+
+
+def test_plug_in_density_records_the_mean_sigma_of_its_field():
+    rr = retrieve_budgeted(200, 0.25, UNIT2, _oracle(1.0, dim=2), rng_stream(8, "r"))
+    points = default_quadrature_points(2)
+    assert rr.density.mean_sigma == rr.variance_field.mean_sigma(points)
+    zero = plug_in_density(_SigmaField(UNIT2, lambda xs: np.zeros(len(xs))), 16)
+    assert zero.uniform_fallback and zero.mean_sigma == 0.0
+
+
+def test_bad_split_costs_no_label():
+    oracle = _oracle(1.0, dim=2)
+    with pytest.raises(ConfigError, match="unknown split mode 'bogus'"):
+        retrieve_budgeted(100, 0.25, UNIT2, oracle, rng_stream(6, "r"), split="bogus")
+    assert oracle.labels_issued == 0
+    pool_x = rng_stream(7, "pool").random((200, 2))
+    pool = PoolOracle(pool_x, np.zeros(200))
+    with pytest.raises(ConfigError, match="unknown split mode 'bogus'"):
+        retrieve_from_pool(100, 20, pool_x, pool, rng_stream(7, "r"), split="bogus")
+    assert pool.labels_issued == 0
 
 
 def test_retrieve_budgeted_homoskedastic_nearly_uniform():
