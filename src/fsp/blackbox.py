@@ -15,8 +15,8 @@ import types
 
 import numpy as np
 
-from .core import BudgetError, ConfigError, DomainError, QueryError, required
-from .estimator import _squared_distances, chebyshev_distances, row_blocks
+from .core import BudgetError, ConfigError, DomainError, HolderParams, QueryError, required
+from .estimator import _squared_distances, row_blocks, window_biases
 
 __all__ = [
     "BlackBoxModel",
@@ -194,7 +194,10 @@ class KernelSmoothModel(BlackBoxModel):
     """Box-kernel local mean over a stored sample.
 
     Windows use the sup-norm with radius `bandwidth`; an empty window
-    yields 0 through the max(1, count) guard, so the model is total.
+    yields 0 through the max(1, count) guard, so the model is total.  The
+    mean is the target-only bias estimate (theta = (0, 0) over a zero
+    model) of window_biases, so a query's value depends on its own window
+    alone, never on the batch around it.
     """
 
     def __init__(self, points, values, bandwidth):
@@ -212,10 +215,9 @@ class KernelSmoothModel(BlackBoxModel):
 
     def predict_batch(self, xs):
         xs = np.atleast_2d(np.asarray(xs, float))
-        out = np.empty(xs.shape[0])
-        for rows in row_blocks(xs.shape[0], self.points.shape[0]):
-            mask = chebyshev_distances(xs[rows], self.points) <= self.bandwidth
-            out[rows] = mask @ self.values / np.maximum(mask.sum(axis=1), 1)
+        pair = (HolderParams(0.0, 0.0), self.bandwidth)
+        zeros = np.zeros(len(self.values))
+        out = window_biases(self.points, self.values, zeros, xs, np.zeros(len(xs)), [pair])[0]
         return _finite_or_raise(out, "kernel-smooth model")
 
     def spec(self):

@@ -101,7 +101,7 @@ def truncate(anchor, sign, magnitude, band, out=None):
     return out
 
 
-def smoothed_window_means(train_x, train_y, f_train, xs, f_eval, hs, passes, ladder, out):
+def smoothed_window_means(train_x, train_y, f_train, xs, f_eval, hs, passes, out):
     """Window means of y_i - omega(f(x_i)) for one row block xs, written into
     out, one row per pair.
 
@@ -116,13 +116,11 @@ def smoothed_window_means(train_x, train_y, f_train, xs, f_eval, hs, passes, lad
     computed on those pairs alone and raised once per theta2; y, f(x_i) and
     f(x0) are gathered once, and each pass runs one residual chain.
 
-    With ladder set (a theta carries several bandwidths), each pass sums its
-    residuals into (row, rung) bins, in the dense order, and cumulative sums
-    over the rungs give every window.  Otherwise each pair's residuals are
-    zeroed outside its own window, scattered into a zeroed (rows, n) block and
-    summed over full rows, so the sums add in the order of a masked sum over
-    every training point.  An empty window gives 0 through the max(1, count)
-    guard.
+    Every pass sums its residuals into (row, rung) bins with bincount, adding
+    each bin's pairs one after another in training order, and cumulative sums
+    over the rungs give every window.  A row's sums thus read that row's
+    pairs alone: a query has the same bits alone and in any batch or block.
+    An empty window gives 0 through the max(1, count) guard.
     """
     n_rows, n, n_rungs = xs.shape[0], train_x.shape[0], len(hs)
     dist_inf = chebyshev_distances(xs, train_x)
@@ -133,8 +131,7 @@ def smoothed_window_means(train_x, train_y, f_train, xs, f_eval, hs, passes, lad
     rows = flat // n  # a floor division by a scalar, unlike np.divmod, is fast
     cols = rows * n
     np.subtract(flat, cols, out=cols)
-    if ladder:
-        del flat
+    del flat
     theta2s = {key[1] for key in passes if key is not None}
     if theta2s:
         dist = _squared_distances(xs, train_x, (rows, cols))
@@ -152,33 +149,21 @@ def smoothed_window_means(train_x, train_y, f_train, xs, f_eval, hs, passes, lad
     bins = rows  # in place: each pair's (row, rung) bin
     bins *= n_rungs
     bins += rung
-    del rows
+    del rows, rung
     counts = np.bincount(bins, minlength=n_rows * n_rungs).reshape(n_rows, n_rungs).cumsum(axis=1)
     np.maximum(counts, 1, out=counts)
-    if ladder:
-        del rung
-    else:
-        del bins
-        block = np.zeros((n_rows, n))
     for key, columns in passes.items():
         if key is None:
             residuals = y_in - f0
         else:
             band = np.multiply(key[0], powers[key[1]])
             residuals = np.subtract(y_in, truncate(f0, sign, magnitude, band, out=band), out=band)
-        if ladder:
-            means = np.bincount(bins, residuals, n_rows * n_rungs).reshape(n_rows, n_rungs)
-            np.cumsum(means, axis=1, out=means)
-            means /= counts
-            for k, r in columns:
-                out[k] = means[:, r]
-            continue
-        # widest window first, so each pair zeroes what the wider ones kept
-        for k, r in sorted(columns, key=lambda column: -column[1]):
-            if r < n_rungs - 1:
-                residuals[rung > r] = 0.0
-            block.ravel()[flat] = residuals
-            out[k] = block.sum(axis=1) / counts[:, r]
+        # float sums: bincount over no pairs returns integer zeros
+        sums = np.bincount(bins, residuals, n_rows * n_rungs).reshape(n_rows, n_rungs)
+        means = sums.cumsum(axis=1, dtype=float)
+        means /= counts
+        for k, r in columns:
+            out[k] = means[:, r]
 
 
 def window_biases(train_x, train_y, f_train, xs, f_eval, pairs):
@@ -187,9 +172,8 @@ def window_biases(train_x, train_y, f_train, xs, f_eval, pairs):
     The sorted distinct bandwidths form a ladder of nested windows.  The pairs
     share residual passes: one per theta with theta1 > 0, and one for every
     theta1 = 0 theta.  One smoothed_window_means call per row block answers
-    every pair; it sums over the bandwidth ladder when a theta carries several
-    bandwidths (CV scoring), and over each pair's own window otherwise (rule
-    mode, prediction).
+    every pair of CV scoring, rule mode and prediction alike, with sums that
+    depend on each row alone.
     """
     pair_hs = [float(h) for _, h in pairs]
     hs = np.unique(pair_hs)
@@ -197,17 +181,16 @@ def window_biases(train_x, train_y, f_train, xs, f_eval, pairs):
     for k, ((theta, _), rung) in enumerate(zip(pairs, np.searchsorted(hs, pair_hs))):
         key = (theta.theta1, theta.theta2) if theta.theta1 > 0 else None
         passes.setdefault(key, []).append((k, rung))
-    ladder = len({theta for theta, _ in pairs}) < len(pairs)
     n_theta2s = len({key[1] for key in passes if key is not None})
     out = np.empty((len(pairs), xs.shape[0]))
     # the block budget counts every buffer alive at once when the widest window
     # holds every pair: per pair, the flat indices, rungs, four gathered
-    # operands, the residual chain, the scattered block, one power per theta2
-    # and a temporary; per (row, rung), the ladder's counts, sums and means
-    width = train_x.shape[0] * (n_theta2s + 9) + 4 * len(hs)
+    # operands, the residual chain, one power per theta2 and a temporary; per
+    # (row, rung), the counts, sums and means
+    width = train_x.shape[0] * (n_theta2s + 8) + 4 * len(hs)
     for rows in row_blocks(xs.shape[0], width):
         smoothed_window_means(
-            train_x, train_y, f_train, xs[rows], f_eval[rows], hs, passes, ladder, out[:, rows]
+            train_x, train_y, f_train, xs[rows], f_eval[rows], hs, passes, out[:, rows]
         )
     return out
 
@@ -284,7 +267,9 @@ class VarianceField:
 
     Uses the tent kernel K_h(x, x') = max(0, h - ||x - x'||_inf); both
     moment averages carry a max(1, .) guard in the denominator and the
-    resulting variance is clamped at zero.
+    resulting variance is clamped at zero.  The weight sum and both moments
+    reduce each query's row of tent weights on its own (a row sum and two
+    np.vecdot row products), so a query's bits do not depend on its batch.
     """
 
     def __init__(self, pilot_x, pilot_y, h_sigma, domain):
@@ -304,13 +289,18 @@ class VarianceField:
     def variance_batch(self, xs):
         xs = np.atleast_2d(np.asarray(xs, float))
         out = np.empty(xs.shape[0])
-        for rows in row_blocks(xs.shape[0], self.pilot_x.shape[0]):
+        # tent weights in blocks of a sixteenth of the chunk budget (1 MB): the
+        # steps below read a block six times, and a block that stays in a core's
+        # L2 cache runs about 1.4x faster than a 16 MB one; a freed 16 MB block
+        # would also lift glibc's mmap threshold, after which later blocks stay
+        # resident on the heap and a pool fit's peak RSS rises by 26-40 MB
+        for rows in row_blocks(xs.shape[0], 16 * self.pilot_x.shape[0]):
             weights = chebyshev_distances(xs[rows], self.pilot_x)
             np.subtract(self.h_sigma, weights, out=weights)
             np.maximum(weights, 0.0, out=weights)
             wsum = weights.sum(axis=1)
-            second = weights @ (self.pilot_y**2) / np.maximum(1.0, wsum)
-            first = weights @ self.pilot_y
+            second = np.vecdot(weights, self.pilot_y**2) / np.maximum(1.0, wsum)
+            first = np.vecdot(weights, self.pilot_y)
             out[rows] = second - first**2 / np.maximum(1.0, wsum**2)
         return np.maximum(out, 0.0)
 

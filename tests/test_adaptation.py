@@ -17,6 +17,7 @@ from fsp import (
     fit_personalized_pool,
     fit_personalized_small_domain,
     fit_single_task,
+    scenario_regression,
     select_theta,
     select_theta_h,
 )
@@ -254,6 +255,16 @@ def test_infinite_bandwidth_is_the_global_mean_window():
     # with theta1 = 0 every prediction is the mean training label
     want = fit.estimator.train_y.mean()
     assert fit.estimator.predict(np.array([0.2, 0.9])) == pytest.approx(want, rel=1e-12)
+
+
+def test_cv_bandwidths_whose_windows_are_all_empty_still_fit():
+    # no validation point has a training point within 2e-4, so the (row, rung)
+    # bins of its one row block get no pair at all
+    scenario = scenario_regression()
+    model = scenario.make_pretrained(1000, 3)
+    config = FitConfig(bandwidth=(1e-4, 2e-4))
+    fit = fit_personalized(model, scenario.domain, 300, scenario.make_oracle(), config, seed=1)
+    assert fit.bandwidth in (1e-4, 2e-4) and np.isfinite(fit.score)
 
 
 def test_select_theta_h_zero_score_when_model_is_truth():

@@ -51,6 +51,22 @@ def test_empty_window_returns_model_value():
     assert est.predict(x) == ExpressionModel("x1 + 2", 2).predict(x)
 
 
+def test_windows_empty_for_a_whole_row_block_give_zero():
+    # no training point lies within the widest window of any query, so the
+    # (row, rung) bins get no pair at all
+    rng = rng_stream(27, "empty-block")
+    train_x = rng.random((50, 2)) * 0.4
+    xs = 0.6 + rng.random((30, 2)) * 0.4
+    train_y = rng.normal(size=50)
+    f_train, f_eval = train_x.sum(axis=1), xs.sum(axis=1)
+    thetas = [HolderParams(0.0, 0.0), HolderParams(1.5, 0.5)]
+    ladder = [(theta, h) for h in (0.05, 0.1) for theta in thetas]
+    one_bandwidth = [(theta, 0.1) for theta in thetas]
+    for pairs in (ladder, one_bandwidth):
+        got = estimator.window_biases(train_x, train_y, f_train, xs, f_eval, pairs)
+        assert got.shape == (len(pairs), len(xs)) and (got == 0.0).all()
+
+
 def test_single_neighbor_window():
     model = ExpressionModel("3*x1", 2)
     train_x = np.array([[0.5, 0.5], [0.95, 0.95]])
@@ -190,11 +206,7 @@ def test_batches_spanning_several_row_blocks_match_smaller_calls(monkeypatch):
         by_block = np.concatenate([kernel(xs[s : s + block]) for s in range(0, len(xs), block)])
         by_row = np.array([kernel(x[None, :])[0] for x in xs])
         assert np.array_equal(batch, by_block), name
-        if name in ("estimator", "table"):
-            assert np.array_equal(batch, by_row), name
-        else:
-            # a one-row matrix product sums in another order than a block's
-            assert np.allclose(batch, by_row, rtol=0, atol=1e-12), name
+        assert np.array_equal(batch, by_row), name
     # validation scores: the block split must not move a bit of the table
     pairs = [
         (HolderParams(t1, t2), h) for h in (0.01, 0.03) for t1 in (0.0, 1.0) for t2 in (0.0, 0.5)
@@ -214,10 +226,18 @@ def test_batches_spanning_several_row_blocks_match_smaller_calls(monkeypatch):
 
 
 def _dense_window_means(train_x, train_y, f_train, xs, f_eval, theta, h):
-    """Reference: the residual chain over every pair of the broadcast distance matrices."""
+    """Reference: the residual chain over every pair of the broadcast distance
+    matrices, then the masked sum over full rows."""
     dist_inf = chebyshev_broadcast(xs, train_x)
     powers = estimator.holder_powers(euclidean_broadcast(xs, train_x), theta.theta2)
     return window_means_dense(train_y, f_train, f_eval, dist_inf, powers, theta.theta1, h)
+
+
+def _binned_window_means(train_x, train_y, f_train, xs, f_eval, pairs):
+    """Reference rows for a pair list, summed in (row, rung) bins as the kernel
+    sums them, over the broadcast distance matrices."""
+    dist_inf, dist = chebyshev_broadcast(xs, train_x), euclidean_broadcast(xs, train_x)
+    return ladder_means_dense(train_y, f_train, f_eval, dist_inf, dist, pairs)
 
 
 def test_bandwidth_ladder_matches_per_pair_window_means():
@@ -261,8 +281,8 @@ def test_one_pair_window_biases_is_the_dense_window_mean():
     f_eval = xs[:, 0] - xs[:, 1] ** 2
     for theta, h in [(HolderParams(0.0, 0.0), 0.2), (HolderParams(1.3, 0.6), 0.35)]:
         got = estimator.window_biases(train_x, train_y, f_train, xs, f_eval, [(theta, h)])
-        want = _dense_window_means(train_x, train_y, f_train, xs, f_eval, theta, h)
-        assert np.array_equal(got[0], want)  # the prediction path, bit for bit
+        want = _binned_window_means(train_x, train_y, f_train, xs, f_eval, [(theta, h)])
+        assert np.array_equal(got[0], want[0])  # the prediction path, bit for bit
 
 
 @pytest.mark.parametrize("dim", range(1, 11))
@@ -357,12 +377,12 @@ def test_window_means_on_the_window_only_keep_the_dense_bits():
         dist_inf = estimator.chebyshev_distances(xs, train_x)
         theta1 = (0.0, 0.5, 6 / 7, 3.0)[trial % 4]
         theta2 = (0.0, 0.625, 1.0)[trial % 3]
-        powers = estimator.holder_powers(np.sqrt(estimator._squared_distances(xs, train_x)), theta2)
+        dist = np.sqrt(estimator._squared_distances(xs, train_x))
         for h in (0.01, 0.125, 0.3, 2.0):  # 2.0: every pair is inside the window
             pair = (HolderParams(theta1, theta2), h)
             got = estimator.window_biases(train_x, train_y, f_train, xs, f_eval, [pair])
-            want = window_means_dense(train_y, f_train, f_eval, dist_inf, powers, theta1, h)
-            assert got[0].tobytes() == want.tobytes(), (trial, h)
+            want = ladder_means_dense(train_y, f_train, f_eval, dist_inf, dist, [pair])
+            assert got[0].tobytes() == want[0].tobytes(), (trial, h)
 
 
 def test_ladder_rows_equal_the_dense_binned_reference_bit_for_bit(monkeypatch):
@@ -423,9 +443,9 @@ def test_rule_style_pairs_equal_the_dense_reference_bit_for_bit():
         # at h = inf the window's 75,000 pairs span three distance tiles
         for pairs in _rule_style_lists(rng):
             got = estimator.window_biases(train_x, train_y, f_train, xs, f_eval, pairs)
-            for row, (theta, h) in zip(got, pairs):
-                want = _dense_window_means(train_x, train_y, f_train, xs, f_eval, theta, h)
-                assert row.tobytes() == want.tobytes(), (dim, theta, h)
+            want = _binned_window_means(train_x, train_y, f_train, xs, f_eval, pairs)
+            for row, ref, (theta, h) in zip(got, want, pairs):
+                assert row.tobytes() == ref.tobytes(), (dim, theta, h)
 
 
 def _refuse_dense(squared_distances):
@@ -459,10 +479,6 @@ def test_theta1_zero_pairs_never_compute_euclidean_distances(monkeypatch):
     f_eval = np.cos(3 * xs).sum(axis=1)
     prediction = [(HolderParams(0.0, 0.0), 0.2)]
     rule = [(HolderParams(0.0, t2), h) for t2, h in ((0.0, 0.15), (0.5, 0.3), (1.0, 0.3))]
-    want = {
-        pair: _dense_window_means(train_x, train_y, f_train, xs, f_eval, *pair)
-        for pair in prediction + rule
-    }
 
     def refuse(a, b, pairs=None):
         raise AssertionError("theta1 = 0 needs no Euclidean distances")
@@ -470,8 +486,10 @@ def test_theta1_zero_pairs_never_compute_euclidean_distances(monkeypatch):
     monkeypatch.setattr(estimator, "_squared_distances", refuse)
     for pairs in (prediction, rule):
         got = estimator.window_biases(train_x, train_y, f_train, xs, f_eval, pairs)
-        for row, pair in zip(got, pairs):
-            assert np.array_equal(row, want[pair]), pair
+        # the reference takes its distances from the broadcast helpers
+        want = _binned_window_means(train_x, train_y, f_train, xs, f_eval, pairs)
+        for row, ref, pair in zip(got, want, pairs):
+            assert np.array_equal(row, ref), pair
     ladder = [(HolderParams(0.0, t2), h) for h in (0.15, 0.3) for t2 in (0.0, 1.0)]
     estimator.window_biases(train_x, train_y, f_train, xs, f_eval, ladder)
 
