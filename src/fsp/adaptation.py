@@ -14,7 +14,7 @@ import numpy as np
 
 from .blackbox import FunctionModel, PoolOracle
 from .core import ConfigError, Domain, HolderParams, default_quadrature_points, rng_stream
-from .estimator import PersonalizedEstimator, VarianceField, pilot_bandwidth, window_biases
+from .estimator import PersonalizedEstimator, VarianceField, pilot_bandwidth, window_passes
 from .sampling import (
     retrieve_budgeted,
     retrieve_from_pool,
@@ -64,6 +64,13 @@ def build_grid(n, c1):
     return ThetaGrid(c1=float(c1), n=n, points=points)
 
 
+def _add_row_sums(totals, terms):
+    """totals + terms[0] + terms[1] + ..., one row after another (terms is overwritten):
+    unlike ndarray.sum, rows summed at once or block by block give the same bits."""
+    terms[0] += totals
+    return np.cumsum(terms, axis=0, out=terms)[-1]
+
+
 def select_theta(candidates, val_x, val_y):
     """Pick the candidate minimizing the validation sum of squared errors.
 
@@ -76,17 +83,11 @@ def select_theta(candidates, val_x, val_y):
     val_y = np.asarray(val_y, float)
     if val_x.shape[0] == 0:
         raise ValueError("validation set must be nonempty")
-    scores = {}
-    best = None
-    best_score = np.inf
-    for theta in sorted(candidates):
-        pred = candidates[theta].predict_batch(val_x)
-        score = float(((val_y - pred) ** 2).sum())
-        scores[theta] = score
-        if score < best_score:
-            best = theta
-            best_score = score
-    return best, scores
+    scores = {
+        theta: float(_add_row_sums(0.0, (val_y - candidates[theta].predict_batch(val_x)) ** 2))
+        for theta in sorted(candidates)
+    }
+    return min(scores, key=scores.get), scores
 
 
 @dataclass(frozen=True)
@@ -98,12 +99,17 @@ class SelectionResult:
 
 
 def _score_pairs(pairs, train_x, train_y, f_train, val_x, val_y, f_val):
-    """Validation scores for (theta, h) pairs sharing one training block."""
-    biases = window_biases(train_x, train_y, f_train, val_x, f_val, pairs)
-    return [
-        (theta, float(h), float(((val_y - (f_val + delta)) ** 2).sum()))
-        for (theta, h), delta in zip(pairs, biases)
-    ]
+    """Validation scores of (theta, h) pairs on one training block, summed block by block."""
+    scores = np.zeros(len(pairs))
+
+    def add(rows, ks, means):
+        means += f_val[rows, None]
+        np.subtract(val_y[rows, None], means, out=means)
+        np.square(means, out=means)
+        scores[ks] = _add_row_sums(scores[ks], means)
+
+    window_passes(train_x, train_y, f_train, val_x, f_val, pairs, add)
+    return [(theta, float(h), float(score)) for (theta, h), score in zip(pairs, scores.tolist())]
 
 
 def _select_pairs(pairs, train_x, train_y, f_train, val_x, val_y, f_val):

@@ -356,8 +356,9 @@ def _personalize(resolved, backends):
     kind = required(source, "kind", "source")
     if kind == "pool":
         covariate_names = source.get("covariates")
-        if not covariate_names:
-            raise ConfigError("pool sources need the covariate column names")
+        if not (isinstance(covariate_names, list) and covariate_names
+                and all(isinstance(c, str) for c in covariate_names)):
+            raise ConfigError(f"covariates must be a list of column names, got {covariate_names!r}")
         ss = load_csv(
             required(source, "csv", "pool source"),
             covariate_names,

@@ -5,6 +5,8 @@ over a sup-norm window of radius h around the query point; the personalized
 prediction adds that average back onto the black-box value at the query.
 """
 
+from functools import partial
+
 import numpy as np
 
 from .core import HolderParams
@@ -15,6 +17,7 @@ __all__ = [
     "holder_powers",
     "truncate",
     "smoothed_window_means",
+    "window_passes",
     "window_biases",
     "PersonalizedEstimator",
     "VarianceField",
@@ -101,14 +104,14 @@ def truncate(anchor, sign, magnitude, band, out=None):
     return out
 
 
-def smoothed_window_means(train_x, train_y, f_train, xs, f_eval, hs, passes, out):
-    """Window means of y_i - omega(f(x_i)) for one row block xs, written into
-    out, one row per pair.
+def smoothed_window_means(train_x, train_y, f_train, xs, f_eval, hs, passes, consume):
+    """Window means of y_i - omega(f(x_i)) for one row block xs: consume(ks, means)
+    gets each residual pass's means of its pairs ks, shape (rows, len(ks)).
 
     hs are the sorted distinct bandwidths; passes maps each residual pass to
-    the (pair index, rung) of its pairs, where the rung indexes hs.  The pass
-    of a theta1 > 0 theta is keyed by (theta1, theta2); all theta1 = 0 thetas
-    share the pass None, whose truncation is +-0.0 whatever theta2 is.
+    the index arrays (ks, rungs) of its pairs, where a rung indexes hs.  The
+    pass of a theta1 > 0 theta is keyed by (theta1, theta2); all theta1 = 0
+    thetas share the pass None, whose truncation is +-0.0 whatever theta2 is.
 
     The pairs inside the widest window hs[-1] are gathered once, through flat
     indices into the (rows, n) block, and each gets its rung: the first
@@ -152,7 +155,7 @@ def smoothed_window_means(train_x, train_y, f_train, xs, f_eval, hs, passes, out
     del rows, rung
     counts = np.bincount(bins, minlength=n_rows * n_rungs).reshape(n_rows, n_rungs).cumsum(axis=1)
     np.maximum(counts, 1, out=counts)
-    for key, columns in passes.items():
+    for key, (ks, rungs) in passes.items():
         if key is None:
             residuals = y_in - f0
         else:
@@ -162,36 +165,46 @@ def smoothed_window_means(train_x, train_y, f_train, xs, f_eval, hs, passes, out
         sums = np.bincount(bins, residuals, n_rows * n_rungs).reshape(n_rows, n_rungs)
         means = sums.cumsum(axis=1, dtype=float)
         means /= counts
-        for k, r in columns:
-            out[k] = means[:, r]
+        consume(ks, means[:, rungs])
 
 
-def window_biases(train_x, train_y, f_train, xs, f_eval, pairs):
-    """Bias estimates at xs for each (theta, h) pair, shape (len(pairs), len(xs)).
+def window_passes(train_x, train_y, f_train, xs, f_eval, pairs, consume):
+    """Window means at xs of each (theta, h) pair, for CV scoring, rule mode and
+    prediction alike, handed over as they are made: consume(rows, ks, means)
+    gets, per row block and residual pass, the means of the pass's pairs ks at
+    the rows slice of xs, shape (rows, len(ks)).
 
     The sorted distinct bandwidths form a ladder of nested windows.  The pairs
     share residual passes: one per theta with theta1 > 0, and one for every
-    theta1 = 0 theta.  One smoothed_window_means call per row block answers
-    every pair of CV scoring, rule mode and prediction alike, with sums that
-    depend on each row alone.
+    theta1 = 0 theta.
     """
     pair_hs = [float(h) for _, h in pairs]
     hs = np.unique(pair_hs)
     passes = {}
-    for k, ((theta, _), rung) in enumerate(zip(pairs, np.searchsorted(hs, pair_hs))):
-        key = (theta.theta1, theta.theta2) if theta.theta1 > 0 else None
-        passes.setdefault(key, []).append((k, rung))
+    for k, (theta, _) in enumerate(pairs):
+        passes.setdefault((theta.theta1, theta.theta2) if theta.theta1 > 0 else None, []).append(k)
+    rungs = np.searchsorted(hs, pair_hs)
+    passes = {key: (np.array(ks), rungs[ks]) for key, ks in passes.items()}
     n_theta2s = len({key[1] for key in passes if key is not None})
-    out = np.empty((len(pairs), xs.shape[0]))
     # the block budget counts every buffer alive at once when the widest window
     # holds every pair: per pair, the flat indices, rungs, four gathered
     # operands, the residual chain, one power per theta2 and a temporary; per
-    # (row, rung), the counts, sums and means
+    # (row, rung), the counts, sums, means and the pass's means handed over
     width = train_x.shape[0] * (n_theta2s + 8) + 4 * len(hs)
     for rows in row_blocks(xs.shape[0], width):
         smoothed_window_means(
-            train_x, train_y, f_train, xs[rows], f_eval[rows], hs, passes, out[:, rows]
+            train_x, train_y, f_train, xs[rows], f_eval[rows], hs, passes, partial(consume, rows)
         )
+
+
+def window_biases(train_x, train_y, f_train, xs, f_eval, pairs):
+    """Bias estimates at xs for each (theta, h) pair, shape (len(pairs), len(xs))."""
+    out = np.empty((len(pairs), xs.shape[0]))
+
+    def scatter(rows, ks, means):
+        out[ks, rows] = means.T
+
+    window_passes(train_x, train_y, f_train, xs, f_eval, pairs, scatter)
     return out
 
 

@@ -401,6 +401,7 @@ def retrieve_from_pool(
     var_rows, val_rows = _split_rows(split, n0)
     if domain is None:
         domain = Domain.bounding(pool_x)
+    domain.require(pool_x, "pool point")
 
     pilot_positions = rng.choice(big_n, size=n0, replace=False)
     pilot_x = pool_x[pilot_positions]

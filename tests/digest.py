@@ -71,6 +71,11 @@ def fits():
             model, dom, 300, scenario.make_oracle(), FitConfig(split="strict"), seed=3
         )
         emit_fit(f"fit.{scenario.name}.strict", strict, queries)
+        # the full ladder: one rung per sample, about 15k scored pairs
+        full = fsp.fit_personalized(
+            model, dom, 300, scenario.make_oracle(), FitConfig(full_bandwidth_set=True), seed=3
+        )
+        emit_fit(f"fit.{scenario.name}.full", full, queries)
         small = fsp.Domain.cube(2, 0.0, 0.2)
         for bandwidth in ("cv", "rule"):
             fit = fsp.fit_personalized_small_domain(

@@ -305,11 +305,14 @@ def _simulate_config(tmp_path, **changes):
     ("simulate", {"out_dir": 5}, "out_dir must be a path string, got 5"),
     ("personalize", {"n": -2}, "n must be a positive integer, got -2"),
     ("personalize", {"out_report": 5}, "out_report must be a path string, got 5"),
+    # checked before the CSV is read, which would look for the columns 'x' and '1'
+    ("personalize", {"source": {"kind": "pool", "csv": "pool.csv", "covariates": "x1"}},
+     "covariates must be a list of column names, got 'x1'"),
 ], ids=["source-f_star", "model-expr", "model-cmd", "source-not-object", "noise-not-object",
         "estimator-bandwidth", "full-set-string", "c1-string", "cap-zero", "h-sigma-negative",
         "empty-bandwidths", "n-float", "n-string", "seed-bool", "small-domain-string",
         "methods-string", "methods-empty", "n-ptr-negative", "repetitions-negative", "n-test-zero",
-        "methods-unknown", "out-dir-int", "n-negative", "out-report-int"])
+        "methods-unknown", "out-dir-int", "n-negative", "out-report-int", "covariates-string"])
 def test_config_errors_exit_2_and_name_the_field(tmp_path, capsys, command, changes, names):
     if command == "predict":
         assert main(["personalize", "--config", str(_personalize_config(tmp_path))]) == 0

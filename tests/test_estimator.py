@@ -364,6 +364,29 @@ def test_window_biases_holds_its_buffers_near_the_block_budget(monkeypatch):
         assert peak - out.nbytes <= 4 * estimator._CHUNK_ELEMENTS * 8, len(pairs)
 
 
+def test_cv_scoring_memory_does_not_grow_with_validation_rows(monkeypatch):
+    monkeypatch.setattr(estimator, "_CHUNK_ELEMENTS", 100_000)
+    rng = rng_stream(28, "score-memory")
+    train_x = rng.random((300, 2))
+    train_y = rng.normal(size=300)
+    # 49 thetas x 16 rungs; a block holds about 20 rows, so both batches span many blocks
+    pairs = [(theta, 0.5 / k) for k in range(1, 17) for theta in adaptation.build_grid(300, 2.0).points]
+    peaks = []
+    for n_val in (300, 300, 3000):  # the first call also makes one-time allocations
+        val_x = rng.random((n_val, 2))
+        val_y = rng.normal(size=n_val)
+        args = (pairs, train_x, train_y, train_x[:, 0], val_x, val_y, val_x[:, 0])
+        tracemalloc.start()
+        try:
+            adaptation._score_pairs(*args)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    # 2,700 more rows of a (pairs, rows) matrix would take 16.9 MB more; what may
+    # grow is the list of row blocks, about 120 bytes a block
+    assert peaks[2] - peaks[1] <= 200_000, peaks
+
+
 def test_window_means_on_the_window_only_keep_the_dense_bits():
     rng = rng_stream(23, "window-only")
     for trial in range(60):

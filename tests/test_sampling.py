@@ -21,7 +21,7 @@ from fsp import (
     scenario_classification,
     uniform_density,
 )
-from fsp.core import default_quadrature_points, rng_stream
+from fsp.core import DomainError, default_quadrature_points, rng_stream
 from fsp.sampling import weighted_sample_without_replacement
 
 UNIT1 = Domain.cube(1)
@@ -179,6 +179,18 @@ def test_bad_split_costs_no_label():
     with pytest.raises(ConfigError, match="unknown split mode 'bogus'"):
         retrieve_from_pool(100, 20, pool_x, pool, rng_stream(7, "r"), split="bogus")
     assert pool.labels_issued == 0
+
+
+def test_pool_outside_the_domain_costs_no_label():
+    pool_x = rng_stream(7, "pool").random((200, 2))
+    for domain, message in (
+        (Domain.cube(1), "pool point has dimension 2, domain has 1"),
+        (Domain.cube(2, 0.0, 0.5), "pool point .* lies outside the domain"),
+    ):
+        pool = PoolOracle(pool_x, np.zeros(200))
+        with pytest.raises(DomainError, match=message):
+            retrieve_from_pool(100, 20, pool_x, pool, rng_stream(7, "r"), domain=domain)
+        assert pool.labels_issued == 0
 
 
 def test_retrieve_budgeted_homoskedastic_nearly_uniform():
