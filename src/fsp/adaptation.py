@@ -13,8 +13,8 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .blackbox import FunctionModel, PoolOracle
-from .core import ConfigError, Domain, HolderParams, default_quadrature_points, rng_stream
-from .estimator import PersonalizedEstimator, VarianceField, pilot_bandwidth, window_passes
+from .core import ConfigError, Domain, HolderParams, rng_stream
+from .estimator import PersonalizedEstimator, window_passes
 from .sampling import (
     retrieve_budgeted,
     retrieve_from_pool,
@@ -237,7 +237,7 @@ class FitResult:
     score: float
     score_table: tuple
     retrieval: object
-    mean_sigma: float | None
+    mean_sigma: float
     n: int
     config: FitConfig
 
@@ -291,40 +291,20 @@ def _resolve_bandwidths(config, n, domain, cap=None):
     return values
 
 
-def _mean_sigma_for(rr, config, n, domain):
-    if rr.density is not None:
-        return rr.density.mean_sigma
-    # uniform retrieval has no pilot field; estimate from the validation block
-    ss = rr.samples
-    if ss.val_idx.size == 0:
-        return None
-    h_sig = config.h_sigma if config.h_sigma is not None else pilot_bandwidth(n, domain.dim)
-    fld = VarianceField(ss.val_x, ss.val_y, h_sig, domain)
-    return fld.mean_sigma(default_quadrature_points(domain.dim))
-
-
 def _select_and_build(model, domain, rr, n, config, bandwidths):
     ss = rr.samples
     train_x, train_y = ss.train_x, ss.train_y
     val_x, val_y = ss.val_x, ss.val_y
     if train_x.shape[0] == 0 or val_x.shape[0] == 0:
         raise ConfigError("retrieval produced an empty training or validation block")
-    thetas = config.thetas or build_grid(n, config.c1).points
+    thetas = sorted(config.thetas or build_grid(n, config.c1).points)
+    if bandwidths is None:  # rule mode: one bandwidth per theta
+        pairs = [(t, rule_bandwidth(t.theta2, n, domain.dim, rr.mean_sigma, domain)) for t in thetas]
+    else:  # in select_theta_h's order
+        pairs = [(theta, h) for h in sorted(bandwidths) for theta in thetas]
     f_train = model.predict_batch(train_x)
     f_val = model.predict_batch(val_x)
-    mean_sigma = _mean_sigma_for(rr, config, n, domain)
-    if bandwidths is None:
-        sigma_bar = mean_sigma if mean_sigma is not None else 1.0
-        pairs = [
-            (theta, rule_bandwidth(theta.theta2, n, domain.dim, sigma_bar, domain))
-            for theta in sorted(thetas)
-        ]
-        selection = _select_pairs(pairs, train_x, train_y, f_train, val_x, val_y, f_val)
-    else:
-        selection = select_theta_h(
-            thetas, bandwidths, train_x, train_y, val_x, val_y, model,
-            f_train=f_train, f_val=f_val,
-        )
+    selection = _select_pairs(pairs, train_x, train_y, f_train, val_x, val_y, f_val)
     estimator = PersonalizedEstimator(
         train_x, train_y, model, selection.theta, selection.bandwidth, domain,
         f_train=f_train,
@@ -336,7 +316,7 @@ def _select_and_build(model, domain, rr, n, config, bandwidths):
         score=selection.score,
         score_table=selection.table,
         retrieval=rr.diagnostics,
-        mean_sigma=mean_sigma,
+        mean_sigma=rr.mean_sigma,
         n=n,
         config=config,
     )
@@ -369,7 +349,7 @@ def fit_personalized_small_domain(model, domain, n, oracle, config=None, seed=0)
     cfg = (config or FitConfig()).validate()
     bandwidths = _resolve_bandwidths(cfg, n, domain, cap=domain.min_edge())
     rng = rng_stream(seed, "retrieval")
-    rr = retrieve_uniform_small_domain(n, domain, oracle, cfg.pilot_fraction, rng)
+    rr = retrieve_uniform_small_domain(n, domain, oracle, cfg.pilot_fraction, rng, cfg.h_sigma)
     return _select_and_build(model, domain, rr, n, cfg, bandwidths)
 
 

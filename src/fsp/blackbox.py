@@ -7,6 +7,7 @@ fallback, box-kernel smoothers over a stored sample, plain Python
 callables, and external child processes speaking a line protocol.
 """
 
+import copy
 import os
 import select
 import subprocess
@@ -15,7 +16,9 @@ import types
 
 import numpy as np
 
-from .core import BudgetError, ConfigError, DomainError, HolderParams, QueryError, required
+from .core import (
+    BudgetError, ConfigError, DomainError, HolderParams, QueryError, frozen_sample, required,
+)
 from .estimator import _squared_distances, row_blocks, window_biases
 
 __all__ = [
@@ -47,6 +50,9 @@ def _finite_or_raise(values, context):
 class BlackBoxModel:
     """Query-only predictor f: X -> R; a context manager that starts and closes it."""
 
+    kind = None  # the spec kind of a serializable backend
+    fields = ()  # the attributes that rebuild it, in constructor order
+
     def predict(self, x):
         x = np.atleast_1d(np.asarray(x, float))
         return float(self.predict_batch(x[None, :])[0])
@@ -55,7 +61,14 @@ class BlackBoxModel:
         raise NotImplementedError
 
     def spec(self):
-        raise ConfigError(f"{type(self).__name__} cannot be serialized")
+        """The dictionary model_from_spec rebuilds this backend from."""
+        if self.kind is None:
+            raise ConfigError(f"{type(self).__name__} cannot be serialized")
+        out = {"kind": self.kind}
+        for name in self.fields:
+            value = getattr(self, name)  # arrays are written as nested lists, lists as copies
+            out[name] = value.tolist() if isinstance(value, np.ndarray) else copy.copy(value)
+        return out
 
     def start(self):
         pass
@@ -141,6 +154,8 @@ def compile_expression(expr, dim):
 class ExpressionModel(BlackBoxModel):
     """Builtin backend defined by an arithmetic expression of x1..xd."""
 
+    kind, fields = "expression", ("expr", "dim")
+
     def __init__(self, expr, dim):
         self.expr = str(expr)
         self.dim = int(dim)
@@ -150,9 +165,6 @@ class ExpressionModel(BlackBoxModel):
         xs = np.atleast_2d(np.asarray(xs, float))
         return _finite_or_raise(self._fn(xs), f"expression {self.expr!r}")
 
-    def spec(self):
-        return {"kind": "expression", "expr": self.expr, "dim": self.dim}
-
 
 class TableModel(BlackBoxModel):
     """Lookup table with nearest-neighbor fallback for off-grid queries.
@@ -161,17 +173,12 @@ class TableModel(BlackBoxModel):
     a query at a stored point always returns its stored value.
     """
 
+    kind, fields = "table", ("points", "values")
+
     def __init__(self, points, values):
-        points = np.array(points, float)
-        values = np.array(values, float)
-        if points.ndim != 2 or points.shape[0] < 1:
+        self.points, self.values = frozen_sample(points, values, "table model")
+        if self.points.shape[0] < 1:
             raise ValueError("table needs at least one stored point")
-        if values.shape != (points.shape[0],):
-            raise ValueError("values must align with stored points")
-        points.setflags(write=False)
-        values.setflags(write=False)
-        self.points = points
-        self.values = values
 
     def predict_batch(self, xs):
         xs = np.atleast_2d(np.asarray(xs, float))
@@ -181,13 +188,6 @@ class TableModel(BlackBoxModel):
             d2 = _squared_distances(xs[rows], self.points)
             out[rows] = self.values[np.argmin(d2, axis=1)]
         return _finite_or_raise(out, "table model")
-
-    def spec(self):
-        return {
-            "kind": "table",
-            "points": self.points.tolist(),
-            "values": self.values.tolist(),
-        }
 
 
 class KernelSmoothModel(BlackBoxModel):
@@ -200,17 +200,12 @@ class KernelSmoothModel(BlackBoxModel):
     alone, never on the batch around it.
     """
 
+    kind, fields = "kernel-smooth", ("points", "values", "bandwidth")
+
     def __init__(self, points, values, bandwidth):
-        points = np.array(points, float)
-        values = np.array(values, float)
-        if points.ndim != 2 or values.shape != (points.shape[0],):
-            raise ValueError("points must be (n, d) with aligned values")
+        self.points, self.values = frozen_sample(points, values, "kernel-smooth model")
         if not bandwidth > 0:
             raise ValueError("bandwidth must be positive")
-        points.setflags(write=False)
-        values.setflags(write=False)
-        self.points = points
-        self.values = values
         self.bandwidth = float(bandwidth)
 
     def predict_batch(self, xs):
@@ -219,14 +214,6 @@ class KernelSmoothModel(BlackBoxModel):
         zeros = np.zeros(len(self.values))
         out = window_biases(self.points, self.values, zeros, xs, np.zeros(len(xs)), [pair])[0]
         return _finite_or_raise(out, "kernel-smooth model")
-
-    def spec(self):
-        return {
-            "kind": "kernel-smooth",
-            "points": self.points.tolist(),
-            "values": self.values.tolist(),
-            "bandwidth": self.bandwidth,
-        }
 
 
 class ExternalProcessModel(BlackBoxModel):
@@ -239,6 +226,8 @@ class ExternalProcessModel(BlackBoxModel):
     replies are read, so a child that answers line by line never blocks on
     a full output pipe; `timeout` bounds every wait for either pipe.
     """
+
+    kind, fields = "external", ("argv", "dim")
 
     def __init__(self, argv, dim, timeout=30.0, start_timeout=10.0):
         if isinstance(argv, str):
@@ -322,9 +311,6 @@ class ExternalProcessModel(BlackBoxModel):
                 raise QueryError(f"malformed reply line {line!r}") from None
         return _finite_or_raise(out, "external model")
 
-    def spec(self):
-        return {"kind": "external", "argv": list(self.argv), "dim": self.dim}
-
     def close(self):
         with self._lock:
             if self._proc is not None:
@@ -347,21 +333,18 @@ class ExternalProcessModel(BlackBoxModel):
             pass
 
 
-_SPEC_FIELDS = {
-    "expression": (ExpressionModel, ("expr", "dim")),
-    "table": (TableModel, ("points", "values")),
-    "kernel-smooth": (KernelSmoothModel, ("points", "values", "bandwidth")),
-    "external": (ExternalProcessModel, ("argv", "dim")),
+_BACKENDS = {
+    cls.kind: cls for cls in (ExpressionModel, TableModel, KernelSmoothModel, ExternalProcessModel)
 }
 
 
 def model_from_spec(spec):
     """Rebuild a serializable backend from its spec dictionary."""
     kind = required(spec, "kind", "model")
-    if not isinstance(kind, str) or kind not in _SPEC_FIELDS:
+    if not isinstance(kind, str) or kind not in _BACKENDS:
         raise ConfigError(f"unknown model kind {kind!r}")
-    cls, fields = _SPEC_FIELDS[kind]
-    return cls(*(required(spec, name, f"{kind} model") for name in fields))
+    cls = _BACKENDS[kind]
+    return cls(*(required(spec, name, f"{kind} model") for name in cls.fields))
 
 
 class GaussianNoise:
@@ -377,14 +360,14 @@ class GaussianNoise:
             self._sigma = compile_expression(sigma, dim)
         else:
             value = float(sigma)
-            if value < 0:
-                raise ValueError("sigma must be nonnegative")
+            if not 0 <= value < np.inf:
+                raise ValueError(f"sigma must be finite and nonnegative, got {value}")
             self._sigma = lambda xs: np.full(np.atleast_2d(xs).shape[0], value)
 
     def sigma(self, xs):
         out = np.asarray(self._sigma(np.atleast_2d(np.asarray(xs, float))), float)
-        if (out < 0).any():
-            raise ValueError("sigma(x) must be nonnegative")
+        if not (np.isfinite(out).all() and (out >= 0).all()):
+            raise ValueError("sigma(x) must be finite and nonnegative")
         return out
 
     def sample(self, f_values, xs, rng):
@@ -440,14 +423,8 @@ class PoolOracle:
     """Finite pool of covariates whose labels are revealed at most once each."""
 
     def __init__(self, points, labels):
-        points = np.array(points, float)
-        labels = np.array(labels, float)
-        if points.ndim != 2 or labels.shape != (points.shape[0],):
-            raise ValueError("pool needs (N, d) points with aligned labels")
-        points.setflags(write=False)
-        self.points = points
-        self._labels = labels
-        self._consumed = np.zeros(points.shape[0], dtype=bool)
+        self.points, self._labels = frozen_sample(points, labels, "pool")
+        self._consumed = np.zeros(len(self), dtype=bool)
 
     def __len__(self):
         return self.points.shape[0]

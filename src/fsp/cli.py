@@ -34,7 +34,7 @@ from .blackbox import (
     SyntheticOracle,
     model_from_spec,
 )
-from .core import ConfigError, DataError, Domain, DomainError, load_csv, required
+from .core import ConfigError, DataError, Domain, DomainError, HolderParams, load_csv, required
 from .estimator import PersonalizedEstimator
 from .simulation import (
     METHODS,
@@ -367,14 +367,10 @@ def _personalize(resolved, backends):
         pool_x, pool_y = ss.x, ss.y
         if n > len(pool_x):
             raise ConfigError(f"budget exceeds pool: n={n} > {len(pool_x)} pool points")
-        if domain is None:
-            domain = Domain.bounding(pool_x)
-        model = backends.enter_context(_build_model(resolved["model"], domain.dim))
+        model = backends.enter_context(_build_model(resolved["model"], pool_x.shape[1]))
         pilot = resolved["pilot_size"]
         pilot = pilot if pilot is not None else max(4, int(round(config.pilot_fraction * n)))
-        fit = fit_personalized_pool(
-            model, domain, n, pilot, pool_x, pool_y, config=config, seed=seed
-        )
+        fit = fit_personalized_pool(model, domain, n, pilot, pool_x, pool_y, config=config, seed=seed)
     elif kind in ("synthetic", "external"):
         if domain is None:
             raise ConfigError(f"{kind} sources require an explicit domain")
@@ -391,7 +387,7 @@ def _personalize(resolved, backends):
         raise ConfigError(f"unknown source kind {kind!r}")
 
     if covariate_names is None:
-        covariate_names = [f"x{j + 1}" for j in range(domain.dim)]
+        covariate_names = [f"x{j + 1}" for j in range(fit.estimator.domain.dim)]
     warnings = []
     model_spec = fit.estimator.model.spec()
     if model_spec["kind"] == "external":
@@ -403,7 +399,7 @@ def _personalize(resolved, backends):
         "format": "fsp-estimator",
         "version": 1,
         "artifact_version": __version__,
-        "domain": domain.to_dict(),
+        "domain": fit.estimator.domain.to_dict(),
         "covariates": covariate_names,
         "theta": {"theta1": fit.theta.theta1, "theta2": fit.theta.theta2},
         "bandwidth": fit.bandwidth,
@@ -437,21 +433,24 @@ def load_estimator(path):
     if not isinstance(payload, dict) or payload.get("format") != "fsp-estimator":
         raise ConfigError("not an estimator file (missing format marker)")
     box = required(payload, "domain", "estimator file")
-    domain = Domain(required(box, "lo", "estimator domain"), required(box, "hi", "estimator domain"))
-    train_x = np.asarray(required(payload, "train_x", "estimator file"), float)
-    train_y = np.asarray(required(payload, "train_y", "estimator file"), float)
+    lo, hi = (required(box, key, "estimator domain") for key in ("lo", "hi"))
+    train_x, train_y = (required(payload, key, "estimator file") for key in ("train_x", "train_y"))
     pair = required(payload, "theta", "estimator file")
-    theta = (required(pair, "theta1", "estimator theta"), required(pair, "theta2", "estimator theta"))
+    theta = [required(pair, key, "estimator theta") for key in ("theta1", "theta2")]
     bandwidth = required(payload, "bandwidth", "estimator file")
+    spec = required(payload, "model", "estimator file")
     try:
+        domain = Domain(lo, hi)
+        train_x, train_y = np.asarray(train_x, float), np.asarray(train_y, float)
+        theta = HolderParams(*theta)
         bandwidth = float(bandwidth)  # a non-finite bandwidth is stored as a string
-    except (TypeError, ValueError):
-        raise ConfigError(f"estimator bandwidth must be a number, got {bandwidth!r}") from None
-    model = _build_model(required(payload, "model", "estimator file"), domain.dim)
-    # files written before f_train was stored query the model at the training points
-    est = PersonalizedEstimator(
-        train_x, train_y, model, theta, bandwidth, domain, f_train=payload.get("f_train")
-    )
+        model = _build_model(spec, domain.dim)
+        # files written before f_train was stored query the model at the training points
+        est = PersonalizedEstimator(
+            train_x, train_y, model, theta, bandwidth, domain, f_train=payload.get("f_train")
+        )
+    except (TypeError, ValueError) as exc:  # a backend's QueryError is not the file's fault
+        raise ConfigError(f"bad estimator file {path}: {exc}") from None
     return est, payload.get("covariates") or [f"x{j+1}" for j in range(domain.dim)]
 
 

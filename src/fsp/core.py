@@ -7,6 +7,7 @@ construction and safe to share across workers.
 
 import csv
 import hashlib
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +24,7 @@ __all__ = [
     "HolderParams",
     "LabeledSample",
     "SampleSet",
+    "frozen_sample",
     "rng_stream",
     "derive_seed",
     "load_csv",
@@ -182,6 +184,18 @@ class LabeledSample:
         object.__setattr__(self, "y", float(self.y))
 
 
+def frozen_sample(x, y, what):
+    """Read-only float copies of (n, d) points x and their n aligned values y;
+    ValueError naming `what` for any other shapes."""
+    x = np.array(x, dtype=float)
+    y = np.array(y, dtype=float)
+    if x.ndim != 2 or y.shape != (x.shape[0],):
+        raise ValueError(f"{what} needs (n, d) points and n aligned values, got {x.shape}, {y.shape}")
+    x.setflags(write=False)
+    y.setflags(write=False)
+    return x, y
+
+
 class SampleSet:
     """Labeled samples with train/validation index partitions.
 
@@ -190,12 +204,7 @@ class SampleSet:
     """
 
     def __init__(self, x, y, train_idx=(), val_idx=()):
-        x = np.array(x, dtype=float)
-        y = np.array(y, dtype=float)
-        if x.ndim != 2:
-            raise ValueError("x must be a 2-d array of shape (n, d)")
-        if y.shape != (x.shape[0],):
-            raise ValueError("y must be a vector aligned with the rows of x")
+        x, y = frozen_sample(x, y, "sample set")
         train_idx = np.array(sorted(int(i) for i in np.asarray(train_idx, int).ravel()))
         val_idx = np.array(sorted(int(i) for i in np.asarray(val_idx, int).ravel()))
         n = x.shape[0]
@@ -206,7 +215,7 @@ class SampleSet:
                 raise ValueError(f"{name} contains duplicates")
         if np.intersect1d(train_idx, val_idx).size:
             raise ValueError("train_idx and val_idx must be disjoint")
-        for arr in (x, y, train_idx, val_idx):
+        for arr in (train_idx, val_idx):
             arr.setflags(write=False)
         self._x = x
         self._y = y
@@ -287,7 +296,8 @@ def load_csv(path, covariates, response=None, allow_empty=False):
     given, names the response column and the result is a SampleSet with
     empty index partitions (callers split).  Without a response the raw
     (n, d) covariate array is returned.  Malformed input raises DataError
-    naming the offending row (1-based, header excluded) and column.
+    naming the offending row (1-based, header excluded) and column; a
+    non-finite cell such as nan or inf counts as malformed.
     """
     covariates = list(covariates)
     wanted = covariates + ([response] if response is not None else [])
@@ -314,11 +324,14 @@ def load_csv(path, covariates, response=None, allow_empty=False):
             raise DataError(f"row {row_number} is too short for column {name!r} of {path}")
         text = row_values[j].strip()
         try:
-            return float(text)
+            value = float(text)
         except ValueError:
+            value = math.nan  # reported as not a finite number
+        if not math.isfinite(value):
             raise DataError(
-                f"non-numeric value {text!r} at row {row_number}, column {name!r} of {path}"
-            ) from None
+                f"{text!r} is not a finite number at row {row_number}, column {name!r} of {path}"
+            )
+        return value
 
     x = np.array(
         [[cell(row, r, name) for name in covariates] for r, row in enumerate(rows, start=1)],

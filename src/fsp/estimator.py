@@ -9,7 +9,7 @@ from functools import partial
 
 import numpy as np
 
-from .core import HolderParams
+from .core import HolderParams, frozen_sample
 
 __all__ = [
     "row_blocks",
@@ -216,12 +216,11 @@ class PersonalizedEstimator:
     """
 
     def __init__(self, train_x, train_y, model, theta, bandwidth, domain, f_train=None):
-        train_x = np.array(train_x, float)
-        train_y = np.array(train_y, float)
-        if train_x.ndim != 2 or train_x.shape[0] < 1:
+        train_x, train_y = frozen_sample(train_x, train_y, "training sample")
+        if train_x.shape[0] < 1:
             raise ValueError("need at least one training sample")
-        if train_y.shape != (train_x.shape[0],):
-            raise ValueError("train_y must align with train_x rows")
+        if not (np.isfinite(train_x).all() and np.isfinite(train_y).all()):
+            raise ValueError("training samples must be finite")
         if not bandwidth > 0:
             raise ValueError("bandwidth must be positive")
         if not isinstance(theta, HolderParams):
@@ -232,8 +231,6 @@ class PersonalizedEstimator:
         f_train = np.asarray(f_train, float)
         if f_train.shape != train_y.shape or not np.isfinite(f_train).all():
             raise ValueError("f_train must be a finite vector aligned with train_x rows")
-        for arr in (train_x, train_y):
-            arr.setflags(write=False)
         self.train_x = train_x
         self.train_y = train_y
         self.model = model
@@ -286,14 +283,9 @@ class VarianceField:
     """
 
     def __init__(self, pilot_x, pilot_y, h_sigma, domain):
-        pilot_x = np.array(pilot_x, float)
-        pilot_y = np.array(pilot_y, float)
-        if pilot_x.ndim != 2 or pilot_y.shape != (pilot_x.shape[0],):
-            raise ValueError("pilot_x must be (n, d) with aligned pilot_y")
+        pilot_x, pilot_y = frozen_sample(pilot_x, pilot_y, "pilot sample")
         if not h_sigma > 0:
             raise ValueError("h_sigma must be positive")
-        for arr in (pilot_x, pilot_y):
-            arr.setflags(write=False)
         self.pilot_x = pilot_x
         self.pilot_y = pilot_y
         self.h_sigma = float(h_sigma)

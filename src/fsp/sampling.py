@@ -190,14 +190,25 @@ class RetrievalDiagnostics:
         return {k: v for k, v in out.items() if v is not None}
 
 
+def _diagnostics(scheme, density, **fields):
+    """The record of a weighted retrieval: its density's floor and fallback, and `fields`."""
+    return RetrievalDiagnostics(
+        scheme=scheme,
+        floor=density.floor,
+        floor_active_fraction=density.floor_active_fraction,
+        uniform_fallback=density.uniform_fallback,
+        **fields,
+    )
+
+
 @dataclass
 class RetrievalResult:
-    """Retrieved samples plus the variance field and density behind them."""
+    """Retrieved samples, their record, and the quadrature mean of the sigma-hat
+    estimated from them (the pilot's, or the validation block's under uniform retrieval)."""
 
     samples: SampleSet
-    variance_field: VarianceField | None
-    density: SamplingDensity | None
     diagnostics: RetrievalDiagnostics
+    mean_sigma: float
 
 
 def _split_rows(split, n0):
@@ -211,12 +222,11 @@ def _split_rows(split, n0):
 
 
 def _pilot_density(pilot_x, pilot_y, n, h_sigma, domain):
-    """Variance field and plug-in density of the labeled pilot rows given;
+    """Plug-in density of the variance field of the labeled rows given;
     h_sigma defaults to the pilot bandwidth for budget n."""
     if h_sigma is None:
         h_sigma = pilot_bandwidth(n, domain.dim)
-    fld = VarianceField(pilot_x, pilot_y, h_sigma, domain)
-    return fld, plug_in_density(fld)
+    return plug_in_density(VarianceField(pilot_x, pilot_y, h_sigma, domain))
 
 
 def retrieve_budgeted(n, pilot_fraction, domain, oracle, rng, split="reuse", h_sigma=None):
@@ -237,7 +247,7 @@ def retrieve_budgeted(n, pilot_fraction, domain, oracle, rng, split="reuse", h_s
     var_rows, val_rows = _split_rows(split, n0)
     pilot_x = domain.uniform(n0, rng)
     pilot_y = oracle.label(pilot_x, rng)
-    fld, density = _pilot_density(pilot_x[var_rows], pilot_y[var_rows], n, h_sigma, domain)
+    density = _pilot_density(pilot_x[var_rows], pilot_y[var_rows], n, h_sigma, domain)
     step2_x, rej = rejection_sample(density, n - n0, rng, return_diagnostics=True)
     step2_y = oracle.label(step2_x, rng)
     ss = SampleSet(
@@ -246,20 +256,13 @@ def retrieve_budgeted(n, pilot_fraction, domain, oracle, rng, split="reuse", h_s
         train_idx=np.arange(n0, n),
         val_idx=val_rows,
     )
-    diag = RetrievalDiagnostics(
-        scheme="budgeted",
-        acceptance_rate=rej["acceptance_rate"],
-        proposals=rej["proposals"],
-        envelope_violations=rej["envelope_violations"],
-        floor=density.floor,
-        floor_active_fraction=density.floor_active_fraction,
-        uniform_fallback=density.uniform_fallback,
-    )
-    return RetrievalResult(ss, fld, density, diag)
+    return RetrievalResult(ss, _diagnostics("budgeted", density, **rej), density.mean_sigma)
 
 
-def retrieve_uniform_small_domain(n, domain, oracle, val_fraction, rng):
-    """Uniform retrieval for small target boxes: validation first, then training."""
+def retrieve_uniform_small_domain(n, domain, oracle, val_fraction, rng, h_sigma=None):
+    """Uniform retrieval for small target boxes: validation first, then training.
+
+    The mean sigma-hat is that of the validation block's variance field."""
     n = int(n)
     if n < 4:
         raise ConfigError("uniform retrieval needs n >= 4")
@@ -269,7 +272,8 @@ def retrieve_uniform_small_domain(n, domain, oracle, val_fraction, rng):
     xs = domain.uniform(n, rng)
     ys = oracle.label(xs, rng)
     ss = SampleSet(xs, ys, train_idx=np.arange(n0, n), val_idx=np.arange(n0))
-    return RetrievalResult(ss, None, None, RetrievalDiagnostics(scheme="uniform"))
+    mean_sigma = _pilot_density(ss.val_x, ss.val_y, n, h_sigma, domain).mean_sigma
+    return RetrievalResult(ss, RetrievalDiagnostics(scheme="uniform"), mean_sigma)
 
 
 @dataclass(frozen=True)
@@ -406,18 +410,13 @@ def retrieve_from_pool(
     pilot_positions = rng.choice(big_n, size=n0, replace=False)
     pilot_x = pool_x[pilot_positions]
     pilot_y = _pool_labels(oracle, pool_x, pilot_positions, rng)
-    fld, density = _pilot_density(pilot_x[var_rows], pilot_y[var_rows], n, h_sigma, domain)
+    density = _pilot_density(pilot_x[var_rows], pilot_y[var_rows], n, h_sigma, domain)
 
     rest_mask = np.ones(big_n, dtype=bool)
     rest_mask[pilot_positions] = False
     rest_positions = np.flatnonzero(rest_mask)
     take = n - n0
-    diag = RetrievalDiagnostics(
-        scheme="pool",
-        floor=density.floor,
-        floor_active_fraction=density.floor_active_fraction,
-        uniform_fallback=density.uniform_fallback,
-    )
+    sampler = {}  # the rejection and logistic fields of the record
     if take == rest_positions.size:
         selected = rest_positions
     else:
@@ -428,13 +427,13 @@ def retrieve_from_pool(
         weights = np.exp(scores - scores.max())
         order = weighted_sample_without_replacement(weights, take, rng)
         selected = rest_positions[order]
-        diag.acceptance_rate = rej["acceptance_rate"]
-        diag.proposals = rej["proposals"]
-        diag.envelope_violations = rej["envelope_violations"]
-        diag.synthetic_draws = m_synth
-        diag.synthetic_cap_applied = m_synth < big_n - n0
-        diag.logistic_converged = fit.converged
-        diag.logistic_iterations = fit.iterations
+        sampler = dict(
+            rej,
+            synthetic_draws=m_synth,
+            synthetic_cap_applied=m_synth < big_n - n0,
+            logistic_converged=fit.converged,
+            logistic_iterations=fit.iterations,
+        )
     selected_y = _pool_labels(oracle, pool_x, selected, rng)
     ss = SampleSet(
         np.vstack([pilot_x, pool_x[selected]]),
@@ -442,8 +441,9 @@ def retrieve_from_pool(
         train_idx=np.arange(n0, n),
         val_idx=val_rows,
     )
-    diag.pool_indices = np.concatenate([pilot_positions, selected])
-    return RetrievalResult(ss, fld, density, diag)
+    pool_indices = np.concatenate([pilot_positions, selected])
+    diag = _diagnostics("pool", density, pool_indices=pool_indices, **sampler)
+    return RetrievalResult(ss, diag, density.mean_sigma)
 
 
 def _pool_labels(oracle, pool_x, positions, rng):

@@ -97,6 +97,9 @@ def pool_fits():
             model, None, n, n // 4, pool_x, pool_y, config=FitConfig(bandwidth=bandwidth), seed=2
         )
         emit_fit(f"pool.{bandwidth}.n{n}", fit, queries)
+    # n equal to the pool size: every point is labeled, with no sampler or ratio fit
+    fit = fsp.fit_personalized_pool(model, None, 400, 100, pool_x[:400], pool_y[:400], seed=2)
+    emit_fit("pool.whole.n400", fit, fit.estimator.domain.uniform(500, rng))
 
 
 def kernels():
@@ -151,6 +154,12 @@ def _cli(*argv):
         raise SystemExit(f"fsp {argv[0]} exited {rc}:\n{err.getvalue()}")
 
 
+def _write_json(path, payload):
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh)
+    return path
+
+
 def command_line():
     with tempfile.TemporaryDirectory() as tmp:
         for scenario in ("regression", "classification", "adversarial"):
@@ -171,22 +180,38 @@ def command_line():
         with open(queries, "w", encoding="utf-8") as fh:
             fh.write("x1,x2\n")
             fh.writelines(f"{a!r},{b!r}\n" for a, b in fsp.Domain.bounding(xs).uniform(2000, rng).tolist())
-        synthetic = os.path.join(tmp, "synthetic.json")
-        with open(synthetic, "w", encoding="utf-8") as fh:
-            json.dump({"source": {"kind": "synthetic", "f_star": "abs(x1) + x2**2"},
-                       "domain": [[0, 0], [1, 1]]}, fh)
+        small_queries = os.path.join(tmp, "small_queries.csv")
+        with open(small_queries, "w", encoding="utf-8") as fh:
+            fh.write("x1,x2\n")
+            fh.writelines(f"{a!r},{b!r}\n" for a, b in (0.3 * xs[:500]).tolist())
+        source = {"kind": "synthetic", "f_star": "abs(x1) + x2**2"}
+        synthetic = _write_json(os.path.join(tmp, "synthetic.json"),
+                                {"source": source, "domain": [[0, 0], [1, 1]]})
+        small = _write_json(os.path.join(tmp, "small.json"),
+                            {"source": source, "domain": [[0, 0], [0.3, 0.3]], "h_sigma": 0.1})
+        table = _write_json(os.path.join(tmp, "table.json"), {"model": {
+            "kind": "table", "csv": pool, "covariates": ["x1", "x2"], "value": "y"}})
+        kernel = _write_json(os.path.join(tmp, "kernel.json"), {
+            "source": source, "domain": [[0, 0], [1, 1]],
+            "model": {"kind": "kernel-smooth", "points": xs[:300].tolist(),
+                      "values": ys[:300].tolist(), "bandwidth": 0.2}})
+        expr = ("--model-expr", "abs(x1) + 0.5*x2")
         runs = {
-            "pool.rule": ("--pool-csv", pool, "--covariates", "x1,x2", "-n", 800, "--bandwidth", "rule"),
-            "pool.cv": ("--pool-csv", pool, "--covariates", "x1,x2", "-n", 500),
-            "synthetic.cv": ("--config", synthetic, "-n", 400, "--split", "strict"),
+            "pool.rule": ("--pool-csv", pool, "--covariates", "x1,x2", "-n", 800, "--bandwidth", "rule",
+                          *expr),
+            "pool.cv": ("--pool-csv", pool, "--covariates", "x1,x2", "-n", 500, *expr),
+            "synthetic.cv": ("--config", synthetic, "-n", 400, "--split", "strict", *expr),
+            "small.rule": ("--config", small, "-n", 300, "--small-domain", "--bandwidth", "rule", *expr),
+            "pool.table": ("--config", table, "--pool-csv", pool, "--covariates", "x1,x2", "-n", 500),
+            "synthetic.kernel": ("--config", kernel, "-n", 400),
         }
         for name, args in runs.items():
             est, rep, out = (os.path.join(tmp, f"{name}.{ext}") for ext in ("est.json", "rep.json", "csv"))
-            _cli("personalize", *args, "--model-expr", "abs(x1) + 0.5*x2", "--seed", 3,
-                 "--out-estimator", est, "--out-report", rep)
+            _cli("personalize", *args, "--seed", 3, "--out-estimator", est, "--out-report", rep)
             emit(f"cli.{name}.estimator", _file(est, tmp))
             emit(f"cli.{name}.report", _file(rep, tmp))
-            _cli("predict", "--estimator", est, "--queries", queries, "--out", out)
+            inside = small_queries if name == "small.rule" else queries
+            _cli("predict", "--estimator", est, "--queries", inside, "--out", out)
             emit(f"cli.{name}.predictions", _file(out, tmp))
 
 

@@ -12,6 +12,7 @@ from fsp import (
     PersonalizedEstimator,
     PoolOracle,
     SyntheticOracle,
+    VarianceField,
     build_grid,
     fit_personalized,
     fit_personalized_pool,
@@ -22,7 +23,7 @@ from fsp import (
     select_theta_h,
 )
 from fsp.adaptation import default_bandwidth_set, rule_bandwidth
-from fsp.core import rng_stream
+from fsp.core import default_quadrature_points, rng_stream
 from helpers import brute_force_select
 
 UNIT2 = Domain.cube(2)
@@ -357,6 +358,24 @@ def test_fit_small_domain_bandwidth_constraint():
     bad = FitConfig(bandwidth=1.01 * nu)
     with pytest.raises(ConfigError):
         fit_personalized_small_domain(ExpressionModel("0", 2), dom, 40, _oracle(), bad, seed=3)
+
+
+def test_small_domain_rule_fit_reports_the_validation_mean_sigma_at_its_h_sigma():
+    dom = Domain.cube(2, 0.0, 0.25)
+    cfg = FitConfig(bandwidth="rule", h_sigma=0.05)
+    fit = fit_personalized_small_domain(ExpressionModel("0", 2), dom, 80, _oracle(), cfg, seed=3)
+    # retrieval's draws again: the first 20 rows are the validation block
+    rng = rng_stream(3, "retrieval")
+    xs = dom.uniform(80, rng)
+    ys = _oracle().label(xs, rng)
+    assert np.array_equal(fit.estimator.train_x, xs[20:])
+    field = VarianceField(xs[:20], ys[:20], 0.05, dom)
+    assert fit.mean_sigma == field.mean_sigma(default_quadrature_points(2))
+    assert fit.mean_sigma != fit_personalized_small_domain(
+        ExpressionModel("0", 2), dom, 80, _oracle(), FitConfig(bandwidth="rule"), seed=3
+    ).mean_sigma
+    want = rule_bandwidth(fit.theta.theta2, 80, 2, fit.mean_sigma, dom)
+    assert fit.bandwidth == want
 
 
 def test_fit_small_domain_unit_box_runs():

@@ -22,6 +22,7 @@ from fsp import (
     model_from_spec,
     rng_stream,
 )
+from fsp.simulation import MemoizedNoiseModel
 
 ECHO_SCRIPT = """\
 import sys
@@ -170,12 +171,27 @@ def test_external_malformed_reply(tmp_path):
             m.predict_batch(np.array([[0.0]]))
 
 
-def test_model_spec_round_trip():
+def test_model_spec_round_trip(tmp_path):
     m = TableModel([[0.0], [1.0]], [5.0, 6.0])
     m2 = model_from_spec(m.spec())
     assert m2.predict([0.9]) == 6.0
     e = ExpressionModel("x1 + 1", 1)
     assert model_from_spec(e.spec()).predict([1.0]) == 2.0
+    k = KernelSmoothModel([[0.0], [0.5], [1.0]], [1.0, 2.0, 4.0], bandwidth=0.3)
+    spec = k.spec()
+    assert spec == {"kind": "kernel-smooth", "points": [[0.0], [0.5], [1.0]],
+                    "values": [1.0, 2.0, 4.0], "bandwidth": 0.3}
+    xs = np.array([[0.1], [0.6], [0.9]])
+    assert np.array_equal(model_from_spec(spec).predict_batch(xs), k.predict_batch(xs))
+    with _external(tmp_path, SUM_SCRIPT, 2) as x:
+        spec = x.spec()
+        assert spec == {"kind": "external", "argv": x.argv, "dim": 2}
+        assert spec["argv"] is not x.argv  # a copy: editing the spec leaves the backend alone
+        with model_from_spec(spec) as y:
+            assert y.predict([1.0, 2.5]) == x.predict([1.0, 2.5]) == 3.5
+    for model in (FunctionModel(lambda xs: xs[:, 0]), MemoizedNoiseModel(rng_stream(0, "m"))):
+        with pytest.raises(ConfigError, match="cannot be serialized"):
+            model.spec()
 
 
 def test_gaussian_noise_law():
@@ -185,6 +201,18 @@ def test_gaussian_noise_law():
     y = noise.sample(f, xs, rng_stream(0, "noise"))
     assert y.std() == pytest.approx(1.0, abs=0.02)  # sigma(0.5) = 1
     assert abs(y.mean()) < 0.03
+
+
+def test_non_finite_sigma_is_rejected_before_any_label():
+    oracle = SyntheticOracle(lambda xs: xs[:, 0], GaussianNoise(lambda xs: np.sqrt(xs[:, 0] - 0.5)),
+                             Domain.cube(1))
+    with np.errstate(invalid="ignore"):  # sqrt of a negative number is NaN
+        with pytest.raises(ValueError, match="sigma\\(x\\) must be finite and nonnegative"):
+            oracle.label(np.array([[0.25], [0.75]]), rng_stream(0, "o"))
+    assert oracle.labels_issued == 0
+    for sigma in (np.inf, np.nan, -1.0):
+        with pytest.raises(ValueError, match="sigma must be finite and nonnegative"):
+            GaussianNoise(sigma)
 
 
 def test_bernoulli_noise_values():

@@ -335,6 +335,54 @@ def test_config_errors_exit_2_and_name_the_field(tmp_path, capsys, command, chan
     assert capsys.readouterr().err.strip().splitlines()[-1] == f"error: {names}"
 
 
+@pytest.mark.parametrize("cell, row, column", [(2, 3, "y"), (0, 5, "x1")], ids=["label", "covariate"])
+def test_personalize_rejects_a_non_finite_pool_cell(tmp_path, capsys, cell, row, column):
+    pool = tmp_path / "pool.csv"
+    _make_pool_csv(pool, n=100)
+    lines = pool.read_text().splitlines()
+    values = lines[row].split(",")
+    values[cell] = "nan"
+    lines[row] = ",".join(values)
+    pool.write_text("\n".join(lines) + "\n")
+    rc = main([
+        "personalize", "-n", "60", "--pool-csv", str(pool), "--covariates", "x1,x2",
+        "--model-expr", "x1", "--out-estimator", str(tmp_path / "e.json"),
+        "--out-report", str(tmp_path / "r.json"),
+    ])
+    assert rc == 2
+    assert f"row {row}, column '{column}' of {pool}" in capsys.readouterr().err
+    assert not (tmp_path / "e.json").exists()
+
+
+@pytest.mark.parametrize("edit", [
+    lambda p: p.update(bandwidth=-0.5),
+    lambda p: p.update(theta={"theta1": 0.5, "theta2": 3}),
+    lambda p: p["train_x"][1].append(0.5),
+    lambda p: p["train_y"].pop(),
+    lambda p: p["train_x"][0].__setitem__(0, 2.0),
+    lambda p: p.update(domain={"lo": [0.0, 0.0], "hi": [1.0, 0.0]}),
+    lambda p: p["theta"].update(theta1="abc"),
+    lambda p: p["train_y"].__setitem__(0, "nan"),
+], ids=["negative-bandwidth", "theta2-3", "ragged-train-x", "short-train-y",
+        "train-point-outside", "lo-equals-hi", "string-theta1", "nan-label"])
+def test_a_bad_estimator_file_exits_2_and_names_it(tmp_path, capsys, edit):
+    assert main(["personalize", "--config", str(_personalize_config(tmp_path))]) == 0
+    est_path = tmp_path / "e.json"
+    payload = json.loads(est_path.read_text())
+    edit(payload)
+    est_path.write_text(json.dumps(payload))
+    queries = tmp_path / "q.csv"
+    queries.write_text("x1,x2\n0.5,0.5\n")
+    capsys.readouterr()
+    rc = main(["predict", "--estimator", str(est_path), "--queries", str(queries),
+               "--out", str(tmp_path / "p.csv")])
+    assert rc == 2
+    assert capsys.readouterr().err.strip().splitlines()[-1].startswith(
+        f"error: bad estimator file {est_path}: "
+    )
+    assert not (tmp_path / "p.csv").exists()
+
+
 def _reject_constant(name):
     raise ValueError(f"non-standard JSON constant {name}")
 

@@ -140,6 +140,17 @@ def test_load_csv_bad_cell_names_row_and_column(tmp_path):
         load_csv(path, ["x1"], response="y")
 
 
+@pytest.mark.parametrize("text, row, column", [
+    ("x1,y\n0.5,1\n0.25,nan\n", 2, "y"),
+    ("x1,y\n0.5,1\ninf,2\n", 2, "x1"),
+    ("x1,y\n-Infinity,1\n0.25,2\n", 1, "x1"),
+], ids=["nan-response", "inf-covariate", "negative-infinity"])
+def test_load_csv_non_finite_cell_names_row_column_and_file(tmp_path, text, row, column):
+    path = _write(tmp_path, "d.csv", text)
+    with pytest.raises(DataError, match=rf"row {row}, column '{column}' of .*d\.csv"):
+        load_csv(path, ["x1"], response="y")
+
+
 def test_load_csv_missing_column(tmp_path):
     path = _write(tmp_path, "d.csv", "x1,y\n0.5,1\n")
     with pytest.raises(DataError, match="missing column 'x9'"):

@@ -185,6 +185,18 @@ def test_cached_model_values_must_align_with_training_points(f_train):
         )
 
 
+@pytest.mark.parametrize("bad", ["train_x", "train_y"])
+def test_non_finite_training_samples_are_rejected(bad):
+    rng = rng_stream(9, "est")
+    sample = {"train_x": rng.random((20, 2)), "train_y": rng.normal(size=20)}
+    sample[bad][3] = np.nan
+    with pytest.raises(ValueError, match="training samples must be finite"):
+        PersonalizedEstimator(
+            sample["train_x"], sample["train_y"], ExpressionModel("x1", 2),
+            HolderParams(0.5, 0.5), 0.3, UNIT, f_train=np.zeros(20),
+        )
+
+
 def test_batches_spanning_several_row_blocks_match_smaller_calls(monkeypatch):
     rng = rng_stream(12, "blocks")
     n = 250_000

@@ -13,6 +13,7 @@ from fsp import (
     SyntheticOracle,
     VarianceField,
     fit_density_ratio,
+    pilot_bandwidth,
     plug_in_density,
     rejection_sample,
     retrieve_budgeted,
@@ -163,8 +164,9 @@ def test_retrieve_budgeted_structure():
 
 def test_plug_in_density_records_the_mean_sigma_of_its_field():
     rr = retrieve_budgeted(200, 0.25, UNIT2, _oracle(1.0, dim=2), rng_stream(8, "r"))
-    points = default_quadrature_points(2)
-    assert rr.density.mean_sigma == rr.variance_field.mean_sigma(points)
+    pilot = slice(0, 50)  # under split="reuse" the whole pilot feeds the field
+    field = VarianceField(rr.samples.x[pilot], rr.samples.y[pilot], pilot_bandwidth(200, 2), UNIT2)
+    assert rr.mean_sigma == field.mean_sigma(default_quadrature_points(2))
     zero = plug_in_density(_SigmaField(UNIT2, lambda xs: np.zeros(len(xs))), 16)
     assert zero.uniform_fallback and zero.mean_sigma == 0.0
 
@@ -229,7 +231,8 @@ def test_retrieve_uniform_structure_and_support():
     assert np.array_equal(rr.samples.val_idx, np.arange(2))
     assert np.array_equal(rr.samples.train_idx, np.arange(2, 10))
     assert small.contains(rr.samples.x).all()
-    assert rr.variance_field is None
+    field = VarianceField(rr.samples.val_x, rr.samples.val_y, pilot_bandwidth(10, 2), small)
+    assert rr.mean_sigma == field.mean_sigma(default_quadrature_points(2))
 
 
 def test_retrieve_uniform_mean_clt():
