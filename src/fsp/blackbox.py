@@ -70,6 +70,9 @@ class BlackBoxModel:
             out[name] = value.tolist() if isinstance(value, np.ndarray) else copy.copy(value)
         return out
 
+    def launch(self):
+        """Begin starting the backend without waiting for it; start() completes it."""
+
     def start(self):
         pass
 
@@ -144,7 +147,10 @@ def compile_expression(expr, dim):
         xs = np.atleast_2d(np.asarray(xs, float))
         env = dict(_EXPR_NAMESPACE)
         env.update({f"x{j + 1}": xs[:, j] for j in range(dim)})
-        value = eval(code, {"__builtins__": {}}, env)
+        # a value outside a helper's domain becomes nan or inf, which the callers'
+        # finite checks reject with a message; numpy's warning would only add noise
+        with np.errstate(all="ignore"):
+            value = eval(code, {"__builtins__": {}}, env)
         return np.broadcast_to(np.asarray(value, float), (xs.shape[0],)).copy()
 
     fn.expression = str(expr)
@@ -225,6 +231,9 @@ class ExternalProcessModel(BlackBoxModel):
     serialized: one in-flight batch at a time.  Requests are written while
     replies are read, so a child that answers line by line never blocks on
     a full output pipe; `timeout` bounds every wait for either pipe.
+
+    launch() spawns the child and leaves the handshake to start() or the first
+    batch, so the caller's work in between overlaps the child's start-up.
     """
 
     kind, fields = "external", ("argv", "dim")
@@ -237,18 +246,20 @@ class ExternalProcessModel(BlackBoxModel):
         self.timeout = float(timeout)
         self.start_timeout = float(start_timeout)
         self._proc = None
+        self._ready = False  # whether the child answered its handshake
         self._buffer = b""
         self._lock = threading.Lock()
+
+    def launch(self):
+        with self._lock:
+            if self._proc is None:
+                self._spawn()
 
     def start(self):
         with self._lock:
             self._ensure_started()
 
-    def _ensure_started(self):
-        if self._proc is not None:
-            if self._proc.poll() is not None:
-                raise QueryError("model process exited (stage: session)")
-            return
+    def _spawn(self):
         try:
             self._proc = subprocess.Popen(
                 self.argv,
@@ -260,9 +271,19 @@ class ExternalProcessModel(BlackBoxModel):
         except OSError as exc:
             raise QueryError(f"cannot start model process (stage: spawn): {exc}") from None
         os.set_blocking(self._proc.stdin.fileno(), False)
+        self._ready = False
+
+    def _ensure_started(self):
+        if self._proc is None:
+            self._spawn()
+        elif self._ready:
+            if self._proc.poll() is not None:
+                raise QueryError("model process exited (stage: session)")
+            return
         (reply,) = self._exchange(f"DIM {self.dim}\n", 1, self.start_timeout, "handshake")
         if reply.strip() != "OK":
             raise QueryError(f"handshake failed (stage: handshake): expected OK, got {reply!r}")
+        self._ready = True
 
     def _exchange(self, text, n_lines, timeout, stage):
         """Write `text` and read `n_lines` reply lines, whichever pipe is ready first."""

@@ -285,11 +285,13 @@ def _parse_domain(spec):
 
 
 def _build_model(spec, dim):
-    """Rewrite a user model spec into its serialized form and build the backend.
+    """Rewrite a user model spec into its serialized form and build and launch the backend.
 
     The rewrite sets `dim`, splits an external `cmd` string into `argv`, and
     reads a table's `csv` into `points` and `values`, so a serialized spec
-    (as in an estimator file) builds unchanged.
+    (as in an estimator file) builds unchanged.  An external child starts up
+    while the caller reads its data; the caller's start() (or the backend's
+    first query) completes the handshake, before any label or query.
     """
     kind = required(spec, "kind", "model")
     spec = dict(spec, dim=dim)
@@ -304,7 +306,7 @@ def _build_model(spec, dim):
         )
         spec["points"], spec["values"] = table.x, table.y
     model = model_from_spec(spec)
-    model.start()  # handshake now so failures surface as backend errors
+    model.launch()
     return model
 
 
@@ -359,6 +361,7 @@ def _personalize(resolved, backends):
         if not (isinstance(covariate_names, list) and covariate_names
                 and all(isinstance(c, str) for c in covariate_names)):
             raise ConfigError(f"covariates must be a list of column names, got {covariate_names!r}")
+        model = backends.push(_build_model(resolved["model"], len(covariate_names)))
         ss = load_csv(
             required(source, "csv", "pool source"),
             covariate_names,
@@ -367,7 +370,7 @@ def _personalize(resolved, backends):
         pool_x, pool_y = ss.x, ss.y
         if n > len(pool_x):
             raise ConfigError(f"budget exceeds pool: n={n} > {len(pool_x)} pool points")
-        model = backends.enter_context(_build_model(resolved["model"], pool_x.shape[1]))
+        model.start()
         pilot = resolved["pilot_size"]
         pilot = pilot if pilot is not None else max(4, int(round(config.pilot_fraction * n)))
         fit = fit_personalized_pool(model, domain, n, pilot, pool_x, pool_y, config=config, seed=seed)
@@ -460,8 +463,9 @@ def cmd_predict(args):
         raise ConfigError("predict needs --estimator and --queries")
     _echo(resolved)
     est, covariates = load_estimator(resolved["estimator"])
-    with est.model:
+    with contextlib.closing(est.model):
         xs = load_csv(resolved["queries"], covariates, allow_empty=True)
+        est.model.start()
         ok = est.domain.contains(xs) if len(xs) else np.ones(0, bool)
         if len(xs) and not ok.all():
             bad = int(np.flatnonzero(~ok)[0])

@@ -143,6 +143,19 @@ class Domain:
         centers = np.stack([g.ravel() for g in mesh], axis=1)
         return centers, self.volume() / m**self.dim
 
+    def quadrature_nodes(self, points_per_dim=None):
+        """Equal-weight nodes for averages over the box, shape (nodes, d).
+
+        Up to d = 4 they are the midpoint grid with points_per_dim points per
+        axis (default_quadrature_points(d) when None).  A grid above d = 4 holds
+        at least 8^d nodes, 16.8 million at d = 8, so there the nodes are the
+        first 4,096 points of the Halton sequence (Halton 1960) scaled to the
+        box, whatever points_per_dim is.
+        """
+        if self.dim <= _GRID_MAX_DIM:
+            return self.grid(points_per_dim or default_quadrature_points(self.dim))[0]
+        return np.asarray(self.lo) + _halton(_HALTON_NODES, self.dim) * self.edge_lengths()
+
     def to_dict(self):
         return {"lo": list(self.lo), "hi": list(self.hi)}
 
@@ -353,6 +366,31 @@ def required(spec, key, what):
     return spec[key]
 
 
+_GRID_MAX_DIM = 4
+_HALTON_NODES = 4096
+
+
+def _halton(count, dim):
+    """Points 1..count of the Halton sequence in [0, 1)^dim: coordinate j is the
+    radical inverse of the point's index in the j-th prime base."""
+    bases = []
+    candidate = 2
+    while len(bases) < dim:
+        if all(candidate % p for p in bases):
+            bases.append(candidate)
+        candidate += 1
+    out = np.zeros((count, dim))
+    for j, base in enumerate(bases):
+        index = np.arange(1, count + 1)
+        scale = 1.0
+        while index.any():
+            scale /= base
+            index, digit = np.divmod(index, base)
+            out[:, j] += digit * scale
+    return out
+
+
 def default_quadrature_points(dim):
-    """Points per dimension so the full grid stays near 4096 nodes."""
+    """Points per dimension so the full grid stays near 4096 nodes up to d = 4
+    (Domain.quadrature_nodes takes a grid no higher)."""
     return int(min(4096, max(8, np.ceil(4096 ** (1.0 / dim)))))

@@ -108,16 +108,19 @@ def smoothed_window_means(train_x, train_y, f_train, xs, f_eval, hs, passes, con
     """Window means of y_i - omega(f(x_i)) for one row block xs: consume(ks, means)
     gets each residual pass's means of its pairs ks, shape (rows, len(ks)).
 
-    hs are the sorted distinct bandwidths; passes maps each residual pass to
-    the index arrays (ks, rungs) of its pairs, where a rung indexes hs.  The
-    pass of a theta1 > 0 theta is keyed by (theta1, theta2); all theta1 = 0
-    thetas share the pass None, whose truncation is +-0.0 whatever theta2 is.
+    hs are the sorted distinct bandwidths; passes maps each theta2 to its
+    residual passes, theta1 -> (ks, rungs), the index arrays of the pass's pairs,
+    where a rung indexes hs.  A theta1 > 0 theta has its own pass; all theta1 = 0
+    thetas share one pass under the key None, whose truncation is +-0.0
+    whatever theta2 is.
 
     The pairs inside the widest window hs[-1] are gathered once, through flat
     indices into the (rows, n) block, and each gets its rung: the first
     bandwidth whose sup-norm window holds it.  Their Euclidean distances are
-    computed on those pairs alone and raised once per theta2; y, f(x_i) and
-    f(x0) are gathered once, and each pass runs one residual chain.
+    computed on those pairs alone; y, f(x_i) and f(x0) are gathered once.  Each
+    theta2's Holder powers are raised just before its passes and dropped after
+    them, so one power array is alive at a time; each pass runs one residual
+    chain.
 
     Every pass sums its residuals into (row, rung) bins with bincount, adding
     each bin's pairs one after another in training order, and cumulative sums
@@ -135,17 +138,15 @@ def smoothed_window_means(train_x, train_y, f_train, xs, f_eval, hs, passes, con
     cols = rows * n
     np.subtract(flat, cols, out=cols)
     del flat
-    theta2s = {key[1] for key in passes if key is not None}
-    if theta2s:
+    weighted = passes.keys() != {None}  # some pass truncates by Holder powers
+    if weighted:
         dist = _squared_distances(xs, train_x, (rows, cols))
         np.sqrt(dist, out=dist)
-        powers = {theta2: holder_powers(dist, theta2) for theta2 in theta2s}
-        del dist
         magnitude = f_train.take(cols)
     y_in = train_y.take(cols)
     del cols
     f0 = f_eval.take(rows)
-    if theta2s:
+    if weighted:
         magnitude -= f0
         sign = np.sign(magnitude)
         np.abs(magnitude, out=magnitude)
@@ -155,17 +156,20 @@ def smoothed_window_means(train_x, train_y, f_train, xs, f_eval, hs, passes, con
     del rows, rung
     counts = np.bincount(bins, minlength=n_rows * n_rungs).reshape(n_rows, n_rungs).cumsum(axis=1)
     np.maximum(counts, 1, out=counts)
-    for key, (ks, rungs) in passes.items():
-        if key is None:
-            residuals = y_in - f0
-        else:
-            band = np.multiply(key[0], powers[key[1]])
-            residuals = np.subtract(y_in, truncate(f0, sign, magnitude, band, out=band), out=band)
-        # float sums: bincount over no pairs returns integer zeros
-        sums = np.bincount(bins, residuals, n_rows * n_rungs).reshape(n_rows, n_rungs)
-        means = sums.cumsum(axis=1, dtype=float)
-        means /= counts
-        consume(ks, means[:, rungs])
+    for theta2, by_theta1 in passes.items():
+        power = None if theta2 is None else holder_powers(dist, theta2)
+        for theta1, (ks, rungs) in by_theta1.items():
+            if power is None:
+                residuals = y_in - f0
+            else:
+                band = np.multiply(theta1, power)
+                residuals = np.subtract(y_in, truncate(f0, sign, magnitude, band, out=band), out=band)
+            # float sums: bincount over no pairs returns integer zeros
+            sums = np.bincount(bins, residuals, n_rows * n_rungs).reshape(n_rows, n_rungs)
+            means = sums.cumsum(axis=1, dtype=float)
+            means /= counts
+            consume(ks, means[:, rungs])
+        del power  # before the next theta2's powers are raised
 
 
 def window_passes(train_x, train_y, f_train, xs, f_eval, pairs, consume):
@@ -176,22 +180,30 @@ def window_passes(train_x, train_y, f_train, xs, f_eval, pairs, consume):
 
     The sorted distinct bandwidths form a ladder of nested windows.  The pairs
     share residual passes: one per theta with theta1 > 0, and one for every
-    theta1 = 0 theta.
+    theta1 = 0 theta.  Each pair belongs to one pass and each row's sums run
+    over its pairs in training order, so the pass order moves no bit.
     """
     pair_hs = [float(h) for _, h in pairs]
     hs = np.unique(pair_hs)
+    rungs = np.searchsorted(hs, pair_hs)
     passes = {}
     for k, (theta, _) in enumerate(pairs):
-        passes.setdefault((theta.theta1, theta.theta2) if theta.theta1 > 0 else None, []).append(k)
-    rungs = np.searchsorted(hs, pair_hs)
-    passes = {key: (np.array(ks), rungs[ks]) for key, ks in passes.items()}
-    n_theta2s = len({key[1] for key in passes if key is not None})
+        theta2 = theta.theta2 if theta.theta1 > 0 else None
+        passes.setdefault(theta2, {}).setdefault(theta.theta1, []).append(k)
+    passes = {
+        theta2: {theta1: (np.array(ks), rungs[ks]) for theta1, ks in by_theta1.items()}
+        for theta2, by_theta1 in passes.items()
+    }
     # the block budget counts every buffer alive at once when the widest window
-    # holds every pair: per pair, the flat indices, rungs, four gathered
-    # operands, the residual chain, one power per theta2 and a temporary; per
-    # (row, rung), the counts, sums, means and the pass's means handed over
-    width = train_x.shape[0] * (n_theta2s + 8) + 4 * len(hs)
-    for rows in row_blocks(xs.shape[0], width):
+    # holds every pair: per pair, the bins, rungs, two gathered operands (y and
+    # f(x0)), the residual chain and a temporary, and with a theta1 > 0 pass
+    # also the Euclidean distances, one power (whatever the number of theta2
+    # values) and two more gathered operands; per (row, rung), the counts,
+    # sums, means and the pass's means handed over.  A block takes three
+    # eighths of the chunk budget, 6 MB
+    per_pair = 10 if passes.keys() != {None} else 6
+    width = per_pair * train_x.shape[0] + 4 * len(hs)
+    for rows in row_blocks(xs.shape[0], 8 * width // 3):
         smoothed_window_means(
             train_x, train_y, f_train, xs[rows], f_eval[rows], hs, passes, partial(consume, rows)
         )
@@ -317,6 +329,5 @@ class VarianceField:
         return np.sqrt(self.variance_batch(xs))
 
     def mean_sigma(self, points_per_dim):
-        """Midpoint-rule average of sigma-hat over the domain."""
-        centers, _ = self.domain.grid(points_per_dim)
-        return float(self.sigma_batch(centers).mean())
+        """Average of sigma-hat over the domain's quadrature nodes."""
+        return float(self.sigma_batch(self.domain.quadrature_nodes(points_per_dim)).mean())

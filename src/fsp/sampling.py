@@ -18,7 +18,6 @@ from .core import (
     EnvelopeError,
     SampleSet,
     SeparationError,
-    default_quadrature_points,
 )
 from .estimator import VarianceField, pilot_bandwidth
 
@@ -87,9 +86,7 @@ def plug_in_density(variance_field, quadrature_points_per_dim=None, safety=1.1):
     falls back to the uniform density with the fallback flag set.
     """
     domain = variance_field.domain
-    qpd = quadrature_points_per_dim or default_quadrature_points(domain.dim)
-    centers, _ = domain.grid(qpd)
-    sig = variance_field.sigma_batch(centers)
+    sig = variance_field.sigma_batch(domain.quadrature_nodes(quadrature_points_per_dim))
     mean_sig = float(sig.mean())
     if mean_sig <= 0.0:
         return uniform_density(domain, safety=safety)

@@ -1,3 +1,8 @@
+import os
+import resource
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -448,3 +453,38 @@ def test_default_bandwidth_set_shapes():
     assert default_bandwidth_set(100, 1.0) == pytest.approx([1.0 / k for k in range(1, 11)])
     assert len(default_bandwidth_set(100, 1.0, full=True)) == 100
     assert default_bandwidth_set(9, 0.3)[0] == pytest.approx(0.3)
+
+
+_HIGH_DIM_RULE_FIT = """\
+import sys
+from fsp import Domain, ExpressionModel, FitConfig, GaussianNoise, SyntheticOracle, fit_personalized
+dim = int(sys.argv[1])
+domain = Domain.cube(dim)
+oracle = SyntheticOracle(
+    ExpressionModel("x1 + 0.5 * x2", dim).predict_batch, GaussianNoise("0.2 + x1", dim=dim), domain
+)
+fit = fit_personalized(ExpressionModel("x1", dim), domain, 400, oracle, FitConfig(bandwidth="rule"), seed=3)
+print(fit.mean_sigma, fit.bandwidth)
+"""
+
+
+@pytest.mark.parametrize("dim", [8, 10])
+def test_a_budgeted_rule_fit_above_four_dimensions_stays_bounded(dim):
+    # a midpoint grid of 8^d quadrature nodes would take about 2 GB at d = 8; the
+    # child runs under its own 512 MB address-space cap and a wall-clock limit,
+    # so a blow-up fails fast instead of exhausting the host's memory
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+
+    src = os.path.dirname(os.path.dirname(sys.modules["fsp"].__file__))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")  # one thread's buffers fit under the cap
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", _HIGH_DIM_RULE_FIT, str(dim)], capture_output=True, text=True,
+        env=env, timeout=60, preexec_fn=cap_address_space,
+    )
+    assert done.returncode == 0, done.stderr[-2000:]
+    mean_sigma, bandwidth = (float(v) for v in done.stdout.split())
+    # sigma(x) = 0.2 + x1 averages 0.7 over the cube
+    assert mean_sigma == pytest.approx(0.7, abs=0.15)
+    assert 0 < bandwidth <= 0.5

@@ -4,12 +4,13 @@ import dataclasses
 import inspect
 import json
 import os
+import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from fsp import cli
+from fsp import blackbox, cli
 from fsp.adaptation import FitConfig, fit_personalized
 from fsp.blackbox import ExpressionModel, GaussianNoise, SyntheticOracle
 from fsp.cli import build_parser, load_estimator, main
@@ -569,11 +570,16 @@ def test_option_surface_is_pinned():
     ]
 
 
-def test_cli_closes_the_processes_it_starts(tmp_path, monkeypatch):
-    # holding every backend the CLI builds keeps garbage collection from closing it
+def _hold_backends(monkeypatch):
+    """Every backend the CLI builds, held so that garbage collection cannot close it."""
     built = []
     build = cli.model_from_spec
     monkeypatch.setattr(cli, "model_from_spec", lambda spec: built.append(build(spec)) or built[-1])
+    return built
+
+
+def test_cli_closes_the_processes_it_starts(tmp_path, monkeypatch):
+    built = _hold_backends(monkeypatch)
     stub = tmp_path / "stub.py"
     stub.write_text(STUB_MODEL)
     pids = tmp_path / "pids.log"
@@ -597,3 +603,65 @@ def test_cli_closes_the_processes_it_starts(tmp_path, monkeypatch):
     finally:
         for model in built:
             model.close()
+
+
+def test_a_pool_csv_missing_a_column_exits_2_and_stops_the_model_child(tmp_path, monkeypatch, capsys):
+    spawned = []
+
+    class Recorded(subprocess.Popen):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            spawned.append(self)
+
+    monkeypatch.setattr(blackbox.subprocess, "Popen", Recorded)
+    built = _hold_backends(monkeypatch)
+    pool = tmp_path / "pool.csv"
+    _make_pool_csv(pool)
+    stub = tmp_path / "stub.py"
+    stub.write_text(STUB_MODEL)
+    try:
+        rc = main([
+            "personalize", "-n", "60", "--pool-csv", str(pool), "--covariates", "x1,x3",
+            "--model-cmd", f"{sys.executable} {stub}", "--out-estimator", str(tmp_path / "e.json"),
+            "--out-report", str(tmp_path / "r.json"),
+        ])
+        assert rc == 2
+        assert "x3" in capsys.readouterr().err.strip().splitlines()[-1]
+        # the child starts up while the pool is read, and the failed read stops it
+        assert len(spawned) == 1
+        assert spawned[0].poll() is not None
+    finally:
+        for model in built:
+            model.close()
+
+
+def test_a_wrong_handshake_exits_1_before_the_fit(tmp_path, monkeypatch, capsys):
+    fits = []
+    monkeypatch.setattr(cli, "fit_personalized_pool", lambda *args, **kwargs: fits.append(args))
+    pool = tmp_path / "pool.csv"
+    _make_pool_csv(pool)
+    stub = tmp_path / "stub.py"
+    stub.write_text("import sys\nsys.stdin.readline()\nprint('READY', flush=True)\nsys.stdin.read()\n")
+    rc = main([
+        "personalize", "-n", "60", "--pool-csv", str(pool), "--covariates", "x1,x2",
+        "--model-cmd", f"{sys.executable} {stub}", "--out-estimator", str(tmp_path / "e.json"),
+        "--out-report", str(tmp_path / "r.json"),
+    ])
+    assert rc == 1
+    assert "handshake failed" in capsys.readouterr().err.strip().splitlines()[-1]
+    assert fits == []
+    assert not (tmp_path / "e.json").exists() and not (tmp_path / "r.json").exists()
+
+
+def test_an_expression_outside_its_domain_prints_no_numpy_warning(tmp_path):
+    noise = {"kind": "gaussian", "sigma": "sqrt(x1 - 0.5)"}  # NaN on half the domain
+    config = _personalize_config(tmp_path, source={"kind": "synthetic", "f_star": "x1", "noise": noise})
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-m", "fsp.cli", "personalize", "--config", str(config)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 1
+    assert "RuntimeWarning" not in done.stderr
+    assert done.stderr.strip().splitlines()[-1] == "error: sigma(x) must be finite and nonnegative"

@@ -68,6 +68,27 @@ def test_domain_uniform_and_grid():
     assert centers.mean(axis=0) == pytest.approx([1.0, 1.0])
 
 
+def test_quadrature_nodes_are_the_grid_up_to_four_dimensions_and_halton_above():
+    from fsp.core import default_quadrature_points
+
+    for dim in (1, 2, 4):
+        d = Domain.cube(dim, -1.0, 3.0)
+        assert np.array_equal(d.quadrature_nodes(), d.grid(default_quadrature_points(dim))[0])
+        assert np.array_equal(d.quadrature_nodes(5), d.grid(5)[0])
+    for dim in (5, 8, 10, 30):
+        d = Domain(np.arange(dim) - 1.0, 2.0 * np.arange(dim) + 1.0)
+        nodes = d.quadrature_nodes()
+        assert nodes.shape == (4096, dim)
+        assert np.array_equal(nodes, d.quadrature_nodes(64))  # a fixed node set
+        assert d.contains(nodes).all()
+        # the first coordinate is the base-2 van der Corput sequence 1/2, 1/4, 3/4, ...
+        u = (nodes[:, 0] - d.lo[0]) / (d.hi[0] - d.lo[0])
+        assert u[:4] == pytest.approx([0.5, 0.25, 0.75, 0.125])
+        # equal weights average a linear function to its value at the center
+        center = (np.asarray(d.lo) + np.asarray(d.hi)) / 2
+        assert nodes.mean(axis=0) == pytest.approx(center, rel=0.01, abs=0.01)
+
+
 def test_holder_params_validation_and_order():
     with pytest.raises(ValueError):
         HolderParams(-0.1, 0.5)

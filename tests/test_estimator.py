@@ -399,6 +399,54 @@ def test_cv_scoring_memory_does_not_grow_with_validation_rows(monkeypatch):
     assert peaks[2] - peaks[1] <= 200_000, peaks
 
 
+def test_window_blocks_do_not_shrink_with_the_number_of_theta2_values(monkeypatch):
+    blocks = []
+    kernel = estimator.smoothed_window_means
+
+    def counted(train_x, train_y, f_train, xs, *rest):
+        blocks[-1].append(len(xs))
+        return kernel(train_x, train_y, f_train, xs, *rest)
+
+    monkeypatch.setattr(estimator, "smoothed_window_means", counted)
+    rng = rng_stream(29, "window-blocks")
+    train_x = rng.random((750, 2))
+    train_y = rng.normal(size=750)
+    xs = rng.random((1000, 2))
+    thetas = adaptation.build_grid(1000, 2.0).points
+    hs = adaptation.default_bandwidth_set(1000, 1.0)
+    for chosen in (thetas, [t for t in thetas if t.theta2 == 1.0]):
+        blocks.append([])
+        pairs = [(theta, h) for h in hs for theta in chosen]
+        estimator.window_passes(train_x, train_y, train_x[:, 0], xs, xs[:, 0], pairs, lambda *a: None)
+    assert len({t.theta2 for t in thetas}) == 8
+    # one Holder power is alive at a time, so eight theta2 values take the row
+    # blocks of one
+    assert len(blocks[0]) > 1 and blocks[0] == blocks[1], blocks
+
+
+def test_full_ladder_scoring_peak_at_n_1500():
+    # a full_bandwidth_set fit at n = 1,500 scores 81 thetas x 1,500 rungs on
+    # 1,125 training and 375 validation points; the returned 121,500-row table
+    # takes 12.7 MB of the peak, and one block of window buffers takes about 6 MB
+    rng = rng_stream(30, "score-peak")
+    train_x = rng.random((1125, 2))
+    train_y = rng.normal(size=1125)
+    val_x = rng.random((375, 2))
+    val_y = rng.normal(size=375)
+    pairs = [
+        (theta, h)
+        for h in adaptation.default_bandwidth_set(1500, 1.0, full=True)
+        for theta in adaptation.build_grid(1500, 2.0).points
+    ]
+    tracemalloc.start()
+    try:
+        adaptation._score_pairs(pairs, train_x, train_y, train_x[:, 0], val_x, val_y, val_x[:, 0])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 20e6, peak / 1e6
+
+
 def test_window_means_on_the_window_only_keep_the_dense_bits():
     rng = rng_stream(23, "window-only")
     for trial in range(60):
