@@ -119,7 +119,7 @@ def _select_pairs(pairs, train_x, train_y, f_train, val_x, val_y, f_val):
     return SelectionResult(theta=best[0], bandwidth=best[1], score=best[2], table=tuple(rows))
 
 
-def select_theta_h(thetas, bandwidths, train_x, train_y, val_x, val_y, model, f_train=None, f_val=None):
+def select_theta_h(thetas, bandwidths, train_x, train_y, val_x, val_y, model):
     """Joint argmin over the (theta, h) grid of the validation squared error.
 
     Ties resolve to the smaller bandwidth first, then the lexicographically
@@ -139,10 +139,7 @@ def select_theta_h(thetas, bandwidths, train_x, train_y, val_x, val_y, model, f_
     val_y = np.asarray(val_y, float)
     if val_x.shape[0] == 0:
         raise ValueError("validation set must be nonempty")
-    if f_train is None:
-        f_train = model.predict_batch(train_x)
-    if f_val is None:
-        f_val = model.predict_batch(val_x)
+    f_train, f_val = model.predict_batch(train_x), model.predict_batch(val_x)
     pairs = [(theta, h) for h in bandwidths for theta in thetas]
     return _select_pairs(pairs, train_x, train_y, f_train, val_x, val_y, f_val)
 
@@ -322,6 +319,18 @@ def _select_and_build(model, domain, rr, n, config, bandwidths):
     )
 
 
+def _fit(model, domain, n, config, seed, retrieve, cap=None):
+    """The fit entry sequence: check the settings, resolve the candidate bandwidths
+    (all at most `cap`), retrieve with `retrieve(cfg, rng)`, then select and build.
+
+    A bad setting raises before `retrieve` runs, so it costs no label.
+    """
+    cfg = (config or FitConfig()).validate()
+    bandwidths = _resolve_bandwidths(cfg, n, domain, cap)
+    rr = retrieve(cfg, rng_stream(seed, "retrieval"))
+    return _select_and_build(model, domain, rr, n, cfg, bandwidths)
+
+
 def fit_personalized(model, domain, n, oracle, config=None, seed=0):
     """Full pipeline on a constant-size target region.
 
@@ -329,28 +338,16 @@ def fit_personalized(model, domain, n, oracle, config=None, seed=0):
     draws), scores the smoothing grid on the validation block, and returns
     the frozen winning estimator with its report.
     """
-    cfg = (config or FitConfig()).validate()
-    bandwidths = _resolve_bandwidths(cfg, n, domain)
-    rng = rng_stream(seed, "retrieval")
-    rr = retrieve_budgeted(
-        n,
-        cfg.pilot_fraction,
-        domain,
-        oracle,
-        rng,
-        split=cfg.split,
-        h_sigma=cfg.h_sigma,
-    )
-    return _select_and_build(model, domain, rr, n, cfg, bandwidths)
+    return _fit(model, domain, n, config, seed, lambda cfg, rng: retrieve_budgeted(
+        n, cfg.pilot_fraction, domain, oracle, rng, split=cfg.split, h_sigma=cfg.h_sigma
+    ))
 
 
 def fit_personalized_small_domain(model, domain, n, oracle, config=None, seed=0):
     """Pipeline variant for small target boxes: uniform retrieval, h <= edge."""
-    cfg = (config or FitConfig()).validate()
-    bandwidths = _resolve_bandwidths(cfg, n, domain, cap=domain.min_edge())
-    rng = rng_stream(seed, "retrieval")
-    rr = retrieve_uniform_small_domain(n, domain, oracle, cfg.pilot_fraction, rng, cfg.h_sigma)
-    return _select_and_build(model, domain, rr, n, cfg, bandwidths)
+    return _fit(model, domain, n, config, seed, lambda cfg, rng: retrieve_uniform_small_domain(
+        n, domain, oracle, cfg.pilot_fraction, rng, cfg.h_sigma
+    ), cap=domain.min_edge())
 
 
 def fit_personalized_pool(
@@ -360,27 +357,16 @@ def fit_personalized_pool(
 
     With domain None the domain is the pool's bounding box.
     """
-    cfg = (config or FitConfig()).validate()
     if domain is None:
         domain = Domain.bounding(pool_x)
-    bandwidths = _resolve_bandwidths(cfg, n, domain)
     if oracle is None:
         if pool_y is None:
             raise ConfigError("provide pool labels or an oracle")
         oracle = PoolOracle(pool_x, pool_y)
-    rng = rng_stream(seed, "retrieval")
-    rr = retrieve_from_pool(
-        n,
-        pilot_size,
-        pool_x,
-        oracle,
-        rng,
-        split=cfg.split,
-        synthetic_cap=cfg.synthetic_cap,
-        h_sigma=cfg.h_sigma,
-        domain=domain,
-    )
-    return _select_and_build(model, domain, rr, n, cfg, bandwidths)
+    return _fit(model, domain, n, config, seed, lambda cfg, rng: retrieve_from_pool(
+        n, pilot_size, pool_x, oracle, rng, split=cfg.split, synthetic_cap=cfg.synthetic_cap,
+        h_sigma=cfg.h_sigma, domain=domain,
+    ))
 
 
 def fit_single_task(domain, n, oracle, config=None, seed=0):

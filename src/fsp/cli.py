@@ -284,8 +284,9 @@ def _parse_domain(spec):
         raise ConfigError(f"bad domain: {exc}") from None
 
 
-def _build_model(spec, dim):
-    """Rewrite a user model spec into its serialized form and build and launch the backend.
+def _build_model(spec, dim, backends):
+    """Rewrite a user model spec into its serialized form, build the backend, hand it
+    to the ExitStack `backends`, which closes it on every exit path, and launch it.
 
     The rewrite sets `dim`, splits an external `cmd` string into `argv`, and
     reads a table's `csv` into `points` and `values`, so a serialized spec
@@ -305,7 +306,7 @@ def _build_model(spec, dim):
             response=required(spec, "value", "table model"),
         )
         spec["points"], spec["values"] = table.x, table.y
-    model = model_from_spec(spec)
+    model = backends.push(model_from_spec(spec))
     model.launch()
     return model
 
@@ -347,13 +348,14 @@ def cmd_personalize(args):
 
 
 def _personalize(resolved, backends):
-    """Fit and write the estimator and its report; `backends` closes every backend built."""
+    """Fit and write the estimator and its report; `backends` closes every backend built.
+    The source branches only build, so every child is spawned before the one start();
+    an external label source completes its handshake at its first label."""
     started = time.time()
     n, seed = resolved["n"], resolved["seed"]
     source = resolved["source"]
     domain = _parse_domain(resolved["domain"])
     config = _fit_config(resolved)
-    covariate_names = None
 
     kind = required(source, "kind", "source")
     if kind == "pool":
@@ -361,36 +363,35 @@ def _personalize(resolved, backends):
         if not (isinstance(covariate_names, list) and covariate_names
                 and all(isinstance(c, str) for c in covariate_names)):
             raise ConfigError(f"covariates must be a list of column names, got {covariate_names!r}")
-        model = backends.push(_build_model(resolved["model"], len(covariate_names)))
+        model = _build_model(resolved["model"], len(covariate_names), backends)
         ss = load_csv(
             required(source, "csv", "pool source"),
             covariate_names,
             response=source.get("response") or "y",
         )
-        pool_x, pool_y = ss.x, ss.y
-        if n > len(pool_x):
-            raise ConfigError(f"budget exceeds pool: n={n} > {len(pool_x)} pool points")
-        model.start()
+        if n > len(ss.x):
+            raise ConfigError(f"budget exceeds pool: n={n} > {len(ss.x)} pool points")
         pilot = resolved["pilot_size"]
         pilot = pilot if pilot is not None else max(4, int(round(config.pilot_fraction * n)))
-        fit = fit_personalized_pool(model, domain, n, pilot, pool_x, pool_y, config=config, seed=seed)
+        fitter, args = fit_personalized_pool, (model, domain, n, pilot, ss.x, ss.y)
     elif kind in ("synthetic", "external"):
         if domain is None:
             raise ConfigError(f"{kind} sources require an explicit domain")
-        model = backends.enter_context(_build_model(resolved["model"], domain.dim))
+        covariate_names = [f"x{j + 1}" for j in range(domain.dim)]
+        model = _build_model(resolved["model"], domain.dim, backends)
         if kind == "synthetic":
             truth = ExpressionModel(required(source, "f_star", "synthetic source"), domain.dim)
             noise = _build_noise(source.get("noise"), domain.dim)
             oracle = SyntheticOracle(truth.predict_batch, noise, domain)
         else:
-            oracle = ExternalOracle(backends.enter_context(_build_model(source, domain.dim)))
+            oracle = ExternalOracle(_build_model(source, domain.dim, backends))
         fitter = fit_personalized_small_domain if resolved["small_domain"] else fit_personalized
-        fit = fitter(model, domain, n, oracle, config=config, seed=seed)
+        args = (model, domain, n, oracle)
     else:
         raise ConfigError(f"unknown source kind {kind!r}")
 
-    if covariate_names is None:
-        covariate_names = [f"x{j + 1}" for j in range(fit.estimator.domain.dim)]
+    model.start()
+    fit = fitter(*args, config=config, seed=seed)
     warnings = []
     model_spec = fit.estimator.model.spec()
     if model_spec["kind"] == "external":
@@ -425,7 +426,8 @@ def _personalize(resolved, backends):
 
 
 def load_estimator(path):
-    """Rebuild a PersonalizedEstimator (and covariate names) from its JSON file."""
+    """Rebuild a PersonalizedEstimator (and covariate names) from its JSON file.
+    The caller closes the estimator's model; a failure closes it here."""
     try:
         with open(path, encoding="utf-8") as fh:
             payload = json.load(fh)
@@ -442,19 +444,26 @@ def load_estimator(path):
     theta = [required(pair, key, "estimator theta") for key in ("theta1", "theta2")]
     bandwidth = required(payload, "bandwidth", "estimator file")
     spec = required(payload, "model", "estimator file")
-    try:
-        domain = Domain(lo, hi)
-        train_x, train_y = np.asarray(train_x, float), np.asarray(train_y, float)
-        theta = HolderParams(*theta)
-        bandwidth = float(bandwidth)  # a non-finite bandwidth is stored as a string
-        model = _build_model(spec, domain.dim)
-        # files written before f_train was stored query the model at the training points
-        est = PersonalizedEstimator(
-            train_x, train_y, model, theta, bandwidth, domain, f_train=payload.get("f_train")
-        )
-    except (TypeError, ValueError) as exc:  # a backend's QueryError is not the file's fault
-        raise ConfigError(f"bad estimator file {path}: {exc}") from None
-    return est, payload.get("covariates") or [f"x{j+1}" for j in range(domain.dim)]
+    with contextlib.ExitStack() as backends:
+        try:
+            domain = Domain(lo, hi)
+            covariates = payload.get("covariates", [f"x{j + 1}" for j in range(domain.dim)])
+            if not (isinstance(covariates, list) and all(isinstance(c, str) for c in covariates)
+                    and len(set(covariates)) == len(covariates) == domain.dim):
+                raise ValueError(f"covariates must be a list of {domain.dim} distinct column "
+                                 f"names, got {covariates!r}")
+            train_x, train_y = np.asarray(train_x, float), np.asarray(train_y, float)
+            theta = HolderParams(*theta)
+            bandwidth = float(bandwidth)  # a non-finite bandwidth is stored as a string
+            model = _build_model(spec, domain.dim, backends)
+            # files written before f_train was stored query the model at the training points
+            est = PersonalizedEstimator(
+                train_x, train_y, model, theta, bandwidth, domain, f_train=payload.get("f_train")
+            )
+        except (TypeError, ValueError) as exc:  # a backend's QueryError is not the file's fault
+            raise ConfigError(f"bad estimator file {path}: {exc}") from None
+        backends.pop_all()
+    return est, covariates
 
 
 def cmd_predict(args):
@@ -462,8 +471,9 @@ def cmd_predict(args):
     if not resolved["estimator"] or not resolved["queries"]:
         raise ConfigError("predict needs --estimator and --queries")
     _echo(resolved)
-    est, covariates = load_estimator(resolved["estimator"])
-    with contextlib.closing(est.model):
+    with contextlib.ExitStack() as backends:
+        est, covariates = load_estimator(resolved["estimator"])
+        backends.push(est.model)
         xs = load_csv(resolved["queries"], covariates, allow_empty=True)
         est.model.start()
         ok = est.domain.contains(xs) if len(xs) else np.ones(0, bool)

@@ -187,17 +187,6 @@ class RetrievalDiagnostics:
         return {k: v for k, v in out.items() if v is not None}
 
 
-def _diagnostics(scheme, density, **fields):
-    """The record of a weighted retrieval: its density's floor and fallback, and `fields`."""
-    return RetrievalDiagnostics(
-        scheme=scheme,
-        floor=density.floor,
-        floor_active_fraction=density.floor_active_fraction,
-        uniform_fallback=density.uniform_fallback,
-        **fields,
-    )
-
-
 @dataclass
 class RetrievalResult:
     """Retrieved samples, their record, and the quadrature mean of the sigma-hat
@@ -206,6 +195,27 @@ class RetrievalResult:
     samples: SampleSet
     diagnostics: RetrievalDiagnostics
     mean_sigma: float
+
+
+def _two_phase(scheme, density, pilot_x, pilot_y, step2_x, step2_y, val_rows, **fields):
+    """The result of a weighted retrieval: the pilot rows, then the second phase's rows,
+    which train; `val_rows` of the pilot validate.  The record carries the density's
+    floor and fallback, and `fields`."""
+    n0 = len(pilot_x)
+    ss = SampleSet(
+        np.vstack([pilot_x, step2_x]),
+        np.concatenate([pilot_y, step2_y]),
+        train_idx=np.arange(n0, n0 + len(step2_x)),
+        val_idx=val_rows,
+    )
+    diag = RetrievalDiagnostics(
+        scheme=scheme,
+        floor=density.floor,
+        floor_active_fraction=density.floor_active_fraction,
+        uniform_fallback=density.uniform_fallback,
+        **fields,
+    )
+    return RetrievalResult(ss, diag, density.mean_sigma)
 
 
 def _split_rows(split, n0):
@@ -247,13 +257,7 @@ def retrieve_budgeted(n, pilot_fraction, domain, oracle, rng, split="reuse", h_s
     density = _pilot_density(pilot_x[var_rows], pilot_y[var_rows], n, h_sigma, domain)
     step2_x, rej = rejection_sample(density, n - n0, rng, return_diagnostics=True)
     step2_y = oracle.label(step2_x, rng)
-    ss = SampleSet(
-        np.vstack([pilot_x, step2_x]),
-        np.concatenate([pilot_y, step2_y]),
-        train_idx=np.arange(n0, n),
-        val_idx=val_rows,
-    )
-    return RetrievalResult(ss, _diagnostics("budgeted", density, **rej), density.mean_sigma)
+    return _two_phase("budgeted", density, pilot_x, pilot_y, step2_x, step2_y, val_rows, **rej)
 
 
 def retrieve_uniform_small_domain(n, domain, oracle, val_fraction, rng, h_sigma=None):
@@ -432,15 +436,9 @@ def retrieve_from_pool(
             logistic_iterations=fit.iterations,
         )
     selected_y = _pool_labels(oracle, pool_x, selected, rng)
-    ss = SampleSet(
-        np.vstack([pilot_x, pool_x[selected]]),
-        np.concatenate([pilot_y, selected_y]),
-        train_idx=np.arange(n0, n),
-        val_idx=val_rows,
-    )
     pool_indices = np.concatenate([pilot_positions, selected])
-    diag = _diagnostics("pool", density, pool_indices=pool_indices, **sampler)
-    return RetrievalResult(ss, diag, density.mean_sigma)
+    return _two_phase("pool", density, pilot_x, pilot_y, pool_x[selected], selected_y, val_rows,
+                      pool_indices=pool_indices, **sampler)
 
 
 def _pool_labels(oracle, pool_x, positions, rng):

@@ -665,3 +665,110 @@ def test_an_expression_outside_its_domain_prints_no_numpy_warning(tmp_path):
     assert done.returncode == 1
     assert "RuntimeWarning" not in done.stderr
     assert done.stderr.strip().splitlines()[-1] == "error: sigma(x) must be finite and nonnegative"
+
+
+def _record_spawns(monkeypatch):
+    """Every child process the backends spawn, in order."""
+    spawned = []
+
+    class Recorded(subprocess.Popen):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            spawned.append(self)
+
+    monkeypatch.setattr(blackbox.subprocess, "Popen", Recorded)
+    return spawned
+
+
+def test_a_wrong_handshake_on_a_synthetic_source_exits_1_and_stops_the_child(
+    tmp_path, monkeypatch, capsys
+):
+    spawned = _record_spawns(monkeypatch)
+    built = _hold_backends(monkeypatch)
+    stub = tmp_path / "stub.py"
+    stub.write_text("import sys\nsys.stdin.readline()\nprint('READY', flush=True)\nsys.stdin.read()\n")
+    config = _personalize_config(tmp_path, model={"kind": "external", "cmd": f"{sys.executable} {stub}"})
+    try:
+        assert main(["personalize", "--config", str(config)]) == 1
+        assert "handshake failed" in capsys.readouterr().err.strip().splitlines()[-1]
+        assert len(spawned) == 1
+        assert spawned[0].poll() is not None
+    finally:
+        for model in built:
+            model.close()
+
+
+def test_a_bad_estimator_file_with_an_external_model_exits_2_and_stops_the_child(
+    tmp_path, monkeypatch, capsys
+):
+    stub = tmp_path / "stub.py"
+    stub.write_text(STUB_MODEL)
+    config = _personalize_config(tmp_path, model={"kind": "external", "cmd": f"{sys.executable} {stub}"})
+    assert main(["personalize", "--config", str(config)]) == 0
+    est_path = tmp_path / "e.json"
+    payload = json.loads(est_path.read_text())
+    payload["train_x"][0][0] = 2.0
+    est_path.write_text(json.dumps(payload))
+    queries = tmp_path / "q.csv"
+    queries.write_text("x1,x2\n0.5,0.5\n")
+    spawned = _record_spawns(monkeypatch)
+    built = _hold_backends(monkeypatch)
+    capsys.readouterr()
+    try:
+        rc = main(["predict", "--estimator", str(est_path), "--queries", str(queries),
+                   "--out", str(tmp_path / "p.csv")])
+        assert rc == 2
+        assert f"bad estimator file {est_path}" in capsys.readouterr().err.strip().splitlines()[-1]
+        assert len(spawned) == 1
+        assert spawned[0].poll() is not None
+    finally:
+        for model in built:
+            model.close()
+
+
+def test_an_external_label_source_spawns_before_the_model_handshake(tmp_path, monkeypatch):
+    spawned = _record_spawns(monkeypatch)
+    built = _hold_backends(monkeypatch)
+    at_handshake = []
+    exchange = blackbox.ExternalProcessModel._exchange
+
+    def recorded(self, text, n_lines, timeout, stage):
+        if stage == "handshake":
+            at_handshake.append(len(spawned))
+        return exchange(self, text, n_lines, timeout, stage)
+
+    monkeypatch.setattr(blackbox.ExternalProcessModel, "_exchange", recorded)
+    stub = tmp_path / "stub.py"
+    stub.write_text(STUB_MODEL)
+    cmd = f"{sys.executable} {stub}"
+    config = _personalize_config(
+        tmp_path, source={"kind": "external", "cmd": cmd}, model={"kind": "external", "cmd": cmd}
+    )
+    try:
+        assert main(["personalize", "--config", str(config)]) == 0
+        assert at_handshake == [2, 2]  # both children run before either handshake
+    finally:
+        for model in built:
+            model.close()
+
+
+@pytest.mark.parametrize("covariates", [
+    ["x1"], ["x1", "x2", "x3"], "x1x2", [1, 2], ["x1", "x1"],
+], ids=["too-few", "too-many", "string", "numbers", "duplicate"])
+def test_an_estimator_file_with_bad_covariates_exits_2_and_names_it(tmp_path, capsys, covariates):
+    assert main(["personalize", "--config", str(_personalize_config(tmp_path))]) == 0
+    est_path = tmp_path / "e.json"
+    payload = json.loads(est_path.read_text())
+    payload["covariates"] = covariates
+    est_path.write_text(json.dumps(payload))
+    queries = tmp_path / "q.csv"
+    queries.write_text("x1,x2,x3\n0.5,0.5,0.5\n")
+    capsys.readouterr()
+    rc = main(["predict", "--estimator", str(est_path), "--queries", str(queries),
+               "--out", str(tmp_path / "p.csv")])
+    assert rc == 2
+    assert capsys.readouterr().err.strip().splitlines()[-1] == (
+        f"error: bad estimator file {est_path}: covariates must be a list of 2 distinct "
+        f"column names, got {covariates!r}"
+    )
+    assert not (tmp_path / "p.csv").exists()
