@@ -355,7 +355,8 @@ def fit_personalized_pool(
 ):
     """Pipeline over a fixed pool of unlabeled covariates (labels on demand).
 
-    With domain None the domain is the pool's bounding box.
+    With domain None the domain is the pool's bounding box; with pilot_size
+    None the pilot holds max(4, round(pilot_fraction * n)) points.
     """
     if domain is None:
         domain = Domain.bounding(pool_x)
@@ -364,8 +365,9 @@ def fit_personalized_pool(
             raise ConfigError("provide pool labels or an oracle")
         oracle = PoolOracle(pool_x, pool_y)
     return _fit(model, domain, n, config, seed, lambda cfg, rng: retrieve_from_pool(
-        n, pilot_size, pool_x, oracle, rng, split=cfg.split, synthetic_cap=cfg.synthetic_cap,
-        h_sigma=cfg.h_sigma, domain=domain,
+        n, max(4, round(cfg.pilot_fraction * n)) if pilot_size is None else pilot_size, pool_x,
+        oracle, rng, split=cfg.split, synthetic_cap=cfg.synthetic_cap, h_sigma=cfg.h_sigma,
+        domain=domain,
     ))
 
 

@@ -369,11 +369,7 @@ def _personalize(resolved, backends):
             covariate_names,
             response=source.get("response") or "y",
         )
-        if n > len(ss.x):
-            raise ConfigError(f"budget exceeds pool: n={n} > {len(ss.x)} pool points")
-        pilot = resolved["pilot_size"]
-        pilot = pilot if pilot is not None else max(4, int(round(config.pilot_fraction * n)))
-        fitter, args = fit_personalized_pool, (model, domain, n, pilot, ss.x, ss.y)
+        fitter, args = fit_personalized_pool, (model, domain, n, resolved["pilot_size"], ss.x, ss.y)
     elif kind in ("synthetic", "external"):
         if domain is None:
             raise ConfigError(f"{kind} sources require an explicit domain")

@@ -78,6 +78,12 @@ class Domain:
                 raise ValueError("domain bounds must be finite")
             if not a < b:
                 raise ValueError(f"every coordinate needs lo < hi, got [{a}, {b}]")
+        volume = math.prod(b - a for a, b in zip(lo, hi))
+        if not 0 < volume < math.inf:  # the samplers and densities scale by it
+            raise ValueError(
+                f"the box's volume {'overflows' if volume else 'underflows'} float64; "
+                "rescale the covariates"
+            )
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
 
@@ -87,10 +93,14 @@ class Domain:
 
     @classmethod
     def bounding(cls, points):
-        """The box spanned by the rows of `points`, padded so every row lies inside."""
+        """The box spanned by the rows of `points`, padded so every row lies inside;
+        DataError if the points span no usable box."""
         points = np.atleast_2d(np.asarray(points, float))
         pad = 1e-9 * np.maximum(1.0, np.abs(points).max(axis=0))
-        return cls(points.min(axis=0) - pad, points.max(axis=0) + pad)
+        try:
+            return cls(points.min(axis=0) - pad, points.max(axis=0) + pad)
+        except ValueError as exc:
+            raise DataError(f"the points span no usable box: {exc}") from None
 
     @property
     def dim(self):

@@ -9,7 +9,7 @@ from functools import partial
 
 import numpy as np
 
-from .core import HolderParams, frozen_sample
+from .core import DataError, HolderParams, frozen_sample
 
 __all__ = [
     "row_blocks",
@@ -303,6 +303,7 @@ class VarianceField:
         self.h_sigma = float(h_sigma)
         self.domain = domain
 
+    @np.errstate(over="ignore", invalid="ignore")  # an overflow raises DataError instead
     def variance_batch(self, xs):
         xs = np.atleast_2d(np.asarray(xs, float))
         out = np.empty(xs.shape[0])
@@ -319,6 +320,8 @@ class VarianceField:
             second = np.vecdot(weights, self.pilot_y**2) / np.maximum(1.0, wsum)
             first = np.vecdot(weights, self.pilot_y)
             out[rows] = second - first**2 / np.maximum(1.0, wsum**2)
+        if not np.isfinite(out).all():
+            raise DataError("the pilot labels' moments overflow float64; rescale the labels")
         return np.maximum(out, 0.0)
 
     def variance_at(self, x):

@@ -295,17 +295,16 @@ class LogisticFit:
         return self.beta[1:]
 
 
-def _log_likelihood(scores, labels):
-    return float(labels @ scores - np.logaddexp(0.0, scores).sum())
-
-
 def fit_density_ratio(class0_x, class1_x, max_iter=100):
-    """Logistic regression separating two point clouds, by damped Newton.
+    """Logistic regression separating two point clouds, by Newton's method.
 
     class0_x are pool (reference) points, class1_x synthetic target draws;
     the fitted log-odds x'beta estimates the log density ratio up to the
-    intercept.  Divergence of the coefficient norm signals perfect
-    separation and raises SeparationError.
+    intercept.  Every iteration takes the full Newton step (iteratively
+    reweighted least squares, McCullagh & Nelder 1989) until the gradient's
+    max-norm falls to 1e-8.  Divergence of the coefficient norm, or a
+    log-likelihood saturated at 0, signals perfect separation and raises
+    SeparationError.
     """
     a = np.atleast_2d(np.asarray(class0_x, float))
     b = np.atleast_2d(np.asarray(class1_x, float))
@@ -318,11 +317,11 @@ def fit_density_ratio(class0_x, class1_x, max_iter=100):
     labels = np.concatenate([np.zeros(a.shape[0]), np.ones(b.shape[0])])
     beta = np.zeros(design.shape[1])
     scores = design @ beta
-    loglik = _log_likelihood(scores, labels)
     grad_norm = np.inf
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        p = 1.0 / (1.0 + np.exp(-scores))
+        with np.errstate(over="ignore"):  # exp(-score) = inf gives p = 0
+            p = 1.0 / (1.0 + np.exp(-scores))
         grad = design.T @ (labels - p)
         grad_norm = float(np.abs(grad).max())
         if grad_norm <= _NEWTON_TOL:
@@ -330,24 +329,14 @@ def fit_density_ratio(class0_x, class1_x, max_iter=100):
             break
         w = p * (1.0 - p)
         hess = design.T @ (design * w[:, None]) + _NEWTON_RIDGE * np.eye(design.shape[1])
-        direction = np.linalg.solve(hess, grad)
-        step = 1.0
-        for _ in range(30):
-            candidate = beta + step * direction
-            cand_scores = design @ candidate
-            cand_loglik = _log_likelihood(cand_scores, labels)
-            if cand_loglik >= loglik:
-                break
-            step *= 0.5
-        beta = beta + step * direction
+        beta = beta + np.linalg.solve(hess, grad)
         scores = design @ beta
-        loglik = _log_likelihood(scores, labels)
         if np.linalg.norm(beta) > 1e3:
             raise SeparationError(
                 "perfect separation suspected (coefficient norm exceeded 1e3); "
                 "use larger or more overlapping point sets"
             )
-    if loglik > -1e-6:
+    if float(labels @ scores - np.logaddexp(0.0, scores).sum()) > -1e-6:
         # a numerically saturated likelihood means the MLE is unbounded
         raise SeparationError(
             "perfect separation suspected (likelihood saturated at 0); "
@@ -401,8 +390,10 @@ def retrieve_from_pool(
     n = int(n)
     n0 = int(pilot_size)
     big_n = pool_x.shape[0]
-    if not (big_n >= n > n0 >= 4):
-        raise ConfigError(f"need pool N >= n > pilot >= 4, got N={big_n}, n={n}, pilot={n0}")
+    if n > big_n:
+        raise ConfigError(f"budget exceeds pool: n={n} > {big_n} pool points")
+    if not n > n0 >= 4:
+        raise ConfigError(f"need n > pilot >= 4, got n={n}, pilot={n0}")
     var_rows, val_rows = _split_rows(split, n0)
     if domain is None:
         domain = Domain.bounding(pool_x)
@@ -423,8 +414,9 @@ def retrieve_from_pool(
     else:
         m_synth = min(big_n - n0, int(synthetic_cap))
         synth_x, rej = rejection_sample(density, m_synth, rng, return_diagnostics=True)
-        fit = fit_density_ratio(pool_x[rest_positions], synth_x)
-        scores = pool_x[rest_positions] @ fit.slope + fit.intercept
+        rest_x = pool_x[rest_positions]
+        fit = fit_density_ratio(rest_x, synth_x)
+        scores = rest_x @ fit.slope + fit.intercept
         weights = np.exp(scores - scores.max())
         order = weighted_sample_without_replacement(weights, take, rng)
         selected = rest_positions[order]

@@ -25,6 +25,7 @@ import numpy as np
 import fsp
 from fsp import FitConfig, HolderParams, cli, estimator
 from fsp.core import rng_stream
+from helpers import benchmark_pool_fit
 
 
 def _bytes(value):
@@ -100,6 +101,9 @@ def pool_fits():
     # n equal to the pool size: every point is labeled, with no sampler or ratio fit
     fit = fsp.fit_personalized_pool(model, None, 400, 100, pool_x[:400], pool_y[:400], seed=2)
     emit_fit("pool.whole.n400", fit, fit.estimator.domain.uniform(500, rng))
+    # the benchmark's `cli` pool fit, so that the one-thread diff covers the density-ratio fit
+    fit = benchmark_pool_fit()
+    emit_fit("pool.bench.rule.n2000", fit, fit.estimator.domain.uniform(2000, rng_stream(14, "q")))
 
 
 def kernels():

@@ -6,7 +6,14 @@ the library's vectorized kernels, so they can serve as cross-checks.
 
 import numpy as np
 
-from fsp import HolderParams, check_local_smooth, local_smooth
+from fsp import (
+    ExpressionModel,
+    FitConfig,
+    HolderParams,
+    check_local_smooth,
+    fit_personalized_pool,
+    local_smooth,
+)
 from fsp.core import rng_stream
 from fsp.estimator import holder_powers
 
@@ -220,3 +227,16 @@ def holder_member(rng, dim, theta2):
         return scale * np.linalg.norm(xs - center, axis=1) ** theta2
 
     return g, scale
+
+
+def benchmark_pool_fit(seed=10):
+    """The pool fit of `perfbench`'s `cli` workload, built from fsp alone: 20,000 points on
+    the unit square with labels |x1| + 0.5 x2 + (0.1 + 0.9 x1) N(0, 1), the model
+    0.5 (x1 + x2), n = 2,000, a pilot of 500 and rule mode."""
+    rng = rng_stream(4201, "bench-cli-pool")
+    xs = rng.random((20_000, 2))
+    ys = np.abs(xs[:, 0]) + 0.5 * xs[:, 1] + (0.1 + 0.9 * xs[:, 0]) * rng.standard_normal(20_000)
+    model = ExpressionModel("0.5 * (x1 + x2)", 2)
+    return fit_personalized_pool(
+        model, None, 2000, 500, xs, ys, config=FitConfig(bandwidth="rule"), seed=seed
+    )

@@ -1,3 +1,4 @@
+import json
 import os
 import resource
 import subprocess
@@ -29,7 +30,7 @@ from fsp import (
 )
 from fsp.adaptation import default_bandwidth_set, rule_bandwidth
 from fsp.core import default_quadrature_points, rng_stream
-from helpers import brute_force_select
+from helpers import benchmark_pool_fit, brute_force_select
 
 UNIT2 = Domain.cube(2)
 
@@ -422,6 +423,46 @@ def test_fit_personalized_pool_smoke():
     )
     assert len(fit.estimator.train_x) == 60
     assert np.isfinite(fit.estimator.predict(np.array([0.4, 0.6])))
+
+
+@pytest.mark.parametrize("n, pilot_fraction", [(80, 0.25), (80, 0.4), (12, 0.25)])
+def test_a_pool_fit_without_a_pilot_size_takes_it_from_the_pilot_fraction(n, pilot_fraction):
+    rng = rng_stream(9, "pool")
+    pool_x = rng.random((300, 2))
+    pool_y = np.abs(pool_x[:, 0]) + rng.normal(size=300)
+    model = ExpressionModel("abs(x1)", 2)
+    config = FitConfig(pilot_fraction=pilot_fraction, bandwidth="rule")
+    fit = fit_personalized_pool(model, UNIT2, n, None, pool_x, pool_y, config=config, seed=5)
+    pilot = max(4, round(pilot_fraction * n))
+    want = fit_personalized_pool(model, UNIT2, n, pilot, pool_x, pool_y, config=config, seed=5)
+    assert fit.to_dict() == want.to_dict()
+    assert len(fit.estimator.train_x) == n - pilot
+
+
+_BENCHMARK_POOL_REPORT = """\
+import json, sys
+sys.path.insert(0, sys.argv[1])
+from helpers import benchmark_pool_fit
+print(json.dumps(benchmark_pool_fit().to_dict(), sort_keys=True, default=repr))
+"""
+
+
+def test_the_benchmark_pool_fit_converges_whatever_the_openblas_threads():
+    # a Newton search that halved its step until the log-likelihood did not fall spun
+    # all 100 iterations on this fit under two OpenBLAS threads, and stopped after 35
+    # under one, so the report depended on the thread count
+    fit = benchmark_pool_fit()
+    assert fit.retrieval.logistic_converged
+    assert fit.retrieval.logistic_iterations <= 10
+    src = os.path.dirname(os.path.dirname(sys.modules["fsp"].__file__))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", _BENCHMARK_POOL_REPORT, os.path.dirname(__file__)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr[-2000:]
+    assert done.stdout.strip() == json.dumps(fit.to_dict(), sort_keys=True, default=repr)
 
 
 def test_fit_personalized_pool_without_a_domain_uses_the_pool_bounding_box():

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -665,6 +666,36 @@ def test_an_expression_outside_its_domain_prints_no_numpy_warning(tmp_path):
     assert done.returncode == 1
     assert "RuntimeWarning" not in done.stderr
     assert done.stderr.strip().splitlines()[-1] == "error: sigma(x) must be finite and nonnegative"
+
+
+@pytest.mark.parametrize("x_scale, y_scale, cause", [
+    (1e160, 1.0, "the box's volume overflows float64"),
+    (1.0, 1e160, "the pilot labels' moments overflow float64"),
+], ids=["coordinates", "labels"])
+def test_a_pool_that_overflows_float64_exits_2_naming_the_cause(
+    tmp_path, capsys, x_scale, y_scale, cause
+):
+    # both ran the sampler until its acceptance rate collapsed, after numpy warnings
+    rng = np.random.default_rng(0)
+    xs = rng.random((400, 2))
+    ys = xs[:, 0] + (0.1 + 0.9 * xs[:, 0]) * rng.standard_normal(400)
+    pool = tmp_path / "pool.csv"
+    with open(pool, "w", encoding="utf-8") as fh:
+        fh.write("x1,x2,y\n")
+        fh.writelines(f"{a!r},{b!r},{c!r}\n" for (a, b), c in zip((x_scale * xs).tolist(),
+                                                                    (y_scale * ys).tolist()))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main([
+            "personalize", "-n", "120", "--pool-csv", str(pool), "--covariates", "x1,x2",
+            "--bandwidth", "rule", "--model-expr", "x1",
+            "--out-estimator", str(tmp_path / "e.json"), "--out-report", str(tmp_path / "r.json"),
+        ])
+    err = capsys.readouterr().err
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert rc == 2
+    assert len(errors) == 1 and cause in errors[0]
+    assert caught == [] and "RuntimeWarning" not in err
 
 
 def _record_spawns(monkeypatch):

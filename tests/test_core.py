@@ -46,6 +46,15 @@ def test_domain_validation():
         Domain([], [])
 
 
+def test_a_box_whose_volume_leaves_float64_is_rejected():
+    with pytest.raises(ValueError, match="volume overflows float64"):
+        Domain.cube(2, 0.0, 1e160)
+    with pytest.raises(ValueError, match="volume underflows float64"):
+        Domain.cube(2, 0.0, 1e-170)
+    with pytest.raises(DataError, match="the points span no usable box: the box's volume overflows"):
+        Domain.bounding(1e160 * rng_stream(0, "box").random((20, 2)))
+
+
 def test_domain_geometry():
     d = Domain([-0.5, -0.5], [0.5, 0.5])
     assert d.dim == 2
