@@ -322,14 +322,18 @@ class ExternalProcessModel(BlackBoxModel):
             return np.empty(0)
         with self._lock:
             self._ensure_started()
-            payload = "".join(",".join(repr(float(v)) for v in row) + "\n" for row in xs)
+            payload = "".join(",".join(map(repr, row)) + "\n" for row in xs.tolist())
             replies = self._exchange(payload + "\n", xs.shape[0], self.timeout, "response")
-        out = np.empty(xs.shape[0])
-        for i, line in enumerate(replies):
-            try:
-                out[i] = float(line.strip())
-            except ValueError:
-                raise QueryError(f"malformed reply line {line!r}") from None
+        try:
+            # numpy converts each string as float() does, surrounding whitespace included
+            out = np.array(replies, dtype=float)
+        except ValueError:
+            for line in replies:
+                try:
+                    float(line.strip())
+                except ValueError:
+                    raise QueryError(f"malformed reply line {line!r}") from None
+            raise
         return _finite_or_raise(out, "external model")
 
     def close(self):
@@ -460,7 +464,8 @@ class PoolOracle:
 
     def label_indices(self, idx):
         idx = np.asarray(idx, int).ravel()
-        if idx.size != np.unique(idx).size:
+        ordered = np.sort(idx)
+        if (ordered[1:] == ordered[:-1]).any():
             raise BudgetError("pool indices requested more than once in a single call")
         if idx.size and (idx.min() < 0 or idx.max() >= len(self)):
             raise DomainError("pool index out of range")

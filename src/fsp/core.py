@@ -7,6 +7,7 @@ construction and safe to share across workers.
 
 import csv
 import hashlib
+import io
 import math
 from dataclasses import dataclass
 
@@ -234,9 +235,10 @@ class SampleSet:
         for name, idx in (("train_idx", train_idx), ("val_idx", val_idx)):
             if idx.size and (idx.min() < 0 or idx.max() >= n):
                 raise ValueError(f"{name} out of range for {n} samples")
-            if idx.size != np.unique(idx).size:
+            if (idx[1:] == idx[:-1]).any():  # sorted above
                 raise ValueError(f"{name} contains duplicates")
-        if np.intersect1d(train_idx, val_idx).size:
+        both = np.sort(np.concatenate([train_idx, val_idx]))
+        if (both[1:] == both[:-1]).any():
             raise ValueError("train_idx and val_idx must be disjoint")
         for arr in (train_idx, val_idx):
             arr.setflags(write=False)
@@ -320,51 +322,96 @@ def load_csv(path, covariates, response=None, allow_empty=False):
     empty index partitions (callers split).  Without a response the raw
     (n, d) covariate array is returned.  Malformed input raises DataError
     naming the offending row (1-based, header excluded) and column; a
-    non-finite cell such as nan or inf counts as malformed.
+    non-finite cell such as nan or inf counts as malformed, and so does a
+    requested column whose name the header holds twice.  A leading UTF-8
+    byte-order mark is skipped.
     """
     covariates = list(covariates)
     wanted = covariates + ([response] if response is not None else [])
     if len(set(wanted)) != len(wanted):
         raise DataError("duplicate column names requested")
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise DataError(f"empty data: {path} has no header row")
-        header = [c.strip() for c in header]
-        positions = {}
-        for name in wanted:
-            if name not in header:
-                raise DataError(f"missing column {name!r} in {path} (found {header})")
-            positions[name] = header.index(name)
-        rows = [row for row in reader if row]
-    if not rows and not allow_empty:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        text = fh.read()
+    reader = csv.reader(io.StringIO(text, newline=""))  # the lines the file object gives
+    header = next(reader, None)
+    if header is None:
+        raise DataError(f"empty data: {path} has no header row")
+    header = [c.strip() for c in header]
+    positions = {}
+    for name in wanted:
+        if name not in header:
+            raise DataError(f"missing column {name!r} in {path} (found {header})")
+        if header.count(name) > 1:
+            raise DataError(f"column {name!r} appears {header.count(name)} times in {path}")
+        positions[name] = header.index(name)
+    block = _plain_numbers(text, [positions[name] for name in wanted])
+    rows = [row for row in reader if row] if block is None else block
+    if len(rows) == 0 and not allow_empty:
         raise DataError(f"empty data: {path} has a header but no rows")
+    if block is not None:
+        x = np.array(block[:, : len(covariates)])
+        y = block[:, -1] if response is not None else None
+    else:
 
-    def cell(row_values, row_number, name):
-        j = positions[name]
-        if j >= len(row_values):
-            raise DataError(f"row {row_number} is too short for column {name!r} of {path}")
-        text = row_values[j].strip()
-        try:
-            value = float(text)
-        except ValueError:
-            value = math.nan  # reported as not a finite number
-        if not math.isfinite(value):
-            raise DataError(
-                f"{text!r} is not a finite number at row {row_number}, column {name!r} of {path}"
-            )
-        return value
+        def cell(row_values, row_number, name):
+            j = positions[name]
+            if j >= len(row_values):
+                raise DataError(f"row {row_number} is too short for column {name!r} of {path}")
+            text = row_values[j].strip()
+            try:
+                value = float(text)
+            except ValueError:
+                value = math.nan  # reported as not a finite number
+            if not math.isfinite(value):
+                raise DataError(
+                    f"{text!r} is not a finite number at row {row_number}, column {name!r} of {path}"
+                )
+            return value
 
-    x = np.array(
-        [[cell(row, r, name) for name in covariates] for r, row in enumerate(rows, start=1)],
-        dtype=float,
-    ).reshape(len(rows), len(covariates))
+        x = np.array(
+            [[cell(row, r, name) for name in covariates] for r, row in enumerate(rows, start=1)],
+            dtype=float,
+        ).reshape(len(rows), len(covariates))
+        if response is not None:
+            y = np.array([cell(row, r, response) for r, row in enumerate(rows, start=1)], dtype=float)
     if response is None:
         x.setflags(write=False)
         return x
-    y = np.array([cell(row, r, response) for r, row in enumerate(rows, start=1)], dtype=float)
     return SampleSet(x, y)
+
+
+_PLAIN = b"0123456789.eE+-,\n"
+
+
+def _plain_numbers(text, columns):
+    """The given columns of the rows after the header, when numpy's parse provably
+    equals the csv module's: every byte after the header line is an ASCII digit,
+    point, exponent, sign, comma or line end (CRLF included), so csv splits each
+    line at its commas, and numpy and float() hand each cell to the same
+    PyOS_string_to_double.  None when that does not hold, or when a cell is
+    missing, unparsable or not finite, so the caller's loop names the cause.
+    """
+    head, _, body = text.partition("\n")
+    if '"' in head or "\r" in head[:-1] or not body.isascii():
+        return None
+    if "\r" in body:
+        if body.count("\r") != body.count("\r\n"):
+            return None
+        body = body.replace("\r\n", "\n")
+    if body.encode("ascii").translate(None, _PLAIN):
+        return None
+    lines = body.split()  # the non-empty lines, the rows csv keeps
+    if not lines:
+        return np.empty((0, len(columns)))
+    if max(map(len, lines)) > csv.field_size_limit():
+        return None  # csv would raise on an oversized field
+    try:
+        block = np.loadtxt(lines, delimiter=",", comments=None, usecols=columns, ndmin=2)
+    except ValueError:
+        return None
+    if block.shape != (len(lines), len(columns)) or not np.isfinite(block).all():
+        return None
+    return block
 
 
 def required(spec, key, what):

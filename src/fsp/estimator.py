@@ -25,6 +25,7 @@ __all__ = [
 ]
 
 _CHUNK_ELEMENTS = 2_000_000
+_SLAB_PAIRS = 32_768  # (cell, pilot) pairs a slab of variance bounds holds at a time
 _TILE_PAIRS = 32_768  # a distance tile and its scratch take 512 KB, well inside a core's L2
 
 
@@ -184,7 +185,7 @@ def window_passes(train_x, train_y, f_train, xs, f_eval, pairs, consume):
     over its pairs in training order, so the pass order moves no bit.
     """
     pair_hs = [float(h) for _, h in pairs]
-    hs = np.unique(pair_hs)
+    hs = np.array(sorted(set(pair_hs)))
     rungs = np.searchsorted(hs, pair_hs)
     passes = {}
     for k, (theta, _) in enumerate(pairs):
@@ -279,6 +280,44 @@ class PersonalizedEstimator:
         return window_biases(self.train_x, self.train_y, self._f_train, xs, f_eval, [pair])[0]
 
 
+def _moment_bounds(cell, n_cells, w_lo, w_hi, y, y2, gamma):
+    """Bounds (lo, hi) on the kernel's variance in each cell, from the weight bounds
+    of its (cell, pilot) pairs with their labels y and fl(y^2); see
+    VarianceField.variance_bounds for the centring and the pad gamma."""
+
+    def total(values):
+        return np.bincount(cell, values, n_cells)
+
+    def split(values):
+        # the least and the greatest Sum w * values over w in [w_lo, w_hi]
+        up = values > 0
+        return total(np.where(up, w_lo, w_hi) * values), total(np.where(up, w_hi, w_lo) * values)
+
+    s_lo, s_hi = total(w_lo), total(w_hi)
+
+    def over_s(low, high):
+        # bounds on N / S for N in [low, high] and S in [s_lo, s_hi]
+        return low / np.where(low < 0, s_lo, s_hi), high / np.where(high > 0, s_lo, s_hi)
+
+    q_hi, g_hi = total(w_hi * y2), total(w_hi * np.abs(y))
+    t = y - (total(w_hi * y) / s_hi).take(cell)  # y - c
+    a = t * t
+    qc_hi, hc = total(w_hi * a), total(w_hi * np.abs(t))
+    tau = qc_hi / s_hi
+    # Sum w (y - c)^2 / S = tau + Sum w ((y - c)^2 - tau) / S, where the last sum
+    # nearly cancels, so its bounds are tight
+    n_lo, n_hi = over_s(*split(a - tau.take(cell)))
+    f_lo, f_hi = over_s(*split(t))  # Sum w (y - c) / S
+    f2_hi = np.maximum(f_lo**2, f_hi**2)
+    f2_lo = np.where((f_lo <= 0) & (f_hi >= 0), 0.0, np.minimum(f_lo**2, f_hi**2))
+    pad = 16 * gamma * (q_hi / s_lo + (g_hi / s_lo) ** 2 + qc_hi / s_lo + (hc / s_lo) ** 2)
+    lo = tau + n_lo - f2_hi - pad
+    hi = tau + n_hi - f2_lo + pad
+    ok = (s_lo * (1 - 4 * gamma) >= 1) & np.isfinite(lo) & np.isfinite(hi)
+    ok &= np.isfinite(2 * (s_hi * s_hi + q_hi + g_hi * g_hi))
+    return np.where(ok, np.maximum(lo, 0.0), 0.0), np.where(ok, np.maximum(hi, 0.0), np.inf)
+
+
 def pilot_bandwidth(n, dim):
     """Default variance-pilot bandwidth n ** (-1 / (d + 2))."""
     return float(n) ** (-1.0 / (dim + 2))
@@ -323,6 +362,106 @@ class VarianceField:
         if not np.isfinite(out).all():
             raise DataError("the pilot labels' moments overflow float64; rescale the labels")
         return np.maximum(out, 0.0)
+
+    @np.errstate(divide="ignore", over="ignore", invalid="ignore")
+    def variance_bounds(self, rows):
+        """Bounds on what variance_batch returns over each cell of a grid on the box,
+        sized for a batch of `rows` queries (interval bounds, Moore 1966).
+
+        Returns (edges, lo, hi): edges[j] are the cell edges on axis j, and every
+        query in the cell with C-order index k gets lo[k] <= variance_batch <= hi[k].
+        A cell gets (0, inf) where the bounds are not finite or the weight-sum
+        guard max(1, .) may be active.  Returns None unless the grid pays for
+        itself: at most rows / 16 cells, each at most h_sigma / 4 wide, and at most
+        rows * pilot / 64 (cell, pilot) pairs within reach.
+
+        Each axis takes the kernel's own differences x - p at every cell edge; as
+        rounding is monotone, the float tent weight of a query in a cell lies
+        between the weights at the cell's farthest and nearest sup-norm distances.
+        Only the pairs within reach are summed, a slab of cells at a time.  With
+        the guard off the kernel's variance is shift-invariant in exact
+        arithmetic, so each cell's sums are centred: on c, the weighted mean of
+        its labels, and the second moment on tau, its weighted mean.
+
+        Margin: let u = 2^-53, gamma_k = k u / (1 - k u), n pilot points, and S,
+        F, Q, G the exact sums Sum w, Sum w y, Sum w fl(y^2), Sum w |y| of the
+        kernel's weights.  Any summation order, with or without FMA, gives
+        fl(S) = S (1 + theta_n), fl(Q) = Q (1 + theta_n) and
+        |fl(F) - F| <= gamma_n G (Higham 2002, sections 3.1 and 4.2).  With
+        fl(S) >= 1 the kernel's v = fl(fl(Q)/fl(S) - fl(fl(F)^2)/fl(fl(S)^2))
+        thus lies within 4 gamma_{2n+4} (Q/S + G^2/S^2) of Q/S - F^2/S^2, as
+        G >= |F|, which lies within u Q/S of the shift-invariant variance, as
+        fl(y^2) rounds once.  The bounds' own sums have at most n terms per
+        cell, so their rounding adds under 4 gamma_{2n+4} (Qc/S + Hc^2/S^2),
+        with Qc = Sum w (y - c)^2 and Hc = Sum w |y - c|.  The pad
+        16 gamma_{2n+16} (Q/S + G^2/S^2 + Qc/S + Hc^2/S^2), taken at the cell's
+        extreme sums, covers both twice over.  fl(S) >= 1 holds where the lower
+        sum times (1 - 4 gamma) is at least 1, and S^2, Q and G^2 finite with a
+        factor 2 to spare keep every partial sum of the kernel finite.
+        """
+        n, dim = self.pilot_x.shape
+        h = self.h_sigma
+        box_lo, box_hi = np.asarray(self.domain.lo), np.asarray(self.domain.hi)
+        cap = min(rows / 16, (_CHUNK_ELEMENTS / 8 / max(n, 1)) ** dim)  # cells; tables of m x n
+        m = int(cap ** (1.0 / dim))
+        while (m + 1) ** dim <= cap:
+            m += 1
+        while m > 1 and m**dim > cap:
+            m -= 1
+        if m < 2 or (box_hi - box_lo).max() > m * h / 4:
+            return None
+        if not (np.isfinite(self.pilot_x).all() and np.isfinite(self.pilot_y**2).all()):
+            return None  # every kernel row is NaN or raises
+        edges, first, reach, near, far = [], [], [], [], []
+        for j in range(dim):
+            e = np.minimum(np.linspace(box_lo[j], box_hi[j], m + 1), box_hi[j])
+            diff = np.subtract.outer(e, self.pilot_x[:, j])  # the kernel's x - p at each edge
+            d_near = np.maximum(np.maximum(diff[:-1], -diff[1:]), 0.0)  # (cells, n)
+            inside = d_near < h  # an interval of cells for each pilot point
+            edges.append(e)
+            first.append(inside.argmax(axis=0))
+            reach.append(inside.sum(axis=0))
+            near.append(d_near.ravel())
+            far.append(np.maximum(-diff[:-1], diff[1:]).ravel())
+        across = np.ones(n, np.intp)  # cells within reach on the axes after the first
+        for r in reach[1:]:
+            across *= r
+        per_row = np.cumsum(np.bincount(first[0], across, m + 1)
+                            - np.bincount(first[0] + reach[0], across, m + 1))[:m]
+        if per_row.sum() > rows * n / 64:
+            return None
+        stride = m ** (dim - 1)
+        pilot_y2 = self.pilot_y**2
+        gamma = (2 * n + 16) * 2.0**-53 / (1 - (2 * n + 16) * 2.0**-53)
+        lo, hi = np.empty(m * stride), np.empty(m * stride)
+        # slabs of whole rows along the first axis, about _SLAB_PAIRS pairs each
+        slab_of = (np.cumsum(per_row) - per_row) // _SLAB_PAIRS
+        cuts = [0, *(np.flatnonzero(np.diff(slab_of)) + 1), m]
+        for k0, k1 in zip(cuts[:-1], cuts[1:]):
+            start = np.maximum(first[0], k0)
+            span0 = np.maximum(np.minimum(first[0] + reach[0], k1) - start, 0)
+            counts = span0 * across
+            pilot = np.repeat(np.arange(n), counts)
+            local = np.arange(pilot.size) - np.repeat(np.cumsum(counts) - counts, counts)
+            cell = np.zeros(pilot.size, np.intp)
+            d_min = np.zeros(pilot.size)
+            d_max = np.zeros(pilot.size)
+            for j in reversed(range(dim)):
+                span = (span0 if j == 0 else reach[j]).take(pilot)
+                k = (start if j == 0 else first[j]).take(pilot) + local % span
+                local //= span
+                at = k * n + pilot
+                np.maximum(d_min, near[j].take(at), out=d_min)
+                np.maximum(d_max, far[j].take(at), out=d_max)
+                cell += (k - k0 if j == 0 else k) * m ** (dim - 1 - j)
+            del local, span, k, at
+            w_lo = np.maximum(np.subtract(h, d_max, out=d_max), 0.0, out=d_max)
+            w_hi = np.maximum(np.subtract(h, d_min, out=d_min), 0.0, out=d_min)
+            cells = slice(k0 * stride, k1 * stride)
+            lo[cells], hi[cells] = _moment_bounds(
+                cell, (k1 - k0) * stride, w_lo, w_hi, self.pilot_y.take(pilot), pilot_y2.take(pilot), gamma
+            )
+        return edges, lo, hi
 
     def variance_at(self, x):
         x = np.atleast_1d(np.asarray(x, float))

@@ -49,7 +49,11 @@ class SamplingDensity:
     `weight` is the unnormalized density, `normalization` its integral (by
     midpoint quadrature), and `envelope` bounds sup pdf * volume with a
     safety margin, so that pdf(x) * volume / envelope <= 1.  A plug-in
-    density records `mean_sigma`, the quadrature mean of sigma-hat.
+    density records `mean_sigma`, the quadrature mean of sigma-hat, and
+    `squeeze`: given a batch size, bounds on the acceptance probability
+    pdf(x) * volume / envelope over the cells of a grid on the box,
+    (edges, lower, upper) in the form of VarianceField.variance_bounds, or
+    None when no grid pays for itself.
     """
 
     domain: object
@@ -60,6 +64,7 @@ class SamplingDensity:
     floor_active_fraction: float = 0.0
     uniform_fallback: bool = False
     mean_sigma: float = 0.0
+    squeeze: object = None
 
     def pdf(self, xs):
         xs = np.atleast_2d(np.asarray(xs, float))
@@ -99,6 +104,17 @@ def plug_in_density(variance_field, quadrature_points_per_dim=None, safety=1.1):
     grid_mean = float(w_grid.mean())
     normalization = grid_mean * domain.volume()
     envelope = safety * float(w_grid.max()) / grid_mean
+
+    def squeeze(rows):
+        # the exact path's operations, each monotone under rounding, carry the
+        # variance bounds to acceptance-probability bounds
+        grid = variance_field.variance_bounds(rows)
+        if grid is None:
+            return None
+        edges, lo, hi = grid
+        accept = [np.maximum(np.sqrt(v), floor) / normalization * domain.volume() / envelope
+                  for v in (lo, hi)]
+        return edges, *accept
     return SamplingDensity(
         domain=domain,
         weight=weight,
@@ -107,6 +123,7 @@ def plug_in_density(variance_field, quadrature_points_per_dim=None, safety=1.1):
         floor=floor,
         floor_active_fraction=float((sig < floor).mean()),
         mean_sigma=mean_sig,
+        squeeze=squeeze,
     )
 
 
@@ -118,6 +135,13 @@ def rejection_sample(density, count, rng, return_diagnostics=False):
     over 1e5 consecutive proposals raises EnvelopeError.  Proposals whose
     acceptance probability exceeds 1, where the envelope underestimates the
     density, are counted as envelope violations in the diagnostics.
+
+    A density with a squeeze (Marsaglia 1977) decides most proposals from
+    bounds on their cell's acceptance probability: u < lower accepts and
+    u >= upper rejects.  The density is evaluated only in between and in the
+    cells whose upper bound reaches 1 or is not finite, so the uniforms, the
+    draws and the diagnostics are those of evaluating it everywhere.  The
+    first batch decides whether a grid pays for itself.
     """
     count = int(count)
     if count < 0:
@@ -132,13 +156,29 @@ def rejection_sample(density, count, rng, return_diagnostics=False):
     window_accepted = 0
     violations = 0
     rate_estimate = 1.0 / density.envelope
+    grid = None
     while filled < count:
         need = count - filled
         size = int(min(262_144, max(64, np.ceil(1.1 * need / max(rate_estimate, 1e-3)))))
         xs = domain.uniform(size, rng)
-        accept_prob = density.pdf(xs) * volume / density.envelope
+        if proposed_total == 0 and density.squeeze is not None:
+            grid = density.squeeze(size)
+        if grid is None:
+            exact = slice(None)
+            u = None
+        else:
+            edges, lower, upper = grid
+            cells = _cells(edges, xs)
+            u = rng.random(size)
+            lower, upper = lower.take(cells), upper.take(cells)
+            exact = ~(upper < 1) | ((u >= lower) & (u < upper))
+        accept_prob = density.pdf(xs[exact]) * volume / density.envelope
         violations += int((accept_prob > 1).sum())
-        keep = rng.random(size) < accept_prob
+        if u is None:
+            keep = rng.random(size) < accept_prob
+        else:
+            keep = u < lower
+            keep[exact] = u[exact] < accept_prob
         taken = xs[keep][:need]
         out[filled : filled + len(taken)] = taken
         filled += len(taken)
@@ -163,6 +203,22 @@ def rejection_sample(density, count, rng, return_diagnostics=False):
             "envelope_violations": violations,
         }
     return out
+
+
+@np.errstate(over="ignore", invalid="ignore")  # a wrong guess is searched for
+def _cells(edges, xs):
+    """C-order index of the grid cell holding each row of xs (all in the box):
+    edges[j][k] <= x_j <= edges[j][k + 1] for cell k on axis j."""
+    cells = np.zeros(xs.shape[0], np.intp)
+    for j, e in enumerate(edges):
+        m, x = len(e) - 1, xs[:, j]
+        k = np.clip(((x - e[0]) * (m / (e[-1] - e[0]))).astype(np.intp), 0, m - 1)
+        wrong = (x < e.take(k)) | (x > e.take(k + 1))
+        if wrong.any():
+            k[wrong] = np.clip(np.searchsorted(e, x[wrong], "right") - 1, 0, m - 1)
+        cells *= m
+        cells += k
+    return cells
 
 
 @dataclass

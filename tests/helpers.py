@@ -14,7 +14,7 @@ from fsp import (
     fit_personalized_pool,
     local_smooth,
 )
-from fsp.core import rng_stream
+from fsp.core import EnvelopeError, rng_stream
 from fsp.estimator import holder_powers
 
 
@@ -90,6 +90,40 @@ def variance_oracle(pilot_x, pilot_y, x, h):
         m2 += w * float(yi) ** 2
     value = m2 / max(1.0, wsum) - m1**2 / max(1.0, wsum**2)
     return max(0.0, value)
+
+
+def reference_rejection_sample(density, count, rng):
+    """Reference accept/reject sampler without a squeeze: the density is evaluated
+    at every proposal.  Returns the draws and the diagnostics that
+    rejection_sample(..., return_diagnostics=True) reports."""
+    volume = density.domain.volume()
+    out = np.empty((count, density.domain.dim))
+    filled = proposed = accepted = window_proposed = window_accepted = violations = 0
+    rate = 1.0 / density.envelope
+    while filled < count:
+        need = count - filled
+        size = int(min(262_144, max(64, np.ceil(1.1 * need / max(rate, 1e-3)))))
+        xs = density.domain.uniform(size, rng)
+        accept_prob = density.pdf(xs) * volume / density.envelope
+        violations += int((accept_prob > 1).sum())
+        keep = rng.random(size) < accept_prob
+        taken = xs[keep][:need]
+        out[filled : filled + len(taken)] = taken
+        filled += len(taken)
+        proposed += size
+        accepted += int(keep.sum())
+        window_proposed += size
+        window_accepted += int(keep.sum())
+        rate = max(window_accepted, 1) / window_proposed
+        if window_proposed >= 100_000:
+            if window_accepted / window_proposed < 1e-4:
+                raise EnvelopeError(
+                    f"acceptance rate {window_accepted / window_proposed:.2e} over "
+                    f"{window_proposed} proposals; the envelope is misconfigured"
+                )
+            window_proposed = window_accepted = 0
+    rate = accepted / proposed if proposed else 1.0
+    return out, {"proposals": proposed, "acceptance_rate": rate, "envelope_violations": violations}
 
 
 def rough_test_function(rng, dim):

@@ -171,6 +171,52 @@ def test_external_malformed_reply(tmp_path):
             m.predict_batch(np.array([[0.0]]))
 
 
+RECORD_SCRIPT = """\
+import sys
+log, replies = open(sys.argv[1], "w"), iter(sys.argv[2].split("|"))
+sys.stdin.readline()  # DIM line
+sys.stdout.write("OK\\n")
+sys.stdout.flush()
+for line in sys.stdin:
+    if line.strip() == "":
+        continue
+    log.write(line)
+    log.flush()
+    sys.stdout.write(next(replies) + "\\n")
+    sys.stdout.flush()
+"""
+
+
+def _recording(tmp_path, replies):
+    script = tmp_path / "record.py"
+    script.write_text(RECORD_SCRIPT, encoding="utf-8")
+    log = tmp_path / "requests.txt"
+    argv = [sys.executable, str(script), str(log), "|".join(replies)]
+    return ExternalProcessModel(argv, dim=2, timeout=10), log
+
+
+def test_external_requests_are_float_reprs_and_replies_parse_as_float_does(tmp_path):
+    xs = np.array([[0.1, -0.0], [1e-300, 2.5], [np.pi, 1e20]])
+    replies = [" 2.5 ", "1_0", "\t-3e2"]
+    model, log = _recording(tmp_path, replies)
+    with model:
+        out = model.predict_batch(xs)
+    assert np.array_equal(out, [float(r) for r in replies])
+    expected = "".join(",".join(repr(float(v)) for v in row) + "\n" for row in xs)
+    assert log.read_text(encoding="utf-8") == expected
+
+
+@pytest.mark.parametrize("replies, message", [
+    (["1", "oops", "2"], "malformed reply line 'oops'"),
+    (["1", "nan", "2"], "non-finite value at position 1"),
+], ids=["malformed", "nan"])
+def test_external_bad_reply_is_named(tmp_path, replies, message):
+    model, _ = _recording(tmp_path, replies)
+    with model:
+        with pytest.raises(QueryError, match=message):
+            model.predict_batch(np.zeros((3, 2)))
+
+
 def test_model_spec_round_trip(tmp_path):
     m = TableModel([[0.0], [1.0]], [5.0, 6.0])
     m2 = model_from_spec(m.spec())
@@ -244,3 +290,10 @@ def test_pool_oracle_single_use():
         pool.label_indices([2])
     with pytest.raises(BudgetError):
         pool.label_indices([1, 1])
+
+
+def test_pool_oracle_names_unsorted_duplicate_indices():
+    pool = PoolOracle(np.arange(6, dtype=float).reshape(3, 2), np.array([1.0, 2.0, 3.0]))
+    with pytest.raises(BudgetError, match="more than once"):
+        pool.label_indices([2, 0, 2])
+    assert pool.labels_issued == 0

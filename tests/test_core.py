@@ -1,6 +1,11 @@
+import csv
+import io
+import warnings
+
 import numpy as np
 import pytest
 
+from fsp import core
 from fsp import (
     DataError,
     Domain,
@@ -143,6 +148,16 @@ def _write(tmp_path, name, text):
     return path
 
 
+@pytest.mark.parametrize("train, val, message", [
+    ([2, 0, 2], [1], "train_idx contains duplicates"),
+    ([0], [3, 1, 3], "val_idx contains duplicates"),
+    ([0, 2], [3, 2], "must be disjoint"),
+], ids=["train-duplicates", "val-duplicates", "overlap"])
+def test_sample_set_rejects_repeated_indices(train, val, message):
+    with pytest.raises(ValueError, match=message):
+        SampleSet(np.zeros((4, 1)), np.zeros(4), train_idx=train, val_idx=val)
+
+
 def test_load_csv_labeled(tmp_path):
     path = _write(tmp_path, "d.csv", "x1,x2,y\n0.1,0.2,1.0\n0.3,0.4,2.0\n0.5,0.6,3.0\n")
     ss = load_csv(path, ["x1", "x2"], response="y")
@@ -185,3 +200,113 @@ def test_load_csv_missing_column(tmp_path):
     path = _write(tmp_path, "d.csv", "x1,y\n0.5,1\n")
     with pytest.raises(DataError, match="missing column 'x9'"):
         load_csv(path, ["x9"], response="y")
+
+
+def test_load_csv_accepts_a_byte_order_mark(tmp_path):
+    # Excel's "CSV UTF-8" starts the header with U+FEFF
+    path = _write(tmp_path, "bom.csv", "﻿x1,x2,y\n0.1,0.2,1.0\n")
+    ss = load_csv(path, ["x1", "x2"], response="y")
+    assert np.array_equal(ss.x, [[0.1, 0.2]]) and np.array_equal(ss.y, [1.0])
+
+
+def test_load_csv_rejects_a_requested_column_named_twice_in_the_header(tmp_path):
+    path = _write(tmp_path, "dup.csv", "x1,x1,y\n0.1,0.2,1.0\n")
+    with pytest.raises(DataError, match=r"column 'x1' appears 2 times in .*dup\.csv"):
+        load_csv(path, ["x1"], response="y")
+
+
+def test_load_csv_allows_duplicates_among_columns_nobody_asked_for(tmp_path):
+    path = _write(tmp_path, "d.csv", "note,x1,note,y\n7,0.1,8,1.0\n")
+    ss = load_csv(path, ["x1"], response="y")
+    assert np.array_equal(ss.x, [[0.1]]) and np.array_equal(ss.y, [1.0])
+
+
+# name: (file text, covariates, response, allow_empty, whether numpy's parse is kept)
+CSV_FORMATS = {
+    "plain": ("x1,x2,y\n0.5,-1e-3,2\n+.25,3.,1E+2\n", ["x1", "x2"], "y", False, True),
+    "quoted-cells": ('x1,x2,y\n"0.5",0.25,"1.0"\n"1,5",2,3\n', ["x1"], "y", False, False),
+    "quoted-header": ('"x1",y\n0.5,1\n', ["x1"], "y", False, False),
+    "hash-cell": ("x1,y\n#,1\n", ["x1"], "y", False, False),
+    "hash-in-an-unread-column": ("x1,note,y\n0.5,#,1\n", ["x1"], "y", False, False),
+    "underscore-digits": ("x1,y\n1_000,2\n", ["x1"], "y", False, False),
+    "crlf": ("x1,y\r\n0.5,1\r\n0.25,2\r\n", ["x1"], "y", False, True),
+    "bare-cr": ("x1,y\r0.5,1\r0.25,2\r", ["x1"], "y", False, False),
+    "no-final-newline": ("x1,y\n0.5,1\n0.25,2", ["x1"], "y", False, True),
+    "blank-lines": ("x1,y\n\n0.5,1\n\n\n0.25,2\n\n", ["x1"], "y", False, True),
+    "whitespace-only-line": ("x1,y\n0.5,1\n  \n0.25,2\n", ["x1"], "y", False, False),
+    "padded-cells": ("x1,y\n 0.5 ,\t1\n", ["x1"], "y", False, False),
+    "short-row": ("x1,x2,y\n0.5,1,2\n0.25\n", ["x1", "x2"], "y", False, False),
+    "long-row": ("x1,y\n0.5,1,7,8\n0.25,2\n", ["x1"], "y", False, True),
+    "empty-cell": ("x1,y\n0.5,\n", ["x1"], "y", False, False),
+    "nan": ("x1,y\n0.5,nan\n", ["x1"], "y", False, False),
+    "inf": ("x1,y\ninf,1\n", ["x1"], "y", False, False),
+    "negative-infinity": ("x1,y\n-Infinity,1\n", ["x1"], "y", False, False),
+    "overflowing-exponent": ("x1,y\n1e999,1\n", ["x1"], "y", False, False),
+    "header-only-allowed": ("x1,x2\n", ["x1", "x2"], None, True, True),
+    "header-only": ("x1,y\n", ["x1"], "y", False, True),
+    "header-only-crlf-allowed": ("x1,y\r\n\r\n", ["x1"], None, True, True),
+    "byte-order-mark": ("﻿x1,y\n0.5,1\n", ["x1"], "y", False, True),
+    "full-width-digits": ("x1,y\n１.５,２\n", ["x1"], "y", False, False),
+    "column-order": ("b,a\n1,2\n3,4\n", ["a", "b"], None, False, True),
+    "no-covariates": ("x1,y\n1,2\n", [], None, False, True),
+    "response-only": ("x1,y\n1,2\n", [], "y", False, True),
+}
+
+
+def _csv_outcome(path, covariates, response, allow_empty):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            out = load_csv(path, covariates, response, allow_empty)
+        except DataError as exc:
+            return str(exc)
+    if response is None:
+        return out.shape, out.tolist(), out.flags.writeable
+    return out.x.shape, out.x.tolist(), out.y.tolist()
+
+
+@pytest.mark.parametrize("name", list(CSV_FORMATS))
+def test_load_csv_reads_each_format_as_its_loop_does(tmp_path, monkeypatch, name):
+    text, covariates, response, allow_empty, numeric = CSV_FORMATS[name]
+    path = tmp_path / f"{name}.csv"
+    path.write_bytes(text.encode("utf-8"))
+    fast = _csv_outcome(path, covariates, response, allow_empty)
+    text = text.lstrip("\ufeff")
+    header = [c.strip() for c in next(csv.reader(io.StringIO(text, newline="")))]
+    columns = [header.index(c) for c in covariates + [response] if c in header]
+    assert (core._plain_numbers(text, columns) is not None) == numeric
+    monkeypatch.setattr(core, "_plain_numbers", lambda text, columns: None)  # the loop alone
+    assert fast == _csv_outcome(path, covariates, response, allow_empty)
+
+
+def test_load_csv_reads_random_numeric_files_as_its_loop_does(tmp_path, monkeypatch):
+    rng = rng_stream(31, "csv-formats")
+    alphabet = list("0123456789.eE+-")
+
+    def cell():
+        kind = rng.random()
+        if kind < 0.03:  # anything the alphabet spells, often no number
+            return "".join(rng.choice(alphabet, int(rng.integers(0, 5))))
+        value = float(rng.standard_normal() * 10.0 ** rng.integers(-5, 6))
+        return repr(value) if kind < 0.6 else f"{value:+.3e}" if kind < 0.8 else str(int(value))
+
+    texts = []
+    for _ in range(300):
+        lines = ["x1,x2,y"] + [
+            ",".join(cell() for _ in range(3 + (rng.random() < 0.3) - (rng.random() < 0.03)))
+            if rng.random() < 0.95 else ""
+            for _ in range(int(rng.integers(0, 6)))
+        ]
+        end = "\r\n" if rng.random() < 0.3 else "\n"
+        texts.append(end.join(lines) + (end if rng.random() < 0.7 else ""))
+    outcomes = []
+    for loop in (False, True):
+        if loop:
+            monkeypatch.setattr(core, "_plain_numbers", lambda text, columns: None)
+        for k, text in enumerate(texts):
+            path = tmp_path / f"r{k}.csv"
+            path.write_text(text, encoding="utf-8", newline="")
+            outcomes.append(_csv_outcome(path, ["x1", "x2"], "y", True))
+    fast, slow = outcomes[: len(texts)], outcomes[len(texts) :]
+    assert fast == slow
+    assert sum(not isinstance(o, str) and o[0][0] > 0 for o in fast) > 50  # many files have rows

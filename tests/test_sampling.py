@@ -24,8 +24,10 @@ from fsp import (
     scenario_classification,
     uniform_density,
 )
+from fsp import sampling
 from fsp.core import DataError, DomainError, default_quadrature_points, rng_stream
-from fsp.sampling import weighted_sample_without_replacement
+from fsp.sampling import _cells, weighted_sample_without_replacement
+from helpers import benchmark_pool_fit, reference_rejection_sample
 
 UNIT1 = Domain.cube(1)
 UNIT2 = Domain.cube(2)
@@ -440,3 +442,121 @@ def test_retrieve_from_pool_heteroskedastic_over_represents_noisy_half():
         pts = rr.samples.x[rr.samples.train_idx][:, 0]
         ratios.append((pts >= 0.5).sum() / max(1, (pts < 0.5).sum()))
     assert 2.0 <= np.median(ratios) <= 4.0
+
+
+def _squeeze_field(dim, n, labels, h_sigma, seed, pilot=None):
+    rng = rng_stream(seed, "squeeze-field")
+    x = rng.random((n, dim)) if pilot is None else pilot(rng)
+    return VarianceField(x, labels(x, rng), h_sigma, Domain.cube(dim))
+
+
+def _heteroskedastic(x, rng):
+    return x.sum(axis=1) + (0.1 + 0.9 * x[:, 0]) * rng.standard_normal(len(x))
+
+
+def _peak_labels(x, rng):
+    return (0.1 + 2 * np.exp(-20 * ((x - 0.5) ** 2).sum(axis=1))) * rng.standard_normal(len(x))
+
+
+def _overflow_pilot(rng):
+    # 20 points in a corner that no quadrature node of a 2 x 2 grid reaches
+    return np.vstack([0.02 + 0.01 * rng.random((20, 2)), rng.random((180, 2))])
+
+
+def _overflow_labels(x, rng):
+    return np.where((x < 0.03).all(axis=1), 1e154, rng.standard_normal(len(x)))
+
+
+# name: (field, draws, quadrature points per axis, rows that force a grid for the
+# bounds test); at d = 4 and 5 no grid of a sampler batch pays for itself
+SQUEEZE_CASES = {
+    "d1": lambda: (_squeeze_field(1, 400, _heteroskedastic, pilot_bandwidth(2000, 1), 1), 2000, None, None),
+    "d2": lambda: (_squeeze_field(2, 400, _heteroskedastic, pilot_bandwidth(2000, 2), 2), 8000, None, None),
+    "d3": lambda: (_squeeze_field(3, 400, _heteroskedastic, 0.25, 3), 25000, None, None),
+    "d4": lambda: (_squeeze_field(4, 200, _heteroskedastic, 0.3, 4), 30000, None, 16 * 20**4),
+    "d5": lambda: (_squeeze_field(5, 300, _heteroskedastic, 0.3, 5), 40000, None, 16 * 14**5),
+    # a user-set h_sigma and 8 x 8 quadrature nodes that miss the peak: violations
+    "peaked": lambda: (_squeeze_field(2, 1000, _peak_labels, 0.1, 6), 8000, 8, None),
+    # Sum w y^2 / S and (Sum w y / S)^2 agree to 10 digits
+    "cancelling": lambda: (
+        _squeeze_field(2, 1000, lambda x, r: 1e3 + 1e-2 * r.standard_normal(len(x)), 0.2, 7), 8000, None, None
+    ),
+    # most cells have a weight sum below 1
+    "sparse": lambda: (_squeeze_field(2, 40, _heteroskedastic, 0.25, 8), 8000, None, None),
+    # sigma-hat is rounding noise, below the floor almost everywhere
+    "constant": lambda: (_squeeze_field(2, 100, lambda x, r: np.full(len(x), 0.3), 0.25, 9), 2000, None, None),
+    "floored-region": lambda: (
+        _squeeze_field(2, 400, lambda x, r: 1.0 + (x[:, 0] > 0.6) * r.standard_normal(len(x)), 0.2, 10),
+        8000, None, None,
+    ),
+    # np.vecdot splits rows of more than 10,000 across OpenBLAS threads
+    "large-pilot": lambda: (_squeeze_field(2, 12_000, _heteroskedastic, 0.25, 11), 9000, None, None),
+    "overflow": lambda: (
+        _squeeze_field(2, 200, _overflow_labels, 0.15, 12, pilot=_overflow_pilot), 8000, 2, None
+    ),
+}
+
+
+def _first_batch(density, count):
+    return int(min(262_144, max(64, np.ceil(1.1 * count / max(1.0 / density.envelope, 1e-3)))))
+
+
+@pytest.mark.parametrize("name", list(SQUEEZE_CASES))
+def test_squeeze_draws_what_the_reference_sampler_draws(name):
+    field, count, nodes, _ = SQUEEZE_CASES[name]()
+    density = plug_in_density(field, nodes)
+    assert (density.squeeze(_first_batch(density, count)) is None) == (name in ("d4", "d5"))
+    outcomes = []
+    for sample in (reference_rejection_sample,
+                   lambda *args: rejection_sample(*args, return_diagnostics=True)):
+        try:
+            outcomes.append(sample(density, count, rng_stream(1, "squeeze")))
+        except DataError as exc:
+            outcomes.append(str(exc))
+    expected, got = outcomes
+    if name == "overflow":
+        assert got == expected == "the pilot labels' moments overflow float64; rescale the labels"
+        return
+    assert np.array_equal(got[0], expected[0])
+    assert got[1] == expected[1]
+    if name == "peaked":
+        assert got[1]["envelope_violations"] > 0
+
+
+@pytest.mark.parametrize("name", [name for name in SQUEEZE_CASES if name != "overflow"])
+def test_squeeze_bounds_bracket_the_variance_kernel(name):
+    field, count, nodes, rows = SQUEEZE_CASES[name]()
+    edges, lo, hi = field.variance_bounds(rows or _first_batch(plug_in_density(field, nodes), count))
+    rng = rng_stream(2, "squeeze-bounds")
+    inside = field.domain.uniform(20_000, rng)
+    # grid vertices, where the weights take their extremes
+    vertices = np.column_stack([e[rng.integers(0, len(e), 5_000)] for e in edges])
+    xs = np.vstack([inside, vertices])
+    cells = _cells(edges, xs)
+    values = field.variance_batch(xs)
+    assert (lo[cells] <= values).all() and (values <= hi[cells]).all()
+    assert np.isfinite(hi).any()  # some cells are decided
+
+
+def test_squeeze_decides_most_proposals_of_the_benchmark_pool_fit(monkeypatch):
+    seen = {"rows": 0, "proposals": 0, "sampling": False}
+    batch, sample = VarianceField.variance_batch, sampling.rejection_sample
+
+    def counting_batch(self, xs):
+        seen["rows"] += len(xs) if seen["sampling"] else 0
+        return batch(self, xs)
+
+    def counting_sample(*args, **kwargs):
+        seen["sampling"] = True
+        try:
+            out, diag = sample(*args, **kwargs)
+        finally:
+            seen["sampling"] = False
+        seen["proposals"] += diag["proposals"]
+        return out, diag
+
+    monkeypatch.setattr(VarianceField, "variance_batch", counting_batch)
+    monkeypatch.setattr(sampling, "rejection_sample", counting_sample)
+    benchmark_pool_fit()
+    assert seen["proposals"] > 40_000
+    assert seen["rows"] <= 0.25 * seen["proposals"]
