@@ -90,16 +90,21 @@ _PREDICT_DEFAULTS = {"estimator": None, "queries": None, "out": "predictions.csv
 _EVAL_DEFAULTS = {"predictions": None, "truth": None, "metric": "mse", "seed": 0}
 
 
+def _read_json(path, what):
+    """The file's JSON value; an unreadable or malformed file is a ConfigError naming `what`."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise ConfigError(f"cannot read {what}: {exc}") from None
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{what} is not valid JSON: {exc}") from None
+
+
 def _load_config_file(path):
     if path is None:
         return {}
-    try:
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file is not valid JSON: {exc}") from None
+    data = _read_json(path, "config file")
     if not isinstance(data, dict):
         raise ConfigError("config file must hold a JSON object")
     return data
@@ -424,13 +429,7 @@ def _personalize(resolved, backends):
 def load_estimator(path):
     """Rebuild a PersonalizedEstimator (and covariate names) from its JSON file.
     The caller closes the estimator's model; a failure closes it here."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            payload = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read estimator file: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"estimator file is not valid JSON: {exc}") from None
+    payload = _read_json(path, "estimator file")
     if not isinstance(payload, dict) or payload.get("format") != "fsp-estimator":
         raise ConfigError("not an estimator file (missing format marker)")
     box = required(payload, "domain", "estimator file")
@@ -486,7 +485,7 @@ def cmd_predict(args):
 
 def _read_column(path, preferred):
     """The only column of a file, else its first column named in `preferred`."""
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:  # as load_csv reads it
         header = next(csv.reader(fh), None)
     if header is None:
         raise DataError(f"empty data: {path} has no header row")

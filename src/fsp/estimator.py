@@ -21,6 +21,8 @@ __all__ = [
     "window_biases",
     "PersonalizedEstimator",
     "VarianceField",
+    "box_cell",
+    "grid_cells",
     "pilot_bandwidth",
 ]
 
@@ -318,6 +320,28 @@ def _moment_bounds(cell, n_cells, w_lo, w_hi, y, y2, gamma):
     return np.where(ok, np.maximum(lo, 0.0), 0.0), np.where(ok, np.maximum(hi, 0.0), np.inf)
 
 
+def box_cell(domain):
+    """The box as a grid of one cell with bounds (0, inf), in the form of
+    VarianceField.variance_bounds: a squeeze that decides nothing."""
+    return [np.array([a, b]) for a, b in zip(domain.lo, domain.hi)], np.zeros(1), np.full(1, np.inf)
+
+
+@np.errstate(over="ignore", invalid="ignore")  # a wrong guess is searched for
+def grid_cells(edges, xs):
+    """C-order index of the cell of a VarianceField.variance_bounds grid holding each
+    row of xs (all in the box): edges[j][k] <= x_j <= edges[j][k + 1] for cell k on axis j."""
+    cells = np.zeros(xs.shape[0], np.intp)
+    for j, e in enumerate(edges):
+        m, x = len(e) - 1, xs[:, j]
+        k = np.clip(((x - e[0]) * (m / (e[-1] - e[0]))).astype(np.intp), 0, m - 1)
+        wrong = (x < e.take(k)) | (x > e.take(k + 1))
+        if wrong.any():
+            k[wrong] = np.clip(np.searchsorted(e, x[wrong], "right") - 1, 0, m - 1)
+        cells *= m
+        cells += k
+    return cells
+
+
 def pilot_bandwidth(n, dim):
     """Default variance-pilot bandwidth n ** (-1 / (d + 2))."""
     return float(n) ** (-1.0 / (dim + 2))
@@ -371,9 +395,10 @@ class VarianceField:
         Returns (edges, lo, hi): edges[j] are the cell edges on axis j, and every
         query in the cell with C-order index k gets lo[k] <= variance_batch <= hi[k].
         A cell gets (0, inf) where the bounds are not finite or the weight-sum
-        guard max(1, .) may be active.  Returns None unless the grid pays for
-        itself: at most rows / 16 cells, each at most h_sigma / 4 wide, and at most
-        rows * pilot / 64 (cell, pilot) pairs within reach.
+        guard max(1, .) may be active.  Returns box_cell(domain) unless the grid
+        pays for itself: at most rows / 16 cells, each at most h_sigma / 4 wide, and
+        at most rows * pilot / 64 (cell, pilot) pairs within reach.  grid_cells
+        finds a query's cell.
 
         Each axis takes the kernel's own differences x - p at every cell edge; as
         rounding is monotone, the float tent weight of a query in a cell lies
@@ -409,9 +434,9 @@ class VarianceField:
         while m > 1 and m**dim > cap:
             m -= 1
         if m < 2 or (box_hi - box_lo).max() > m * h / 4:
-            return None
+            return box_cell(self.domain)
         if not (np.isfinite(self.pilot_x).all() and np.isfinite(self.pilot_y**2).all()):
-            return None  # every kernel row is NaN or raises
+            return box_cell(self.domain)  # every kernel row is NaN or raises
         edges, first, reach, near, far = [], [], [], [], []
         for j in range(dim):
             e = np.minimum(np.linspace(box_lo[j], box_hi[j], m + 1), box_hi[j])
@@ -429,7 +454,7 @@ class VarianceField:
         per_row = np.cumsum(np.bincount(first[0], across, m + 1)
                             - np.bincount(first[0] + reach[0], across, m + 1))[:m]
         if per_row.sum() > rows * n / 64:
-            return None
+            return box_cell(self.domain)
         stride = m ** (dim - 1)
         pilot_y2 = self.pilot_y**2
         gamma = (2 * n + 16) * 2.0**-53 / (1 - (2 * n + 16) * 2.0**-53)

@@ -19,7 +19,7 @@ from .core import (
     SampleSet,
     SeparationError,
 )
-from .estimator import VarianceField, pilot_bandwidth
+from .estimator import VarianceField, box_cell, grid_cells, pilot_bandwidth
 
 __all__ = [
     "SamplingDensity",
@@ -48,12 +48,11 @@ class SamplingDensity:
 
     `weight` is the unnormalized density, `normalization` its integral (by
     midpoint quadrature), and `envelope` bounds sup pdf * volume with a
-    safety margin, so that pdf(x) * volume / envelope <= 1.  A plug-in
-    density records `mean_sigma`, the quadrature mean of sigma-hat, and
-    `squeeze`: given a batch size, bounds on the acceptance probability
-    pdf(x) * volume / envelope over the cells of a grid on the box,
-    (edges, lower, upper) in the form of VarianceField.variance_bounds, or
-    None when no grid pays for itself.
+    safety margin, so that pdf(x) * volume / envelope <= 1.  `squeeze`, given
+    a batch size, bounds the weight over the cells of a grid on the box,
+    (edges, lower, upper) in the form of VarianceField.variance_bounds; by
+    default it is box_cell, which decides nothing.  A plug-in density also
+    records `mean_sigma`, the quadrature mean of sigma-hat.
     """
 
     domain: object
@@ -65,6 +64,10 @@ class SamplingDensity:
     uniform_fallback: bool = False
     mean_sigma: float = 0.0
     squeeze: object = None
+
+    def __post_init__(self):
+        if self.squeeze is None:
+            object.__setattr__(self, "squeeze", lambda rows: box_cell(self.domain))
 
     def pdf(self, xs):
         xs = np.atleast_2d(np.asarray(xs, float))
@@ -91,33 +94,29 @@ def plug_in_density(variance_field, quadrature_points_per_dim=None, safety=1.1):
     falls back to the uniform density with the fallback flag set.
     """
     domain = variance_field.domain
-    sig = variance_field.sigma_batch(domain.quadrature_nodes(quadrature_points_per_dim))
+    variance = variance_field.variance_batch(domain.quadrature_nodes(quadrature_points_per_dim))
+    sig = np.sqrt(variance)
     mean_sig = float(sig.mean())
     if mean_sig <= 0.0:
         return uniform_density(domain, safety=safety)
     floor = _DENSITY_FLOOR_FRACTION * mean_sig
 
-    def weight(xs):
-        return np.maximum(variance_field.sigma_batch(xs), floor)
+    def to_weight(v):
+        # sigma-hat^2 -> weight; monotone under rounding, so it carries the
+        # squeeze's variance bounds to weight bounds
+        return np.maximum(np.sqrt(v), floor)
 
-    w_grid = np.maximum(sig, floor)
+    def squeeze(rows):
+        edges, lo, hi = variance_field.variance_bounds(rows)
+        return edges, to_weight(lo), to_weight(hi)
+
+    w_grid = to_weight(variance)
     grid_mean = float(w_grid.mean())
     normalization = grid_mean * domain.volume()
     envelope = safety * float(w_grid.max()) / grid_mean
-
-    def squeeze(rows):
-        # the exact path's operations, each monotone under rounding, carry the
-        # variance bounds to acceptance-probability bounds
-        grid = variance_field.variance_bounds(rows)
-        if grid is None:
-            return None
-        edges, lo, hi = grid
-        accept = [np.maximum(np.sqrt(v), floor) / normalization * domain.volume() / envelope
-                  for v in (lo, hi)]
-        return edges, *accept
     return SamplingDensity(
         domain=domain,
-        weight=weight,
+        weight=lambda xs: to_weight(variance_field.variance_batch(xs)),
         normalization=normalization,
         envelope=envelope,
         floor=floor,
@@ -136,12 +135,12 @@ def rejection_sample(density, count, rng, return_diagnostics=False):
     acceptance probability exceeds 1, where the envelope underestimates the
     density, are counted as envelope violations in the diagnostics.
 
-    A density with a squeeze (Marsaglia 1977) decides most proposals from
-    bounds on their cell's acceptance probability: u < lower accepts and
-    u >= upper rejects.  The density is evaluated only in between and in the
-    cells whose upper bound reaches 1 or is not finite, so the uniforms, the
-    draws and the diagnostics are those of evaluating it everywhere.  The
-    first batch decides whether a grid pays for itself.
+    The density's squeeze (Marsaglia 1977) decides proposals from bounds on
+    their cell's weight, carried to acceptance bounds by the same map as the
+    weight itself: u < lower accepts and u >= upper rejects.  The density is
+    evaluated only in between and in the cells whose upper bound reaches 1 or
+    is not finite, so the uniforms, the draws and the diagnostics are those of
+    evaluating it everywhere.  The first batch sizes the grid.
     """
     count = int(count)
     if count < 0:
@@ -149,36 +148,29 @@ def rejection_sample(density, count, rng, return_diagnostics=False):
     domain = density.domain
     volume = domain.volume()
     out = np.empty((count, domain.dim))
-    filled = 0
-    proposed_total = 0
-    accepted_total = 0
-    window_proposed = 0
-    window_accepted = 0
-    violations = 0
+    filled = proposed_total = accepted_total = window_proposed = window_accepted = violations = 0
     rate_estimate = 1.0 / density.envelope
-    grid = None
+
+    def accept(w):
+        # weight -> acceptance probability pdf * volume / envelope; monotone under
+        # rounding, so it carries the squeeze's weight bounds to acceptance bounds
+        return w / density.normalization * volume / density.envelope
+
     while filled < count:
         need = count - filled
         size = int(min(262_144, max(64, np.ceil(1.1 * need / max(rate_estimate, 1e-3)))))
         xs = domain.uniform(size, rng)
-        if proposed_total == 0 and density.squeeze is not None:
-            grid = density.squeeze(size)
-        if grid is None:
-            exact = slice(None)
-            u = None
-        else:
-            edges, lower, upper = grid
-            cells = _cells(edges, xs)
-            u = rng.random(size)
-            lower, upper = lower.take(cells), upper.take(cells)
-            exact = ~(upper < 1) | ((u >= lower) & (u < upper))
-        accept_prob = density.pdf(xs[exact]) * volume / density.envelope
+        if proposed_total == 0:
+            edges, lower, upper = density.squeeze(size)
+            lower, upper = accept(lower), accept(upper)
+        u = rng.random(size)
+        cells = grid_cells(edges, xs)
+        low, high = lower.take(cells), upper.take(cells)
+        exact = ~(high < 1) | ((u >= low) & (u < high))
+        accept_prob = accept(density.weight(xs[exact]))
         violations += int((accept_prob > 1).sum())
-        if u is None:
-            keep = rng.random(size) < accept_prob
-        else:
-            keep = u < lower
-            keep[exact] = u[exact] < accept_prob
+        keep = u < low
+        keep[exact] = u[exact] < accept_prob
         taken = xs[keep][:need]
         out[filled : filled + len(taken)] = taken
         filled += len(taken)
@@ -193,8 +185,7 @@ def rejection_sample(density, count, rng, return_diagnostics=False):
                     f"acceptance rate {window_accepted / window_proposed:.2e} over "
                     f"{window_proposed} proposals; the envelope is misconfigured"
                 )
-            window_proposed = 0
-            window_accepted = 0
+            window_proposed = window_accepted = 0
     if return_diagnostics:
         rate = accepted_total / proposed_total if proposed_total else 1.0
         return out, {
@@ -203,22 +194,6 @@ def rejection_sample(density, count, rng, return_diagnostics=False):
             "envelope_violations": violations,
         }
     return out
-
-
-@np.errstate(over="ignore", invalid="ignore")  # a wrong guess is searched for
-def _cells(edges, xs):
-    """C-order index of the grid cell holding each row of xs (all in the box):
-    edges[j][k] <= x_j <= edges[j][k + 1] for cell k on axis j."""
-    cells = np.zeros(xs.shape[0], np.intp)
-    for j, e in enumerate(edges):
-        m, x = len(e) - 1, xs[:, j]
-        k = np.clip(((x - e[0]) * (m / (e[-1] - e[0]))).astype(np.intp), 0, m - 1)
-        wrong = (x < e.take(k)) | (x > e.take(k + 1))
-        if wrong.any():
-            k[wrong] = np.clip(np.searchsorted(e, x[wrong], "right") - 1, 0, m - 1)
-        cells *= m
-        cells += k
-    return cells
 
 
 @dataclass

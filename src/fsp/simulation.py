@@ -15,14 +15,12 @@ from .adaptation import FitConfig, fit_personalized
 from .blackbox import (
     BernoulliNoise,
     BlackBoxModel,
-    FunctionModel,
     GaussianNoise,
     KernelSmoothModel,
     SyntheticOracle,
     _finite_or_raise,
 )
-from .core import Domain, HolderParams, derive_seed, rng_stream
-from .estimator import PersonalizedEstimator
+from .core import Domain, derive_seed, rng_stream
 
 __all__ = [
     "Scenario",
@@ -70,7 +68,8 @@ class Scenario:
 
 
 def single_task_estimator(scenario, n, seed):
-    """Target-only baseline: box-kernel local mean over n uniform draws.
+    """Target-only baseline: box-kernel local mean over n uniform draws, a
+    KernelSmoothModel.
 
     Uses all n samples with the deterministic rate-matched bandwidth
     min(edge * sigma_bar**(2/(2*theta2_star+d)) * n**(-1/(2*theta2_star+d)),
@@ -84,8 +83,7 @@ def single_task_estimator(scenario, n, seed):
     edge = scenario.domain.min_edge()
     h = edge * scenario.sigma_bar ** (2.0 * expo) * float(n) ** (-expo)
     h = min(h, edge / 2.0)
-    zero = FunctionModel(lambda q: np.zeros(len(np.atleast_2d(q))))
-    return PersonalizedEstimator(xs, ys, zero, HolderParams(0.0, 0.0), h, scenario.domain)
+    return KernelSmoothModel(xs, ys, h)
 
 
 class MemoizedNoiseModel(BlackBoxModel):

@@ -385,6 +385,16 @@ def test_a_bad_estimator_file_exits_2_and_names_it(tmp_path, capsys, edit):
     assert not (tmp_path / "p.csv").exists()
 
 
+@pytest.mark.parametrize("flag, what", [("--config", "config file"), ("--estimator", "estimator file")])
+def test_an_unreadable_or_malformed_json_file_exits_2_and_names_it(tmp_path, capsys, flag, what):
+    (tmp_path / "broken.json").write_text("{")
+    for name, message in [("missing.json", f"error: cannot read {what}: [Errno 2] "),
+                          ("broken.json", f"error: {what} is not valid JSON: Expecting ")]:
+        rc = main(["predict", flag, str(tmp_path / name), "--queries", str(tmp_path / "q.csv")])
+        assert rc == 2
+        assert capsys.readouterr().err.strip().splitlines()[-1].startswith(message)
+
+
 def _reject_constant(name):
     raise ValueError(f"non-standard JSON constant {name}")
 
@@ -504,6 +514,23 @@ def test_eval_length_mismatch(tmp_path, capsys):
     rc = main(["eval", "--predictions", str(tmp_path / "p.csv"), "--truth", str(tmp_path / "t.csv"), "--metric", "mse"])
     assert rc == 2
     assert "mismatch" in capsys.readouterr().err
+
+
+def test_eval_reads_a_truth_file_that_starts_with_a_byte_order_mark(tmp_path, capsys):
+    _write_column(tmp_path / "p.csv", "prediction", [1.0, 2.0])
+    (tmp_path / "t.csv").write_text("\ufeffy\n1.5\n2.0\n", encoding="utf-8")
+    rc = main(["eval", "--predictions", str(tmp_path / "p.csv"), "--truth", str(tmp_path / "t.csv"), "--metric", "mse"])
+    assert rc == 0
+    assert float(capsys.readouterr().out.strip()) == 0.125
+
+
+def test_eval_scores_the_prediction_column_after_a_byte_order_mark(tmp_path, capsys):
+    # the y column is not the prediction; reading it would score 112.5
+    (tmp_path / "p.csv").write_text("\ufeffprediction,y\n1.5,10\n2.5,-10\n", encoding="utf-8")
+    _write_column(tmp_path / "t.csv", "y", [1.0, 2.0])
+    rc = main(["eval", "--predictions", str(tmp_path / "p.csv"), "--truth", str(tmp_path / "t.csv"), "--metric", "mse"])
+    assert rc == 0
+    assert float(capsys.readouterr().out.strip()) == 0.25
 
 
 def test_option_surface_is_pinned():

@@ -26,7 +26,8 @@ from fsp import (
 )
 from fsp import sampling
 from fsp.core import DataError, DomainError, default_quadrature_points, rng_stream
-from fsp.sampling import _cells, weighted_sample_without_replacement
+from fsp.estimator import grid_cells
+from fsp.sampling import weighted_sample_without_replacement
 from helpers import benchmark_pool_fit, reference_rejection_sample
 
 UNIT1 = Domain.cube(1)
@@ -468,13 +469,17 @@ def _overflow_labels(x, rng):
 
 
 # name: (field, draws, quadrature points per axis, rows that force a grid for the
-# bounds test); at d = 4 and 5 no grid of a sampler batch pays for itself
+# bounds test); at d = 4 and 5, and for 200 draws at d = 2, no grid of a sampler
+# batch pays for itself
 SQUEEZE_CASES = {
     "d1": lambda: (_squeeze_field(1, 400, _heteroskedastic, pilot_bandwidth(2000, 1), 1), 2000, None, None),
     "d2": lambda: (_squeeze_field(2, 400, _heteroskedastic, pilot_bandwidth(2000, 2), 2), 8000, None, None),
     "d3": lambda: (_squeeze_field(3, 400, _heteroskedastic, 0.25, 3), 25000, None, None),
     "d4": lambda: (_squeeze_field(4, 200, _heteroskedastic, 0.3, 4), 30000, None, 16 * 20**4),
     "d5": lambda: (_squeeze_field(5, 300, _heteroskedastic, 0.3, 5), 40000, None, 16 * 14**5),
+    "d2-small-batch": lambda: (
+        _squeeze_field(2, 400, _heteroskedastic, pilot_bandwidth(2000, 2), 13), 200, None, 16 * 40**2
+    ),
     # a user-set h_sigma and 8 x 8 quadrature nodes that miss the peak: violations
     "peaked": lambda: (_squeeze_field(2, 1000, _peak_labels, 0.1, 6), 8000, 8, None),
     # Sum w y^2 / S and (Sum w y / S)^2 agree to 10 digits
@@ -501,11 +506,15 @@ def _first_batch(density, count):
     return int(min(262_144, max(64, np.ceil(1.1 * count / max(1.0 / density.envelope, 1e-3)))))
 
 
-@pytest.mark.parametrize("name", list(SQUEEZE_CASES))
+@pytest.mark.parametrize("name", [*SQUEEZE_CASES, "uniform"])
 def test_squeeze_draws_what_the_reference_sampler_draws(name):
-    field, count, nodes, _ = SQUEEZE_CASES[name]()
-    density = plug_in_density(field, nodes)
-    assert (density.squeeze(_first_batch(density, count)) is None) == (name in ("d4", "d5"))
+    if name == "uniform":
+        density, count = uniform_density(UNIT2), 5000
+    else:
+        field, count, nodes, _ = SQUEEZE_CASES[name]()
+        density = plug_in_density(field, nodes)
+    _, _, upper = density.squeeze(_first_batch(density, count))
+    assert (upper.tolist() == [np.inf]) == (name in ("d4", "d5", "d2-small-batch", "uniform"))
     outcomes = []
     for sample in (reference_rejection_sample,
                    lambda *args: rejection_sample(*args, return_diagnostics=True)):
@@ -532,7 +541,7 @@ def test_squeeze_bounds_bracket_the_variance_kernel(name):
     # grid vertices, where the weights take their extremes
     vertices = np.column_stack([e[rng.integers(0, len(e), 5_000)] for e in edges])
     xs = np.vstack([inside, vertices])
-    cells = _cells(edges, xs)
+    cells = grid_cells(edges, xs)
     values = field.variance_batch(xs)
     assert (lo[cells] <= values).all() and (values <= hi[cells]).all()
     assert np.isfinite(hi).any()  # some cells are decided
