@@ -5,6 +5,9 @@ over a sup-norm window of radius h around the query point; the personalized
 prediction adds that average back onto the black-box value at the query.
 """
 
+import contextvars
+import os
+from collections import deque
 from functools import partial
 
 import numpy as np
@@ -29,6 +32,14 @@ __all__ = [
 _CHUNK_ELEMENTS = 2_000_000
 _SLAB_PAIRS = 32_768  # (cell, pilot) pairs a slab of variance bounds holds at a time
 _TILE_PAIRS = 32_768  # a distance tile and its scratch take 512 KB, well inside a core's L2
+# a window block with fewer pairs runs its passes on one thread: below it the
+# hand-off costs more than the second thread saves
+_SPLIT_PAIRS = 32_768
+# threads a window block may run on: the calling thread and, with 2, one pool worker
+_threads = min(
+    len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1, 2
+)
+_pool = None  # the worker's single-thread executor, made on first use
 
 
 def row_blocks(n_rows, n_points):
@@ -107,41 +118,71 @@ def truncate(anchor, sign, magnitude, band, out=None):
     return out
 
 
+def _start(fn, *args):
+    """A Future of fn(*args) on the pool's single worker thread, in a copy of the
+    caller's context (so under its numpy error handling), or None where the
+    worker cannot start; then no later block is split."""
+    global _threads, _pool
+    from concurrent.futures import ThreadPoolExecutor  # pulls in logging: 2.5 ms
+
+    try:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(1)
+        return _pool.submit(contextvars.copy_context().run, fn, *args)
+    except RuntimeError:  # can't start new thread
+        _threads, _pool = 1, None  # the pool's queue keeps the call that never ran
+        return None
+
+
 def smoothed_window_means(train_x, train_y, f_train, xs, f_eval, hs, passes, consume):
     """Window means of y_i - omega(f(x_i)) for one row block xs: consume(ks, means)
     gets each residual pass's means of its pairs ks, shape (rows, len(ks)).
 
-    hs are the sorted distinct bandwidths; passes maps each theta2 to its
-    residual passes, theta1 -> (ks, rungs), the index arrays of the pass's pairs,
-    where a rung indexes hs.  A theta1 > 0 theta has its own pass; all theta1 = 0
-    thetas share one pass under the key None, whose truncation is +-0.0
-    whatever theta2 is.
+    hs are the sorted distinct bandwidths; passes lists the residual passes
+    (theta2, theta1, ks, rungs), those of one theta2 next to each other, with the
+    index arrays of the pass's pairs, where a rung indexes hs.  A theta1 > 0
+    theta has its own pass; all theta1 = 0 thetas share one pass under
+    theta2 = None, whose truncation is +-0.0 whatever theta2 is.
 
     The pairs inside the widest window hs[-1] are gathered once, through flat
-    indices into the (rows, n) block, and each gets its rung: the first
-    bandwidth whose sup-norm window holds it.  Their Euclidean distances are
-    computed on those pairs alone; y, f(x_i) and f(x0) are gathered once.  Each
-    theta2's Holder powers are raised just before its passes and dropped after
-    them, so one power array is alive at a time; each pass runs one residual
-    chain.
+    indices col * rows + row into the (n, rows) sup-norm distances, and each
+    gets its rung: the first bandwidth whose window holds it.  Their Euclidean
+    distances are computed on those pairs alone; y, f(x_i) and f(x0) are
+    gathered once.  Each pass runs one residual chain.
 
     Every pass sums its residuals into (row, rung) bins with bincount, adding
-    each bin's pairs one after another in training order, and cumulative sums
-    over the rungs give every window.  A row's sums thus read that row's
-    pairs alone: a query has the same bits alone and in any batch or block.
-    An empty window gives 0 through the max(1, count) guard.
+    each bin's pairs one after another in training order from +0.0, and
+    cumulative sums over the rungs give every window.  A row's sums thus read
+    that row's pairs alone: a query has the same bits alone and in any batch or
+    block.  Consecutive pairs fall in different rows' bins, so their adds do not
+    wait on each other.  An empty window gives 0 through the max(1, count) guard.
+
+    A block of more than one pass whose window holds at least _SPLIT_PAIRS pairs
+    runs on two threads, as bincount, searchsorted and the residual chain let go
+    of the GIL: the pool's worker searches the second half of the rungs, and
+    takes passes from the back of the list while the calling thread takes them
+    from the front.  A thread raises a theta2's Holder powers at its first pass
+    of that theta2 and drops them before its next theta2's, so each thread holds
+    one power array at a time.  The calling thread consumes every pass's means,
+    as they are made, and a pass reads only the block's shared arrays, so the
+    bits do not depend on the thread count.
     """
-    n_rows, n, n_rungs = xs.shape[0], train_x.shape[0], len(hs)
-    dist_inf = chebyshev_distances(xs, train_x)
+    n_rows, n_rungs = xs.shape[0], len(hs)
+    dist_inf = chebyshev_distances(train_x, xs)
     flat = np.flatnonzero(dist_inf <= hs[-1])
-    # with one bandwidth, every gathered pair is on its one rung
-    rung = np.searchsorted(hs, dist_inf.ravel()[flat]) if n_rungs > 1 else 0
+    split = _threads > 1 and len(passes) > 1 and flat.size >= _SPLIT_PAIRS
+    if n_rungs > 1:  # with one bandwidth, every gathered pair is on its one rung
+        keys = dist_inf.ravel().take(flat)
+        tail = _start(np.searchsorted, hs, keys[keys.size // 2 :]) if split else None
+        half = keys.size if tail is None else keys.size // 2
+        head = np.searchsorted(hs, keys[:half])
+        del keys
     del dist_inf
-    rows = flat // n  # a floor division by a scalar, unlike np.divmod, is fast
-    cols = rows * n
-    np.subtract(flat, cols, out=cols)
+    cols = flat // n_rows  # a floor division by a scalar, unlike np.divmod, is fast
+    rows = cols * n_rows
+    np.subtract(flat, rows, out=rows)
     del flat
-    weighted = passes.keys() != {None}  # some pass truncates by Holder powers
+    weighted = any(theta2 is not None for theta2, *_ in passes)  # some pass truncates
     if weighted:
         dist = _squared_distances(xs, train_x, (rows, cols))
         np.sqrt(dist, out=dist)
@@ -155,24 +196,57 @@ def smoothed_window_means(train_x, train_y, f_train, xs, f_eval, hs, passes, con
         np.abs(magnitude, out=magnitude)
     bins = rows  # in place: each pair's (row, rung) bin
     bins *= n_rungs
-    bins += rung
-    del rows, rung
+    del rows
+    if n_rungs > 1:
+        bins[:half] += head
+        if tail is not None:
+            bins[half:] += tail.result()
+        del head, tail
     counts = np.bincount(bins, minlength=n_rows * n_rungs).reshape(n_rows, n_rungs).cumsum(axis=1)
     np.maximum(counts, 1, out=counts)
-    for theta2, by_theta1 in passes.items():
-        power = None if theta2 is None else holder_powers(dist, theta2)
-        for theta1, (ks, rungs) in by_theta1.items():
-            if power is None:
+
+    def means_of(take):
+        held = power = None
+        while True:
+            try:
+                theta2, theta1, ks, rungs = take()
+            except IndexError:  # no pass is left
+                return
+            if theta2 is None:
                 residuals = y_in - f0
             else:
+                if theta2 != held:
+                    power = None  # before the next theta2's powers are raised
+                    held, power = theta2, holder_powers(dist, theta2)
                 band = np.multiply(theta1, power)
                 residuals = np.subtract(y_in, truncate(f0, sign, magnitude, band, out=band), out=band)
             # float sums: bincount over no pairs returns integer zeros
             sums = np.bincount(bins, residuals, n_rows * n_rungs).reshape(n_rows, n_rungs)
+            del residuals
             means = sums.cumsum(axis=1, dtype=float)
             means /= counts
-            consume(ks, means[:, rungs])
-        del power  # before the next theta2's powers are raised
+            yield ks, means[:, rungs]
+
+    todo = deque(passes)
+    mine, theirs = means_of(todo.popleft), means_of(todo.pop)
+    ahead = deque()  # the worker's calls next(theirs), oldest first
+
+    def take_over(wait):
+        # consume the worker's means made so far, or all of them, and keep it two calls ahead
+        while ahead and (wait or ahead[0].done()):
+            made = ahead.popleft().result()
+            if made is not None:
+                consume(*made)
+        while split and _threads > 1 and todo and len(ahead) < 2:
+            later = _start(next, theirs, None)
+            if later is not None:
+                ahead.append(later)
+
+    take_over(False)
+    for ks, means in mine:
+        consume(ks, means)
+        take_over(False)
+    take_over(True)
 
 
 def window_passes(train_x, train_y, f_train, xs, f_eval, pairs, consume):
@@ -193,18 +267,20 @@ def window_passes(train_x, train_y, f_train, xs, f_eval, pairs, consume):
     for k, (theta, _) in enumerate(pairs):
         theta2 = theta.theta2 if theta.theta1 > 0 else None
         passes.setdefault(theta2, {}).setdefault(theta.theta1, []).append(k)
-    passes = {
-        theta2: {theta1: (np.array(ks), rungs[ks]) for theta1, ks in by_theta1.items()}
+    passes = [
+        (theta2, theta1, np.array(ks), rungs[ks])
         for theta2, by_theta1 in passes.items()
-    }
+        for theta1, ks in by_theta1.items()
+    ]
     # the block budget counts every buffer alive at once when the widest window
     # holds every pair: per pair, the bins, rungs, two gathered operands (y and
     # f(x0)), the residual chain and a temporary, and with a theta1 > 0 pass
     # also the Euclidean distances, one power (whatever the number of theta2
-    # values) and two more gathered operands; per (row, rung), the counts,
+    # values) and two more gathered operands; with more than one pass, the
+    # second thread's power and residual chain; per (row, rung), the counts,
     # sums, means and the pass's means handed over.  A block takes three
     # eighths of the chunk budget, 6 MB
-    per_pair = 10 if passes.keys() != {None} else 6
+    per_pair = 12 if len(passes) > 1 else 6 if passes[0][0] is None else 10
     width = per_pair * train_x.shape[0] + 4 * len(hs)
     for rows in row_blocks(xs.shape[0], 8 * width // 3):
         smoothed_window_means(

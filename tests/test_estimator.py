@@ -1,4 +1,7 @@
+import sys
 import tracemalloc
+import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -419,8 +422,8 @@ def test_window_blocks_do_not_shrink_with_the_number_of_theta2_values(monkeypatc
         pairs = [(theta, h) for h in hs for theta in chosen]
         estimator.window_passes(train_x, train_y, train_x[:, 0], xs, xs[:, 0], pairs, lambda *a: None)
     assert len({t.theta2 for t in thetas}) == 8
-    # one Holder power is alive at a time, so eight theta2 values take the row
-    # blocks of one
+    # each thread holds one Holder power at a time, so eight theta2 values take
+    # the row blocks of one
     assert len(blocks[0]) > 1 and blocks[0] == blocks[1], blocks
 
 
@@ -593,6 +596,149 @@ def test_theta1_zero_ladder_rows_equal_per_pair_masked_sums():
         if theta.theta1 == 0:
             want = _dense_window_means(train_x, train_y, f_train, xs, f_eval, theta, h)
             assert np.array_equal(row, want), (theta, h)
+
+
+class _CountingPool(ThreadPoolExecutor):
+    """The window kernel's worker pool, recording the functions handed to it
+    (each comes as context.run, fn, *args)."""
+
+    def __init__(self):
+        super().__init__(1)
+        self.handed = []
+
+    def submit(self, fn, *args):
+        self.handed.append(args[0])
+        return super().submit(fn, *args)
+
+
+@pytest.fixture
+def two_threads(monkeypatch):
+    """Window blocks may split over two threads; yields the pool's record."""
+    pool = _CountingPool()
+    monkeypatch.setattr(estimator, "_threads", 2)
+    monkeypatch.setattr(estimator, "_pool", pool)
+    yield pool
+    pool.shutdown()
+
+
+def _window_case(rng, n_train, n_rows):
+    train_x = rng.random((n_train, 2))
+    xs = rng.random((n_rows, 2))
+    return (train_x, rng.normal(size=n_train), np.sin(3 * train_x).sum(axis=1), xs,
+            np.sin(3 * xs).sum(axis=1), rng.normal(size=n_rows))
+
+
+def _window_bytes(case, pairs):
+    """The bytes of window_biases and of the CV scores of pairs on one case."""
+    train_x, train_y, f_train, xs, f_eval, val_y = case
+    biases = estimator.window_biases(train_x, train_y, f_train, xs, f_eval, pairs)
+    scores = adaptation._score_pairs(pairs, train_x, train_y, f_train, xs, val_y, f_eval)
+    return biases.tobytes(), np.array([score for *_, score in scores]).tobytes()
+
+
+def test_window_bits_do_not_depend_on_the_thread_count(monkeypatch, two_threads):
+    rng = rng_stream(31, "window-threads")
+    thetas = adaptation.build_grid(1000, 2.0).points
+    hs = adaptation.default_bandwidth_set(1000, 1.0)
+    theta2 = sorted({theta.theta2 for theta in thetas})[3]
+    lists = {
+        # the shared theta1 = 0 pass and eight theta2 values, 57 passes
+        "cv-ladder": [(theta, h) for h in hs for theta in thetas],
+        # every pass in one power group, so the threads meet inside it
+        "one-theta2": [(t, h) for h in hs for t in thetas if t.theta2 == theta2 and t.theta1 > 0],
+        "rule": [(theta, 0.05 + 0.1 * (i % 7)) for i, theta in enumerate(thetas)],
+        "one-pair": [(HolderParams(0.5, 0.5), 0.3)],
+    }
+    # blocks of 82 rows x 750 (61,500 pairs) split; 75 rows x 225 (16,875 pairs) do not
+    for n_train, n_rows in ((750, 250), (225, 75)):
+        case = _window_case(rng, n_train, n_rows)
+        for name, pairs in lists.items():
+            two_threads.handed.clear()
+            monkeypatch.setattr(estimator, "_threads", 2)
+            split = _window_bytes(case, pairs)
+            assert bool(two_threads.handed) == (n_train == 750 and name != "one-pair"), name
+            monkeypatch.setattr(estimator, "_threads", 1)
+            assert _window_bytes(case, pairs) == split, (n_train, name)
+
+
+def test_window_blocks_split_where_designed(two_threads):
+    rng = rng_stream(32, "window-split")
+    thetas = adaptation.build_grid(1000, 2.0).points
+    cv = [(theta, h) for h in adaptation.default_bandwidth_set(1000, 1.0) for theta in thetas]
+
+    def handed(n_train, n_rows, pairs):
+        two_threads.handed.clear()
+        train_x, train_y, f_train, xs, f_eval, _ = _window_case(rng, n_train, n_rows)
+        estimator.window_passes(train_x, train_y, f_train, xs, f_eval, pairs, lambda *a: None)
+        return two_threads.handed
+
+    # a fit's CV call: 750 training points and 57 passes, in blocks of 82 rows
+    # (61,500 pairs); both the rung search and the passes go to the worker
+    assert {next, np.searchsorted} <= set(handed(750, 98, cv))
+    # simulate's CV blocks, and a one-pass prediction, stay on the calling thread
+    assert handed(225, 75, cv) == []
+    assert handed(750, 98, [(HolderParams(1.0, 0.5), 0.3)]) == []
+
+
+def test_each_window_pass_runs_once_under_frequent_thread_switches(two_threads):
+    # the two threads take passes from the two ends of one list; a pass taken
+    # twice or lost would show as a pair consumed twice or never in a block
+    rng = rng_stream(34, "window-switches")
+    train_x, train_y, f_train, xs, f_eval, _ = _window_case(rng, 750, 200)
+    pairs = [(theta, h) for h in (0.2, 1.0) for theta in adaptation.build_grid(1000, 2.0).points]
+    seen = {}
+
+    def record(rows, ks, means):
+        seen.setdefault(rows.start, []).extend(ks.tolist())
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            seen.clear()
+            estimator.window_passes(train_x, train_y, f_train, xs, f_eval, pairs, record)
+            assert all(sorted(ks) == list(range(len(pairs))) for ks in seen.values())
+    finally:
+        sys.setswitchinterval(interval)
+    assert next in two_threads.handed
+
+
+def test_window_worker_keeps_the_callers_numpy_error_handling(monkeypatch, two_threads):
+    rng = rng_stream(35, "window-errstate")
+    train_x, _, _, xs, f_eval, _ = _window_case(rng, 750, 100)
+    # the residual chains overflow to +-inf
+    train_y = np.where(rng.random(750) < 0.5, 1.5e308, -1.5e308)
+    f_eval = np.where(f_eval > 0, 1.5e308, -1.5e308)
+    pairs = [(theta, h) for h in (0.2, 1.0) for theta in adaptation.build_grid(1000, 2.0).points]
+    got = {}
+    for threads in (2, 1):
+        monkeypatch.setattr(estimator, "_threads", threads)
+        with np.errstate(all="ignore"), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got[threads] = estimator.window_biases(train_x, train_y, -train_y, xs, f_eval, pairs)
+    assert next in two_threads.handed
+    assert got[2].tobytes() == got[1].tobytes()
+    assert np.isinf(got[1]).any()
+
+
+def test_window_blocks_without_a_worker_thread_run_serially(monkeypatch):
+    class NoThreads:
+        def submit(self, fn, *args):
+            raise RuntimeError("can't start new thread")
+
+    rng = rng_stream(33, "window-no-thread")
+    train_x, train_y, f_train, xs, f_eval, _ = _window_case(rng, 750, 250)
+    pairs = [(theta, h) for h in (0.1, 0.4, 1.0) for theta in adaptation.build_grid(1000, 2.0).points]
+    monkeypatch.setattr(estimator, "_threads", 1)
+    serial = estimator.window_biases(train_x, train_y, f_train, xs, f_eval, pairs)
+    monkeypatch.setattr(estimator, "_threads", 2)
+    monkeypatch.setattr(estimator, "_pool", NoThreads())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = estimator.window_biases(train_x, train_y, f_train, xs, f_eval, pairs)
+    assert np.array_equal(got, serial)
+    # every later block runs on the calling thread, without a new pool
+    assert estimator._threads == 1 and estimator._pool is None
 
 
 def test_out_of_domain_query_raises():
