@@ -15,7 +15,6 @@ from .core import (
     DomainError,
     EnvelopeError,
     HolderParams,
-    LabeledSample,
     QueryError,
     SampleSet,
     SeparationError,
@@ -35,7 +34,6 @@ from .blackbox import (
     PoolOracle,
     SyntheticOracle,
     TableModel,
-    blackbox_query,
     model_from_spec,
 )
 from .smoothing import SmoothedView, check_local_smooth, local_smooth

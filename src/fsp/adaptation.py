@@ -16,6 +16,7 @@ from .blackbox import FunctionModel, PoolOracle
 from .core import ConfigError, Domain, HolderParams, rng_stream
 from .estimator import PersonalizedEstimator, window_passes
 from .sampling import (
+    SPLITS,
     retrieve_budgeted,
     retrieve_from_pool,
     retrieve_uniform_small_domain,
@@ -45,10 +46,6 @@ class ThetaGrid:
     c1: float
     n: int
     points: tuple
-
-    @property
-    def m(self):
-        return int(round(len(self.points) ** 0.5)) - 1
 
 
 def build_grid(n, c1):
@@ -112,6 +109,11 @@ def _score_pairs(pairs, train_x, train_y, f_train, val_x, val_y, f_val):
     return [(theta, float(h), float(score)) for (theta, h), score in zip(pairs, scores.tolist())]
 
 
+def _cv_pairs(thetas, bandwidths):
+    """The CV candidates, smaller bandwidth first, then the thetas in the order given."""
+    return [(theta, h) for h in sorted(bandwidths) for theta in thetas]
+
+
 def _select_pairs(pairs, train_x, train_y, f_train, val_x, val_y, f_val):
     """Score the pairs in the order given; the first minimum wins."""
     rows = _score_pairs(pairs, train_x, train_y, f_train, val_x, val_y, f_val)
@@ -128,7 +130,7 @@ def select_theta_h(thetas, bandwidths, train_x, train_y, val_x, val_y, model):
     thetas = sorted(thetas)
     if not thetas:
         raise ValueError("need at least one theta")
-    bandwidths = sorted(float(h) for h in bandwidths)
+    bandwidths = [float(h) for h in bandwidths]
     if not bandwidths:
         raise ValueError("need at least one bandwidth")
     if not all(h > 0 for h in bandwidths):  # also rejects NaN
@@ -140,7 +142,7 @@ def select_theta_h(thetas, bandwidths, train_x, train_y, val_x, val_y, model):
     if val_x.shape[0] == 0:
         raise ValueError("validation set must be nonempty")
     f_train, f_val = model.predict_batch(train_x), model.predict_batch(val_x)
-    pairs = [(theta, h) for h in bandwidths for theta in thetas]
+    pairs = _cv_pairs(thetas, bandwidths)
     return _select_pairs(pairs, train_x, train_y, f_train, val_x, val_y, f_val)
 
 
@@ -158,7 +160,7 @@ class FitConfig:
     c1: float = 2.0
     pilot_fraction: float = 0.25
     split: str = "reuse"
-    bandwidth: object = "cv"  # "cv", "rule", a number, or a sequence of numbers
+    bandwidth: object = "cv"  # "cv", "rule", a number or numeric string, or a sequence of numbers
     full_bandwidth_set: bool = False
     h_sigma: float | None = None
     thetas: tuple | None = None
@@ -166,7 +168,8 @@ class FitConfig:
 
     def validate(self):
         """The checked copy every fit uses: c1, pilot_fraction and h_sigma are floats, a
-        numeric bandwidth a float or a tuple of floats, thetas a tuple of HolderParams.
+        numeric bandwidth (or numeric bandwidth string) a float, a list of them a tuple of
+        floats, thetas a tuple of HolderParams.
 
         A bad setting raises ConfigError naming its field, before any label is spent.
         """
@@ -183,7 +186,7 @@ class FitConfig:
                 h_sigma, lambda v: 0 < v < np.inf,
                 f"h_sigma must be a finite positive number, got {h_sigma!r}",
             )
-        if self.split not in ("reuse", "strict"):
+        if self.split not in SPLITS:
             raise ConfigError(f"unknown split mode {self.split!r}")
         if not isinstance(self.full_bandwidth_set, bool):
             raise ConfigError(
@@ -193,10 +196,12 @@ class FitConfig:
         if isinstance(cap, bool) or not isinstance(cap, numbers.Integral) or not cap > 0:
             raise ConfigError(f"synthetic_cap must be a positive integer, got {cap!r}")
         bandwidth = self.bandwidth
-        if isinstance(bandwidth, str):
-            if bandwidth not in ("cv", "rule"):
-                raise ConfigError("bandwidth must be 'cv', 'rule', a number, or a list")
-        else:
+        if isinstance(bandwidth, str) and bandwidth not in ("cv", "rule"):
+            try:
+                bandwidth = float(bandwidth)
+            except ValueError:
+                raise ConfigError("bandwidth must be 'cv', 'rule', a number, or a list") from None
+        if not isinstance(bandwidth, str):
             is_list = isinstance(bandwidth, (list, tuple, np.ndarray))
             values = list(bandwidth) if is_list else [bandwidth]
             if not values:
@@ -297,8 +302,8 @@ def _select_and_build(model, domain, rr, n, config, bandwidths):
     thetas = sorted(config.thetas or build_grid(n, config.c1).points)
     if bandwidths is None:  # rule mode: one bandwidth per theta
         pairs = [(t, rule_bandwidth(t.theta2, n, domain.dim, rr.mean_sigma, domain)) for t in thetas]
-    else:  # in select_theta_h's order
-        pairs = [(theta, h) for h in sorted(bandwidths) for theta in thetas]
+    else:
+        pairs = _cv_pairs(thetas, bandwidths)
     f_train = model.predict_batch(train_x)
     f_val = model.predict_batch(val_x)
     selection = _select_pairs(pairs, train_x, train_y, f_train, val_x, val_y, f_val)

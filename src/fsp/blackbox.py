@@ -17,7 +17,8 @@ import types
 import numpy as np
 
 from .core import (
-    BudgetError, ConfigError, DomainError, HolderParams, QueryError, frozen_sample, required,
+    BudgetError, ConfigError, DomainError, HolderParams, QueryError, covariate_names, frozen_sample,
+    required,
 )
 from .estimator import _squared_distances, row_blocks, window_biases
 
@@ -28,7 +29,6 @@ __all__ = [
     "TableModel",
     "KernelSmoothModel",
     "ExternalProcessModel",
-    "blackbox_query",
     "compile_expression",
     "model_from_spec",
     "GaussianNoise",
@@ -87,14 +87,6 @@ class BlackBoxModel:
         self.close()
 
 
-def blackbox_query(model, xs, domain=None):
-    """Batched queries, order-aligned with xs; optional domain check."""
-    xs = np.atleast_2d(np.asarray(xs, float))
-    if domain is not None:
-        domain.require(xs, "query point")
-    return model.predict_batch(xs)
-
-
 class FunctionModel(BlackBoxModel):
     """Wrap a Python callable operating on an (m, d) array."""
 
@@ -136,7 +128,8 @@ def compile_expression(expr, dim):
         code = compile(str(expr), "<expression>", "eval")
     except SyntaxError as exc:
         raise ConfigError(f"cannot parse expression {expr!r}: {exc}") from None
-    allowed = set(_EXPR_NAMESPACE) | {f"x{j + 1}" for j in range(dim)}
+    names = covariate_names(dim)
+    allowed = set(_EXPR_NAMESPACE) | set(names)
     unknown = set(code.co_names) - allowed
     if unknown:
         raise ConfigError(f"expression uses unknown names {sorted(unknown)}")
@@ -146,7 +139,7 @@ def compile_expression(expr, dim):
     def fn(xs):
         xs = np.atleast_2d(np.asarray(xs, float))
         env = dict(_EXPR_NAMESPACE)
-        env.update({f"x{j + 1}": xs[:, j] for j in range(dim)})
+        env.update({name: xs[:, j] for j, name in enumerate(names)})
         # a value outside a helper's domain becomes nan or inf, which the callers'
         # finite checks reject with a message; numpy's warning would only add noise
         with np.errstate(all="ignore"):

@@ -34,10 +34,14 @@ from .blackbox import (
     SyntheticOracle,
     model_from_spec,
 )
-from .core import ConfigError, DataError, Domain, DomainError, HolderParams, load_csv, required
+from .core import (
+    ConfigError, DataError, Domain, DomainError, HolderParams, covariate_names, load_csv, required,
+)
 from .estimator import PersonalizedEstimator
+from .sampling import SPLITS
 from .simulation import (
     METHODS,
+    METRICS,
     run_experiment,
     scenario_adversarial,
     scenario_classification,
@@ -206,16 +210,22 @@ def _write_json(path, payload):
         fh.write("\n")
 
 
+def _write_report(path, command, resolved, started, outputs, **fields):
+    """The run report: the envelope every command writes, plus the command's own fields."""
+    _write_json(path, {
+        "artifact_version": __version__,
+        "command": command,
+        "resolved_config": resolved,
+        "outputs": outputs,
+        **fields,
+        "wall_clock_sec": time.time() - started,
+    })
+
+
 def _fit_config(resolved):
-    """The checked FitConfig of the fit keys in `resolved`; a numeric bandwidth string is parsed."""
-    settings = {f.name: resolved[f.name] for f in dataclasses.fields(FitConfig) if f.name in resolved}
-    bandwidth = settings["bandwidth"]
-    if isinstance(bandwidth, str) and bandwidth not in ("cv", "rule"):
-        try:
-            settings["bandwidth"] = float(bandwidth)
-        except ValueError:
-            raise ConfigError("bandwidth must be 'cv', 'rule', or a number") from None
-    return FitConfig(**settings).validate()
+    """The checked FitConfig of the fit keys in `resolved`."""
+    fit_keys = (f.name for f in dataclasses.fields(FitConfig))
+    return FitConfig(**{key: resolved[key] for key in fit_keys if key in resolved}).validate()
 
 
 def cmd_simulate(args):
@@ -263,14 +273,8 @@ def cmd_simulate(args):
             for m, s in summary.items()
         ],
     )
-    _write_json(report_path, {
-        "artifact_version": __version__,
-        "command": "simulate",
-        "resolved_config": resolved,
-        "summary": summary,
-        "outputs": [runs_path, summary_path],
-        "wall_clock_sec": time.time() - started,
-    })
+    _write_report(report_path, "simulate", resolved, started, [runs_path, summary_path],
+                  summary=summary)
     return 0
 
 
@@ -364,21 +368,21 @@ def _personalize(resolved, backends):
 
     kind = required(source, "kind", "source")
     if kind == "pool":
-        covariate_names = source.get("covariates")
-        if not (isinstance(covariate_names, list) and covariate_names
-                and all(isinstance(c, str) for c in covariate_names)):
-            raise ConfigError(f"covariates must be a list of column names, got {covariate_names!r}")
-        model = _build_model(resolved["model"], len(covariate_names), backends)
+        covariates = source.get("covariates")
+        if not (isinstance(covariates, list) and covariates
+                and all(isinstance(c, str) for c in covariates)):
+            raise ConfigError(f"covariates must be a list of column names, got {covariates!r}")
+        model = _build_model(resolved["model"], len(covariates), backends)
         ss = load_csv(
             required(source, "csv", "pool source"),
-            covariate_names,
+            covariates,
             response=source.get("response") or "y",
         )
         fitter, args = fit_personalized_pool, (model, domain, n, resolved["pilot_size"], ss.x, ss.y)
     elif kind in ("synthetic", "external"):
         if domain is None:
             raise ConfigError(f"{kind} sources require an explicit domain")
-        covariate_names = [f"x{j + 1}" for j in range(domain.dim)]
+        covariates = covariate_names(domain.dim)
         model = _build_model(resolved["model"], domain.dim, backends)
         if kind == "synthetic":
             truth = ExpressionModel(required(source, "f_star", "synthetic source"), domain.dim)
@@ -405,7 +409,7 @@ def _personalize(resolved, backends):
         "version": 1,
         "artifact_version": __version__,
         "domain": fit.estimator.domain.to_dict(),
-        "covariates": covariate_names,
+        "covariates": covariates,
         "theta": {"theta1": fit.theta.theta1, "theta2": fit.theta.theta2},
         "bandwidth": fit.bandwidth,
         "train_x": fit.estimator.train_x.tolist(),
@@ -414,15 +418,8 @@ def _personalize(resolved, backends):
         "model": model_spec,
         "warnings": warnings,
     })
-    _write_json(resolved["out_report"], {
-        "artifact_version": __version__,
-        "command": "personalize",
-        "resolved_config": resolved,
-        "fit": fit.to_dict(),
-        "outputs": [resolved["out_estimator"]],
-        "warnings": warnings,
-        "wall_clock_sec": time.time() - started,
-    })
+    _write_report(resolved["out_report"], "personalize", resolved, started,
+                  [resolved["out_estimator"]], fit=fit.to_dict(), warnings=warnings)
     return 0
 
 
@@ -442,7 +439,7 @@ def load_estimator(path):
     with contextlib.ExitStack() as backends:
         try:
             domain = Domain(lo, hi)
-            covariates = payload.get("covariates", [f"x{j + 1}" for j in range(domain.dim)])
+            covariates = payload.get("covariates", covariate_names(domain.dim))
             if not (isinstance(covariates, list) and all(isinstance(c, str) for c in covariates)
                     and len(set(covariates)) == len(covariates) == domain.dim):
                 raise ValueError(f"covariates must be a list of {domain.dim} distinct column "
@@ -503,8 +500,9 @@ def cmd_eval(args):
     resolved = _resolve(_EVAL_DEFAULTS, args)
     if not resolved["predictions"] or not resolved["truth"]:
         raise ConfigError("eval needs --predictions and --truth")
-    if resolved["metric"] not in ("mse", "mce"):
-        raise ConfigError(f"unknown metric {resolved['metric']!r}; valid: mse, mce")
+    metric = resolved["metric"]
+    if not (isinstance(metric, str) and metric in METRICS):  # a config value may be unhashable
+        raise ConfigError(f"unknown metric {metric!r}; valid: {', '.join(METRICS)}")
     _echo(resolved)
     preds = _read_column(resolved["predictions"], ("prediction", "pred", "y"))
     truth = _read_column(resolved["truth"], ("y", "truth", "label"))
@@ -514,13 +512,7 @@ def cmd_eval(args):
         )
     if len(preds) == 0:
         raise ConfigError("cannot evaluate empty files")
-    if resolved["metric"] == "mse":
-        value = float(np.mean((truth - preds) ** 2))
-    else:
-        if not np.isin(truth, (0.0, 1.0)).all():
-            raise ConfigError("mce needs binary 0/1 truth labels")
-        value = float(np.mean(np.abs(truth - (preds >= 0.5).astype(float))))
-    print(f"{value:.6g}")
+    print(f"{METRICS[metric](truth, preds):.6g}")
     return 0
 
 
@@ -531,24 +523,27 @@ def build_parser():
     )
     parser.add_argument("--version", action="version", version=f"fsp {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    shared = argparse.ArgumentParser(add_help=False)  # every command's flags
+    shared.add_argument("--config")
+    shared.add_argument("--seed", type=int)
+    fit = argparse.ArgumentParser(add_help=False)  # the fit flags of simulate and personalize
+    fit.add_argument("--split", choices=SPLITS)
+    fit.add_argument("--bandwidth")
 
-    sim = sub.add_parser("simulate", help="run a shipped scenario and write CSV results")
-    sim.add_argument("--config")
+    sim = sub.add_parser(
+        "simulate", parents=[shared, fit], help="run a shipped scenario and write CSV results"
+    )
     sim.add_argument("--scenario")
     sim.add_argument("-n", type=int, dest="n")
     sim.add_argument("--n-ptr", type=int, dest="n_ptr")
     sim.add_argument("--repetitions", "--reps", type=int, dest="repetitions")
     sim.add_argument("--n-test", type=int, dest="n_test")
     sim.add_argument("--methods")
-    sim.add_argument("--seed", type=int)
     sim.add_argument("--out-dir", dest="out_dir")
     sim.add_argument("--prefix")
-    sim.add_argument("--split", choices=["reuse", "strict"])
-    sim.add_argument("--bandwidth")
     sim.set_defaults(func=cmd_simulate)
 
-    per = sub.add_parser("personalize", help="fit a personalized estimator")
-    per.add_argument("--config")
+    per = sub.add_parser("personalize", parents=[shared, fit], help="fit a personalized estimator")
     per.add_argument("-n", "--budget", type=int, dest="n")
     per.add_argument("--pilot-size", type=int, dest="pilot_size")
     per.add_argument("--pool-csv", dest="pool_csv")
@@ -557,28 +552,21 @@ def build_parser():
     per.add_argument("--model-expr", dest="model_expr")
     per.add_argument("--model-cmd", dest="model_cmd")
     per.add_argument("--domain")
-    per.add_argument("--split", choices=["reuse", "strict"])
-    per.add_argument("--bandwidth")
     per.add_argument("--small-domain", action="store_true", dest="small_domain", default=None)
-    per.add_argument("--seed", type=int)
     per.add_argument("--out-estimator", dest="out_estimator")
     per.add_argument("--out-report", dest="out_report")
     per.set_defaults(func=cmd_personalize)
 
-    pre = sub.add_parser("predict", help="evaluate a saved estimator on query points")
-    pre.add_argument("--config")
+    pre = sub.add_parser("predict", parents=[shared], help="evaluate a saved estimator on query points")
     pre.add_argument("--estimator")
     pre.add_argument("--queries")
     pre.add_argument("--out")
-    pre.add_argument("--seed", type=int)
     pre.set_defaults(func=cmd_predict)
 
-    ev = sub.add_parser("eval", help="score prediction and truth files")
-    ev.add_argument("--config")
+    ev = sub.add_parser("eval", parents=[shared], help="score prediction and truth files")
     ev.add_argument("--predictions")
     ev.add_argument("--truth")
-    ev.add_argument("--metric", choices=["mse", "mce"])
-    ev.add_argument("--seed", type=int)
+    ev.add_argument("--metric", choices=METRICS)
     ev.set_defaults(func=cmd_eval)
     return parser
 

@@ -23,12 +23,12 @@ __all__ = [
     "SeparationError",
     "Domain",
     "HolderParams",
-    "LabeledSample",
     "SampleSet",
     "frozen_sample",
     "rng_stream",
     "derive_seed",
     "load_csv",
+    "covariate_names",
     "required",
     "default_quadrature_points",
 ]
@@ -192,21 +192,6 @@ class HolderParams:
         object.__setattr__(self, "theta1", t1)
         object.__setattr__(self, "theta2", t2)
 
-    def as_tuple(self):
-        return (self.theta1, self.theta2)
-
-
-@dataclass(frozen=True)
-class LabeledSample:
-    """One covariate vector with its scalar response."""
-
-    x: tuple
-    y: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "x", tuple(float(v) for v in np.atleast_1d(self.x)))
-        object.__setattr__(self, "y", float(self.y))
-
 
 def frozen_sample(x, y, what):
     """Read-only float copies of (n, d) points x and their n aligned values y;
@@ -285,9 +270,6 @@ class SampleSet:
     @property
     def val_y(self):
         return self._y[self._val]
-
-    def samples(self):
-        return [LabeledSample(tuple(row), yi) for row, yi in zip(self._x, self._y)]
 
 
 _SEED_MASK = (1 << 63) - 1
@@ -412,6 +394,11 @@ def _plain_numbers(text, columns):
     if block.shape != (len(lines), len(columns)) or not np.isfinite(block).all():
         return None
     return block
+
+
+def covariate_names(dim):
+    """The names x1..xd of a box's coordinates, as expressions read them."""
+    return [f"x{j + 1}" for j in range(dim)]
 
 
 def required(spec, key, what):

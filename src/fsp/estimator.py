@@ -568,9 +568,7 @@ class VarianceField:
         x = np.atleast_1d(np.asarray(x, float))
         return float(self.variance_batch(x[None, :])[0])
 
-    def sigma_batch(self, xs):
-        return np.sqrt(self.variance_batch(xs))
-
     def mean_sigma(self, points_per_dim):
         """Average of sigma-hat over the domain's quadrature nodes."""
-        return float(self.sigma_batch(self.domain.quadrature_nodes(points_per_dim)).mean())
+        nodes = self.domain.quadrature_nodes(points_per_dim)
+        return float(np.sqrt(self.variance_batch(nodes)).mean())

@@ -36,6 +36,7 @@ __all__ = [
     "retrieve_from_pool",
 ]
 
+SPLITS = ("reuse", "strict")  # the pilot's uses: see _split_rows
 _MIN_ACCEPT_RATE = 1e-4
 _ACCEPT_WINDOW = 100_000
 _DENSITY_FLOOR_FRACTION = 0.01  # of the mean sigma-hat
@@ -256,7 +257,7 @@ def _split_rows(split, n0):
         return np.arange(n0 // 2), np.arange(n0 // 2, n0)
     if split == "reuse":
         return np.arange(n0), np.arange(n0)
-    raise ConfigError(f"unknown split mode {split!r} (use 'strict' or 'reuse')")
+    raise ConfigError(f"unknown split mode {split!r} (use {' or '.join(map(repr, SPLITS))})")
 
 
 def _pilot_density(pilot_x, pilot_y, n, h_sigma, domain):

@@ -20,7 +20,7 @@ from .blackbox import (
     SyntheticOracle,
     _finite_or_raise,
 )
-from .core import Domain, derive_seed, rng_stream
+from .core import DataError, Domain, derive_seed, rng_stream
 
 __all__ = [
     "Scenario",
@@ -30,6 +30,8 @@ __all__ = [
     "scenario_adversarial",
     "mse",
     "mce",
+    "mean_squared_error",
+    "misclassification_rate",
     "RepRecord",
     "ExperimentResult",
     "run_experiment",
@@ -185,24 +187,37 @@ def scenario_adversarial(n_test=500):
     )
 
 
+def mean_squared_error(truth, pred):
+    """Mean of (truth - pred)^2 over aligned arrays."""
+    return float(np.mean((truth - pred) ** 2))
+
+
+def misclassification_rate(labels, pred):
+    """Share of 0/1 labels that 1(pred >= 0.5) misses; DataError for a label outside 0/1."""
+    labels = np.asarray(labels, float)
+    binary = np.isin(labels, (0.0, 1.0))
+    if not binary.all():
+        i = int(np.flatnonzero(~binary)[0])
+        raise DataError(f"mce needs 0/1 labels; label {i + 1} is {float(labels[i])!r}")
+    return float(np.mean(np.abs(labels - (pred >= 0.5).astype(float))))
+
+
+METRICS = {"mse": mean_squared_error, "mce": misclassification_rate}
+
+
 def mse(predict, f_star, test_points):
     """Mean squared error of `predict` against the truth on the test points."""
     test_points = np.atleast_2d(np.asarray(test_points, float))
     if test_points.shape[0] < 1:
         raise ValueError("need at least one test point")
     pred = _finite_or_raise(predict(test_points), "prediction")
-    truth = np.asarray(f_star(test_points), float)
-    return float(np.mean((truth - pred) ** 2))
+    return mean_squared_error(np.asarray(f_star(test_points), float), pred)
 
 
 def mce(predict, labels, test_points):
     """Misclassification rate of 1(predict >= 0.5) against binary labels."""
     test_points = np.atleast_2d(np.asarray(test_points, float))
-    labels = np.asarray(labels, float)
-    if not np.isin(labels, (0.0, 1.0)).all():
-        raise ValueError("labels must be 0/1")
-    pred = _finite_or_raise(predict(test_points), "prediction")
-    return float(np.mean(np.abs(labels - (pred >= 0.5).astype(float))))
+    return misclassification_rate(labels, _finite_or_raise(predict(test_points), "prediction"))
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,10 @@
 The transform truncates a function's deviation from its anchor value to
 the band theta1 * ||x - anchor||_2 ** theta2, which forces local-smoothness
 membership while keeping the anchor value untouched.
+
+The smoothed function is a BlackBoxModel or a plain callable.  A plain
+callable is called on one point, an array of shape (d,), and returns one
+number; a function of (m, d) batches goes through FunctionModel.
 """
 
 from dataclasses import dataclass
@@ -82,17 +86,11 @@ class SmoothedView:
 
 
 def _batch_eval(f, xs):
-    """Evaluate f on (m, d) rows, accepting batch or scalar-only callables."""
+    """Evaluate f on (m, d) rows; a plain callable is called one point at a time."""
     if isinstance(f, BlackBoxModel):
         return f.predict_batch(xs)
     if isinstance(f, SmoothedView):
         return f.batch(xs)
-    try:
-        values = np.asarray(f(xs), float)
-        if values.shape == (xs.shape[0],):
-            return values
-    except (TypeError, ValueError):
-        pass
     return np.array([_scalar_eval(f, row) for row in xs])
 
 

@@ -37,9 +37,8 @@ UNIT2 = Domain.cube(2)
 
 def test_build_grid_shape_and_members():
     grid = build_grid(100, 2.0)
-    assert grid.m == 5  # ceil(ln 100) = 5
-    assert len(grid.points) == 36
-    thetas = set(t.as_tuple() for t in grid.points)
+    assert len(grid.points) == 36  # (m + 1)^2 with m = ceil(ln 100) = 5
+    thetas = set((t.theta1, t.theta2) for t in grid.points)
     assert (0.0, 0.0) in thetas and (2.0, 1.0) in thetas
     # theta1 = 0 present at every theta2 level
     levels = {t.theta2 for t in grid.points}
@@ -246,6 +245,15 @@ def test_validate_returns_the_checked_copy():
     assert checked.thetas == (HolderParams(0.0, 0.0), HolderParams(1.0, 0.5))
     assert FitConfig(bandwidth=np.float64(0.2)).validate().bandwidth == 0.2
     assert checked.validate() == checked
+
+
+def test_validate_parses_a_numeric_bandwidth_string():
+    assert FitConfig(bandwidth="0.2").validate().bandwidth == 0.2
+    assert FitConfig(bandwidth="inf").validate().bandwidth == np.inf
+    with pytest.raises(ConfigError, match="^bandwidth must be 'cv', 'rule', a number, or a list$"):
+        FitConfig(bandwidth="abc").validate()
+    with pytest.raises(ConfigError, match="^bandwidths must be positive numbers$"):
+        FitConfig(bandwidth="-0.2").validate()
 
 
 def test_fit_config_with_theta_pairs_serializes():

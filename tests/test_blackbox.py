@@ -18,7 +18,6 @@ from fsp import (
     QueryError,
     SyntheticOracle,
     TableModel,
-    blackbox_query,
     model_from_spec,
     rng_stream,
 )
@@ -97,15 +96,6 @@ def test_predict_batch_matches_scalar_predict():
         batch = m.predict_batch(xs)
         scalar = np.array([m.predict(x) for x in xs])
         assert np.array_equal(batch, scalar), type(m).__name__
-
-
-def test_blackbox_query_domain_check():
-    d = Domain.cube(2)
-    m = ExpressionModel("x1", 2)
-    out = blackbox_query(m, [[0.2, 0.2], [0.8, 0.1]], domain=d)
-    assert out == pytest.approx([0.2, 0.8])
-    with pytest.raises(Exception):
-        blackbox_query(m, [[1.2, 0.0]], domain=d)
 
 
 def test_kernel_smooth_model_window_mean():

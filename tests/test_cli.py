@@ -11,6 +11,7 @@ import warnings
 import numpy as np
 import pytest
 
+import fsp
 from fsp import blackbox, cli
 from fsp.adaptation import FitConfig, fit_personalized
 from fsp.blackbox import ExpressionModel, GaussianNoise, SyntheticOracle
@@ -399,6 +400,19 @@ def _reject_constant(name):
     raise ValueError(f"non-standard JSON constant {name}")
 
 
+def test_numeric_bandwidth_flag_string_and_number_write_the_same_estimator(tmp_path):
+    written = []
+    for i, (changes, flags) in enumerate([
+        ({}, ["--bandwidth", "0.2"]), ({"bandwidth": "0.2"}, []), ({"bandwidth": 0.2}, []),
+    ]):
+        est_path = tmp_path / f"e{i}.json"
+        config = _personalize_config(tmp_path, out_estimator=str(est_path), **changes)
+        assert main(["personalize", "--config", str(config), *flags]) == 0
+        written.append(est_path.read_bytes())
+    assert written[0] == written[1] == written[2]
+    assert json.loads(written[0])["bandwidth"] == 0.2
+
+
 def test_json_outputs_are_strict_and_round_trip_infinite_bandwidth(tmp_path):
     config = _personalize_config(tmp_path, bandwidth="inf", seed=4)
     assert main(["personalize", "--config", str(config)]) == 0
@@ -508,6 +522,28 @@ def test_eval_random_instance_matches_loop(tmp_path, capsys):
     assert got == pytest.approx(want, rel=1e-5)
 
 
+def test_eval_mce_rejects_non_binary_truth(tmp_path, capsys):
+    _write_column(tmp_path / "p.csv", "prediction", [0.6, 0.4, 0.2])
+    _write_column(tmp_path / "t.csv", "y", [1.0, 0.5, 0.0])
+    rc = main(["eval", "--predictions", str(tmp_path / "p.csv"), "--truth", str(tmp_path / "t.csv"), "--metric", "mce"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    errors = [line for line in captured.err.splitlines() if line.startswith("error:")]
+    assert errors == ["error: mce needs 0/1 labels; label 2 is 0.5"]
+
+
+@pytest.mark.parametrize("metric", ["mae", ["mse"]], ids=["unknown", "list"])
+def test_eval_unknown_metric_in_config_exits_2(tmp_path, capsys, metric):
+    _write_column(tmp_path / "p.csv", "prediction", [1.0])
+    _write_column(tmp_path / "t.csv", "y", [1.0])
+    (tmp_path / "cfg.json").write_text(json.dumps({"metric": metric}))
+    rc = main(["eval", "--config", str(tmp_path / "cfg.json"), "--predictions", str(tmp_path / "p.csv"),
+               "--truth", str(tmp_path / "t.csv")])
+    assert rc == 2
+    assert capsys.readouterr().err.strip() == f"error: unknown metric {metric!r}; valid: mse, mce"
+
+
 def test_eval_length_mismatch(tmp_path, capsys):
     _write_column(tmp_path / "p.csv", "prediction", [1.0, 2.0])
     _write_column(tmp_path / "t.csv", "y", [1.0])
@@ -595,6 +631,26 @@ def test_option_surface_is_pinned():
     ]
     assert list(inspect.signature(fit_density_ratio).parameters) == [
         "class0_x", "class1_x", "max_iter",
+    ]
+
+
+def test_public_names_are_pinned():
+    # the submodules count too; this module imports fsp.cli
+    assert sorted(n for n in dir(fsp) if not n.startswith("_")) == [
+        "BernoulliNoise", "BlackBoxModel", "BudgetError", "ConfigError", "DataError", "Domain",
+        "DomainError", "EnvelopeError", "ExperimentResult", "ExpressionModel", "ExternalOracle",
+        "ExternalProcessModel", "FitConfig", "FitResult", "FunctionModel", "GaussianNoise",
+        "HolderParams", "KernelSmoothModel", "LogisticFit", "PersonalizedEstimator", "PoolOracle",
+        "QueryError", "RetrievalResult", "SampleSet", "SamplingDensity", "Scenario",
+        "SeparationError", "SmoothedView", "SyntheticOracle", "TableModel", "ThetaGrid",
+        "VarianceField", "adaptation", "blackbox", "build_grid", "check_local_smooth", "cli",
+        "core", "derive_seed", "estimator", "fit_density_ratio", "fit_personalized",
+        "fit_personalized_pool", "fit_personalized_small_domain", "fit_single_task", "load_csv",
+        "local_smooth", "mce", "model_from_spec", "mse", "pilot_bandwidth", "plug_in_density",
+        "rate_slope_experiment", "rejection_sample", "retrieve_budgeted", "retrieve_from_pool",
+        "retrieve_uniform_small_domain", "rng_stream", "run_experiment", "sampling",
+        "scenario_adversarial", "scenario_classification", "scenario_regression", "select_theta",
+        "select_theta_h", "simulation", "single_task_estimator", "smoothing", "uniform_density",
     ]
 
 

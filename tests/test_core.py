@@ -111,22 +111,6 @@ def test_holder_params_validation_and_order():
     assert HolderParams(0.0, 0.0) < HolderParams(0.0, 0.5) < HolderParams(1.0, 0.0)
 
 
-def test_labeled_sample_normalizes_fields():
-    from fsp import LabeledSample
-
-    s = LabeledSample((0.25, np.float64(0.5)), np.float64(2.0))
-    assert s.x == (0.25, 0.5)
-    assert isinstance(s.y, float) and s.y == 2.0
-
-
-def test_sample_set_samples_view():
-    x = np.array([[0.1, 0.2], [0.3, 0.4]])
-    ss = SampleSet(x, np.array([1.0, 2.0]))
-    samples = ss.samples()
-    assert [s.y for s in samples] == [1.0, 2.0]
-    assert samples[1].x == (0.3, 0.4)
-
-
 def test_sample_set_partitions():
     x = np.arange(10, dtype=float).reshape(5, 2)
     y = np.arange(5, dtype=float)

@@ -142,3 +142,16 @@ def test_theta2_zero_constant_band():
     assert local_smooth(g, theta, [0.0], [0.05]) == pytest.approx(0.15)
     # the anchor keeps its exact value
     assert local_smooth(g, theta, [0.0], [0.0]) == 0.0
+
+
+def test_one_point_callables_are_read_one_point_at_a_time():
+    # called on the whole batch, this one-point function returns the batch's first
+    # row, which has one value per probe when the probe count equals the dimension
+    f = lambda x: x[0]
+    anchor = (0.5, 0.5)
+    probes = [[0.2, 0.9], [0.7, 0.1]]
+    check = check_local_smooth(f, HolderParams(0.7, 1.0), anchor, probes)
+    assert check.ok and check.max_ratio == pytest.approx(0.6)
+    view = SmoothedView(f, HolderParams(10.0, 1.0), anchor)
+    assert view.batch(probes).tolist() == [view(p) for p in probes]
+    assert view.batch(probes) == pytest.approx([0.2, 0.7])
