@@ -8,6 +8,8 @@ than the target-only kernel estimate.
 """
 
 import numbers
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -26,6 +28,7 @@ __all__ = [
     "ThetaGrid",
     "build_grid",
     "select_theta",
+    "ScoreTable",
     "SelectionResult",
     "select_theta_h",
     "FitConfig",
@@ -87,12 +90,73 @@ def select_theta(candidates, val_x, val_y):
     return min(scores, key=scores.get), scores
 
 
+@dataclass(frozen=True, eq=False, repr=False)
+class ScoreTable(Sequence):
+    """The scored (theta, h) pairs as columns, in scoring order.
+
+    Row i is (thetas[theta_index[i]], bandwidth[i], score[i]) with Python floats.
+    Rows are built when indexed or iterated and never kept, so a table of up to 256
+    thetas holds about 17 bytes a row, not a tuple and two floats.
+    """
+
+    thetas: tuple  # the distinct thetas, in order of first appearance
+    theta_index: np.ndarray  # the smallest unsigned integer type that fits
+    bandwidth: np.ndarray
+    score: np.ndarray
+
+    @classmethod
+    def from_pairs(cls, pairs, scores):
+        """The table of (theta, h) pairs and their scores, in the same order."""
+        slots = {}
+        index = [slots.setdefault(theta, len(slots)) for theta, _ in pairs]
+        columns = (
+            np.array(index, dtype=np.min_scalar_type(len(slots))),
+            np.array([h for _, h in pairs], dtype=float),
+            np.array(scores, dtype=float),
+        )
+        for column in columns:
+            column.flags.writeable = False
+        return cls(tuple(slots), *columns)
+
+    def __len__(self):
+        return len(self.score)
+
+    def __getitem__(self, i):
+        i = range(len(self))[operator.index(i)]
+        return self.thetas[self.theta_index[i]], float(self.bandwidth[i]), float(self.score[i])
+
+    def __iter__(self):
+        thetas = self.thetas
+        for k, h, s in zip(self.theta_index.tolist(), self.bandwidth.tolist(), self.score.tolist()):
+            yield thetas[k], h, s
+
+    def __eq__(self, other):
+        if not isinstance(other, ScoreTable):
+            return NotImplemented
+        return self.thetas == other.thetas and all(
+            np.array_equal(getattr(self, name), getattr(other, name))
+            for name in ("theta_index", "bandwidth", "score")
+        )
+
+    def __repr__(self):
+        return f"ScoreTable({len(self)} rows, {len(self.thetas)} thetas)"
+
+    def columns(self):
+        """Four parallel lists: theta1, theta2, bandwidth and score."""
+        return {
+            "theta1": np.array([t.theta1 for t in self.thetas])[self.theta_index].tolist(),
+            "theta2": np.array([t.theta2 for t in self.thetas])[self.theta_index].tolist(),
+            "bandwidth": self.bandwidth.tolist(),
+            "score": self.score.tolist(),
+        }
+
+
 @dataclass(frozen=True)
 class SelectionResult:
     theta: HolderParams
     bandwidth: float
     score: float
-    table: tuple  # rows (theta, bandwidth, score)
+    table: ScoreTable
 
 
 def _score_pairs(pairs, train_x, train_y, f_train, val_x, val_y, f_val):
@@ -106,7 +170,7 @@ def _score_pairs(pairs, train_x, train_y, f_train, val_x, val_y, f_val):
         scores[ks] = _add_row_sums(scores[ks], means)
 
     window_passes(train_x, train_y, f_train, val_x, f_val, pairs, add)
-    return [(theta, float(h), float(score)) for (theta, h), score in zip(pairs, scores.tolist())]
+    return ScoreTable.from_pairs(pairs, scores)
 
 
 def _cv_pairs(thetas, bandwidths):
@@ -116,9 +180,9 @@ def _cv_pairs(thetas, bandwidths):
 
 def _select_pairs(pairs, train_x, train_y, f_train, val_x, val_y, f_val):
     """Score the pairs in the order given; the first minimum wins."""
-    rows = _score_pairs(pairs, train_x, train_y, f_train, val_x, val_y, f_val)
-    best = min(rows, key=lambda row: row[2])
-    return SelectionResult(theta=best[0], bandwidth=best[1], score=best[2], table=tuple(rows))
+    table = _score_pairs(pairs, train_x, train_y, f_train, val_x, val_y, f_val)
+    theta, h, score = table[np.argmin(table.score)]
+    return SelectionResult(theta=theta, bandwidth=h, score=score, table=table)
 
 
 def select_theta_h(thetas, bandwidths, train_x, train_y, val_x, val_y, model):
@@ -237,7 +301,7 @@ class FitResult:
     theta: HolderParams
     bandwidth: float
     score: float
-    score_table: tuple
+    score_table: ScoreTable
     retrieval: object
     mean_sigma: float
     n: int
@@ -252,10 +316,7 @@ class FitResult:
             "n": self.n,
             "config": self.config.to_dict(),
             "retrieval": self.retrieval.to_dict() if self.retrieval is not None else None,
-            "score_table": [
-                {"theta1": t.theta1, "theta2": t.theta2, "bandwidth": h, "score": s}
-                for t, h, s in self.score_table
-            ],
+            "score_table": self.score_table.columns(),
         }
 
 

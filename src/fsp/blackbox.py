@@ -47,6 +47,14 @@ def _finite_or_raise(values, context):
     return values
 
 
+def _queries(xs, dim):
+    """xs as an (m, dim) float array; QueryError naming both widths for any other width."""
+    xs = np.atleast_2d(np.asarray(xs, float))
+    if xs.shape[1] != dim:
+        raise QueryError(f"query dimension {xs.shape[1]} != declared {dim}")
+    return xs
+
+
 class BlackBoxModel:
     """Query-only predictor f: X -> R; a context manager that starts and closes it."""
 
@@ -161,7 +169,7 @@ class ExpressionModel(BlackBoxModel):
         self._fn = compile_expression(expr, dim)
 
     def predict_batch(self, xs):
-        xs = np.atleast_2d(np.asarray(xs, float))
+        xs = _queries(xs, self.dim)
         return _finite_or_raise(self._fn(xs), f"expression {self.expr!r}")
 
 
@@ -180,7 +188,7 @@ class TableModel(BlackBoxModel):
             raise ValueError("table needs at least one stored point")
 
     def predict_batch(self, xs):
-        xs = np.atleast_2d(np.asarray(xs, float))
+        xs = _queries(xs, self.points.shape[1])
         out = np.empty(xs.shape[0])
         for rows in row_blocks(xs.shape[0], self.points.shape[0]):
             # squared: a sqrt could merge near-ties and move the lowest-index winner
@@ -208,7 +216,7 @@ class KernelSmoothModel(BlackBoxModel):
         self.bandwidth = float(bandwidth)
 
     def predict_batch(self, xs):
-        xs = np.atleast_2d(np.asarray(xs, float))
+        xs = _queries(xs, self.points.shape[1])
         pair = (HolderParams(0.0, 0.0), self.bandwidth)
         zeros = np.zeros(len(self.values))
         out = window_biases(self.points, self.values, zeros, xs, np.zeros(len(xs)), [pair])[0]
@@ -308,9 +316,7 @@ class ExternalProcessModel(BlackBoxModel):
         return [line.decode("utf-8", errors="replace") for line in lines[:n_lines]]
 
     def predict_batch(self, xs):
-        xs = np.atleast_2d(np.asarray(xs, float))
-        if xs.shape[1] != self.dim:
-            raise QueryError(f"query dimension {xs.shape[1]} != declared {self.dim}")
+        xs = _queries(xs, self.dim)
         if xs.shape[0] == 0:
             return np.empty(0)
         with self._lock:

@@ -68,6 +68,12 @@ def fits():
                     model, dom, n, scenario.make_oracle(), FitConfig(bandwidth=bandwidth), seed=n
                 )
                 emit_fit(f"fit.{scenario.name}.n{n}.{bandwidth}", fit, queries)
+            if n == 1000 and scenario.name == "regression":
+                # the full ladder at scale: 64 thetas x 1,000 rungs, 64,000 scored pairs
+                full = fsp.fit_personalized(
+                    model, dom, n, scenario.make_oracle(), FitConfig(full_bandwidth_set=True), seed=n
+                )
+                emit_fit(f"fit.{scenario.name}.n{n}.full", full, queries)
         strict = fsp.fit_personalized(
             model, dom, 300, scenario.make_oracle(), FitConfig(split="strict"), seed=3
         )

@@ -334,6 +334,27 @@ def test_fit_personalized_minimal_budget_smoke():
     assert fit.score == min(row[2] for row in fit.score_table)
 
 
+def test_score_table_columns_give_its_rows():
+    def fit(seed):
+        return fit_personalized(ExpressionModel("x1*x2", 2), UNIT2, 120, _oracle(), seed=seed)
+
+    first = fit(1)
+    table = first.score_table
+    columns = first.to_dict()["score_table"]
+    rows = [(t.theta1, t.theta2, h, s) for t, h, s in table]
+    assert list(zip(columns["theta1"], columns["theta2"], columns["bandwidth"], columns["score"])) == rows
+    assert sorted(columns) == ["bandwidth", "score", "theta1", "theta2"]
+    assert len(table) == len(rows) == len(columns["score"]) > 100
+    pick = rng_stream(1, "pick").integers(len(table))
+    assert table[pick] == table[int(pick)] == list(table)[int(pick)]
+    assert table[-1] == list(table)[-1]
+    assert all(type(value) is float for value in table[pick][1:])
+    with pytest.raises(IndexError):
+        table[len(table)]
+    assert table == fit(1).score_table
+    assert table != fit(2).score_table
+
+
 def test_fit_personalized_report_consistency_and_no_harm_on_validation():
     fit = fit_personalized(ExpressionModel("x1*x2", 2), UNIT2, 120, _oracle(), seed=1)
     table = fit.score_table

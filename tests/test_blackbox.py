@@ -112,6 +112,27 @@ def _external(tmp_path, script, dim):
     return ExternalProcessModel([sys.executable, str(path)], dim=dim, timeout=10)
 
 
+@pytest.mark.parametrize("width", [1, 3])
+@pytest.mark.parametrize("kind", ["expression", "table", "kernel-smooth", "external"])
+def test_query_width_must_match_the_model(tmp_path, kind, width):
+    # unchecked, an in-process backend drops a third column, matches on one axis
+    # or raises a bare IndexError
+    points = rng_stream(4, "width").random((6, 2))
+    model = {
+        "expression": lambda: ExpressionModel("x1", 2),
+        "table": lambda: TableModel(points, np.arange(6.0)),
+        "kernel-smooth": lambda: KernelSmoothModel(points, np.arange(6.0), 0.5),
+        "external": lambda: _external(tmp_path, ECHO_SCRIPT, 2),  # checked before any spawn
+    }[kind]()
+    try:
+        with pytest.raises(QueryError, match=f"query dimension {width} != declared 2"):
+            model.predict_batch(np.full((4, width), 0.25))
+        with pytest.raises(QueryError, match=f"query dimension {width} != declared 2"):
+            model.predict(np.full(width, 0.25))
+    finally:
+        model.close()
+
+
 def test_external_echo_protocol(tmp_path):
     with _external(tmp_path, ECHO_SCRIPT, 2) as m:
         out = m.predict_batch(np.array([[0.0, 0.0], [1.0, 2.0], [3.0, 4.0]]))

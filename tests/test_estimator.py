@@ -430,7 +430,7 @@ def test_window_blocks_do_not_shrink_with_the_number_of_theta2_values(monkeypatc
 def test_full_ladder_scoring_peak_at_n_1500():
     # a full_bandwidth_set fit at n = 1,500 scores 81 thetas x 1,500 rungs on
     # 1,125 training and 375 validation points; the returned 121,500-row table
-    # takes 12.7 MB of the peak, and one block of window buffers takes about 6 MB
+    # takes about 2 MB of the peak, and one block of window buffers about 6 MB
     rng = rng_stream(30, "score-peak")
     train_x = rng.random((1125, 2))
     train_y = rng.normal(size=1125)
@@ -448,6 +448,31 @@ def test_full_ladder_scoring_peak_at_n_1500():
     finally:
         tracemalloc.stop()
     assert peak <= 20e6, peak / 1e6
+
+
+def test_a_kept_score_table_holds_columns_not_rows():
+    # the CV table of a default fit at n = 1,000: 64 thetas x 32 rungs
+    rng = rng_stream(32, "kept-table")
+    train_x, val_x = rng.random((200, 2)), rng.random((100, 2))
+    train_y, val_y = rng.normal(size=200), rng.normal(size=100)
+    pairs = [
+        (theta, h)
+        for h in adaptation.default_bandwidth_set(1000, 1.0)
+        for theta in adaptation.build_grid(1000, 2.0).points
+    ]
+    args = (pairs, train_x, train_y, train_x[:, 0], val_x, val_y, val_x[:, 0])
+    # the first call makes one-time allocations; its table stays alive, so the rows
+    # of the second cannot reuse freed memory that tracemalloc never saw
+    first = adaptation._score_pairs(*args)
+    tracemalloc.start()
+    try:
+        table = adaptation._score_pairs(*args)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(table) == 2048 and table == first
+    # a tuple and two floats per row would keep about 96 bytes a row
+    assert kept <= 32 * len(table), kept / len(table)
 
 
 def test_window_means_on_the_window_only_keep_the_dense_bits():
