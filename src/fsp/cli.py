@@ -299,7 +299,8 @@ def _build_model(spec, dim, backends):
 
     The rewrite sets `dim`, splits an external `cmd` string into `argv`, and
     reads a table's `csv` into `points` and `values`, so a serialized spec
-    (as in an estimator file) builds unchanged.  An external child starts up
+    (as in an estimator file) builds unchanged.  A table's `covariates`, or a
+    stored sample's `points`, of another width than `dim` is a ConfigError.  An external child starts up
     while the caller reads its data; the caller's start() (or the backend's
     first query) completes the handshake, before any label or query.
     """
@@ -309,13 +310,17 @@ def _build_model(spec, dim, backends):
         cmd = required(spec, "cmd", "external model")
         spec["argv"] = shlex.split(cmd) if isinstance(cmd, str) else cmd
     if "csv" in spec:
-        table = load_csv(
-            spec["csv"],
-            required(spec, "covariates", "table model"),
-            response=required(spec, "value", "table model"),
-        )
+        covariates = required(spec, "covariates", "table model")
+        if not isinstance(covariates, list) or len(covariates) != dim:
+            raise ConfigError(
+                f"table model covariates {covariates!r} must list {dim} columns, one per covariate"
+            )
+        table = load_csv(spec["csv"], covariates, response=required(spec, "value", "table model"))
         spec["points"], spec["values"] = table.x, table.y
     model = backends.push(model_from_spec(spec))
+    points = getattr(model, "points", None)  # a table or kernel-smooth model's stored sample
+    if points is not None and points.shape[1] != dim:
+        raise ConfigError(f"{kind} model points have {points.shape[1]} columns, not {dim}")
     model.launch()
     return model
 

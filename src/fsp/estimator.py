@@ -7,7 +7,6 @@ prediction adds that average back onto the black-box value at the query.
 
 import contextvars
 import os
-from collections import deque
 from functools import partial
 
 import numpy as np
@@ -159,13 +158,15 @@ def smoothed_window_means(train_x, train_y, f_train, xs, f_eval, hs, passes, con
 
     A block of more than one pass whose window holds at least _SPLIT_PAIRS pairs
     runs on two threads, as bincount, searchsorted and the residual chain let go
-    of the GIL: the pool's worker searches the second half of the rungs, and
-    takes passes from the back of the list while the calling thread takes them
-    from the front.  A thread raises a theta2's Holder powers at its first pass
-    of that theta2 and drops them before its next theta2's, so each thread holds
-    one power array at a time.  The calling thread consumes every pass's means,
-    as they are made, and a pass reads only the block's shared arrays, so the
-    bits do not depend on the thread count.
+    of the GIL: the pool's worker searches the second half of the rungs, then
+    runs and consumes the passes from the theta2 boundary nearest the middle of
+    the list (the middle itself where every pass shares one theta2), while the
+    calling thread runs and consumes those before it.  A thread raises a
+    theta2's Holder powers at its first pass of that theta2 and drops them
+    before its next theta2's, so each thread holds one power array at a time.
+    A pass reads only the block's shared arrays and hands over only its own
+    pairs ks, so the bits do not depend on the thread count; the block returns
+    or raises only once the worker is done.
     """
     n_rows, n_rungs = xs.shape[0], len(hs)
     dist_inf = chebyshev_distances(train_x, xs)
@@ -205,13 +206,9 @@ def smoothed_window_means(train_x, train_y, f_train, xs, f_eval, hs, passes, con
     counts = np.bincount(bins, minlength=n_rows * n_rungs).reshape(n_rows, n_rungs).cumsum(axis=1)
     np.maximum(counts, 1, out=counts)
 
-    def means_of(take):
+    def run_passes(todo):
         held = power = None
-        while True:
-            try:
-                theta2, theta1, ks, rungs = take()
-            except IndexError:  # no pass is left
-                return
+        for theta2, theta1, ks, rungs in todo:
             if theta2 is None:
                 residuals = y_in - f0
             else:
@@ -225,35 +222,30 @@ def smoothed_window_means(train_x, train_y, f_train, xs, f_eval, hs, passes, con
             del residuals
             means = sums.cumsum(axis=1, dtype=float)
             means /= counts
-            yield ks, means[:, rungs]
+            consume(ks, means[:, rungs])
 
-    todo = deque(passes)
-    mine, theirs = means_of(todo.popleft), means_of(todo.pop)
-    ahead = deque()  # the worker's calls next(theirs), oldest first
-
-    def take_over(wait):
-        # consume the worker's means made so far, or all of them, and keep it two calls ahead
-        while ahead and (wait or ahead[0].done()):
-            made = ahead.popleft().result()
-            if made is not None:
-                consume(*made)
-        while split and _threads > 1 and todo and len(ahead) < 2:
-            later = _start(next, theirs, None)
-            if later is not None:
-                ahead.append(later)
-
-    take_over(False)
-    for ks, means in mine:
-        consume(ks, means)
-        take_over(False)
-    take_over(True)
+    worker = None
+    if split and _threads > 1:
+        # the theta2 boundary nearest the middle of the list, or the middle itself
+        cuts = [k for k in range(1, len(passes)) if passes[k][0] != passes[k - 1][0]]
+        cut = min(cuts or [len(passes) // 2], key=lambda k: abs(2 * k - len(passes)))
+        worker = _start(run_passes, passes[cut:])
+    if worker is None:
+        return run_passes(passes)
+    try:
+        run_passes(passes[:cut])
+    finally:  # waits: no consume call follows this block's return or exception
+        worker.exception()
+    worker.result()
 
 
 def window_passes(train_x, train_y, f_train, xs, f_eval, pairs, consume):
     """Window means at xs of each (theta, h) pair, for CV scoring, rule mode and
     prediction alike, handed over as they are made: consume(rows, ks, means)
     gets, per row block and residual pass, the means of the pass's pairs ks at
-    the rows slice of xs, shape (rows, len(ks)).
+    the rows slice of xs, shape (rows, len(ks)).  In a block split over two
+    threads, each thread calls consume, so two calls may run at once, with
+    disjoint ks.
 
     The sorted distinct bandwidths form a ladder of nested windows.  The pairs
     share residual passes: one per theta with theta1 > 0, and one for every
@@ -277,9 +269,9 @@ def window_passes(train_x, train_y, f_train, xs, f_eval, pairs, consume):
     # f(x0)), the residual chain and a temporary, and with a theta1 > 0 pass
     # also the Euclidean distances, one power (whatever the number of theta2
     # values) and two more gathered operands; with more than one pass, the
-    # second thread's power and residual chain; per (row, rung), the counts,
-    # sums, means and the pass's means handed over.  A block takes three
-    # eighths of the chunk budget, 6 MB
+    # second thread's power and residual chain; per (row, rung), the counts and
+    # one thread's sums, means and the means it hands to consume.  A block takes
+    # three eighths of the chunk budget, 6 MB
     per_pair = 12 if len(passes) > 1 else 6 if passes[0][0] is None else 10
     width = per_pair * train_x.shape[0] + 4 * len(hs)
     for rows in row_blocks(xs.shape[0], 8 * width // 3):

@@ -886,3 +886,50 @@ def test_an_estimator_file_with_bad_covariates_exits_2_and_names_it(tmp_path, ca
         f"column names, got {covariates!r}"
     )
     assert not (tmp_path / "p.csv").exists()
+
+
+@pytest.mark.parametrize("covariates", [["x1"], ["x1", "x2", "x3"]], ids=["too-few", "too-many"])
+def test_a_table_model_of_another_width_exits_2_before_the_pool_is_read(
+    tmp_path, capsys, monkeypatch, covariates
+):
+    pool = tmp_path / "pool.csv"
+    _make_pool_csv(pool)
+    table = tmp_path / "table.csv"
+    table.write_text("x1,x2,x3,f\n0.1,0.2,0.3,1.0\n0.7,0.8,0.9,2.0\n")
+    config = _personalize_config(
+        tmp_path, model={"kind": "table", "csv": str(table), "covariates": covariates, "value": "f"}
+    )
+    read = []
+    load_csv = cli.load_csv
+
+    def recorded(path, *args, **kwargs):
+        read.append(str(path))
+        return load_csv(path, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "load_csv", recorded)
+    capsys.readouterr()
+    rc = main(["personalize", "--config", str(config), "--pool-csv", str(pool), "--covariates", "x1,x2"])
+    assert rc == 2
+    assert capsys.readouterr().err.strip().splitlines()[-1] == (
+        f"error: table model covariates {covariates!r} must list 2 columns, one per covariate"
+    )
+    assert read == []  # neither the table nor the pool was read
+    assert not (tmp_path / "e.json").exists()
+
+
+def test_an_estimator_file_whose_table_has_another_width_exits_2(tmp_path, capsys):
+    assert main(["personalize", "--config", str(_personalize_config(tmp_path))]) == 0
+    est_path = tmp_path / "e.json"
+    payload = json.loads(est_path.read_text())
+    payload["model"] = {"kind": "table", "points": [[0.1], [0.9]], "values": [1.0, 2.0]}
+    est_path.write_text(json.dumps(payload))
+    queries = tmp_path / "q.csv"
+    queries.write_text("x1,x2\n0.5,0.5\n")
+    capsys.readouterr()
+    rc = main(["predict", "--estimator", str(est_path), "--queries", str(queries),
+               "--out", str(tmp_path / "p.csv")])
+    assert rc == 2
+    assert capsys.readouterr().err.strip().splitlines()[-1] == (
+        f"error: bad estimator file {est_path}: table model points have 1 columns, not 2"
+    )
+    assert not (tmp_path / "p.csv").exists()

@@ -1,4 +1,6 @@
 import sys
+import threading
+import time
 import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -624,16 +626,21 @@ def test_theta1_zero_ladder_rows_equal_per_pair_masked_sums():
 
 
 class _CountingPool(ThreadPoolExecutor):
-    """The window kernel's worker pool, recording the functions handed to it
-    (each comes as context.run, fn, *args)."""
+    """The window kernel's worker pool, recording each function handed to it (each
+    comes as context.run, fn, *args) as (name, args), and each future it returns."""
 
     def __init__(self):
         super().__init__(1)
-        self.handed = []
+        self.handed, self.futures = [], []
 
     def submit(self, fn, *args):
-        self.handed.append(args[0])
-        return super().submit(fn, *args)
+        self.handed.append((args[0].__name__, args[1:]))
+        self.futures.append(super().submit(fn, *args))
+        return self.futures[-1]
+
+
+def _handed_names(pool):
+    return [name for name, _ in pool.handed]
 
 
 @pytest.fixture
@@ -689,7 +696,8 @@ def test_window_bits_do_not_depend_on_the_thread_count(monkeypatch, two_threads)
 def test_window_blocks_split_where_designed(two_threads):
     rng = rng_stream(32, "window-split")
     thetas = adaptation.build_grid(1000, 2.0).points
-    cv = [(theta, h) for h in adaptation.default_bandwidth_set(1000, 1.0) for theta in thetas]
+    hs = adaptation.default_bandwidth_set(1000, 1.0)
+    cv = [(theta, h) for h in hs for theta in thetas]
 
     def handed(n_train, n_rows, pairs):
         two_threads.handed.clear()
@@ -698,16 +706,25 @@ def test_window_blocks_split_where_designed(two_threads):
         return two_threads.handed
 
     # a fit's CV call: 750 training points and 57 passes, in blocks of 82 rows
-    # (61,500 pairs); both the rung search and the passes go to the worker
-    assert {next, np.searchsorted} <= set(handed(750, 98, cv))
+    # (61,500 pairs); the first block hands the worker its rung search and, once,
+    # the passes from the theta2 boundary nearest the middle: the last four of the
+    # eight theta2 values, seven passes each (the 16-row block does not split)
+    (search, _), (runner, (theirs,)) = handed(750, 98, cv)
+    assert (search, runner) == ("searchsorted", "run_passes")
+    assert len(theirs) == 28 and len({theta2 for theta2, *_ in theirs}) == 4
+    # with one theta2 the cut is the middle of the seven passes
+    one_theta2 = [(t, h) for h in hs for t in thetas if t.theta2 == 1.0 and t.theta1 > 0]
+    (search, _), (runner, (theirs,)) = handed(750, 98, one_theta2)
+    assert (search, runner, len(theirs)) == ("searchsorted", "run_passes", 4)
     # simulate's CV blocks, and a one-pass prediction, stay on the calling thread
     assert handed(225, 75, cv) == []
     assert handed(750, 98, [(HolderParams(1.0, 0.5), 0.3)]) == []
 
 
 def test_each_window_pass_runs_once_under_frequent_thread_switches(two_threads):
-    # the two threads take passes from the two ends of one list; a pass taken
-    # twice or lost would show as a pair consumed twice or never in a block
+    # the worker runs and consumes the passes after the cut, the calling thread
+    # those before it; a pass run twice or lost would show as a pair consumed
+    # twice or never in a block
     rng = rng_stream(34, "window-switches")
     train_x, train_y, f_train, xs, f_eval, _ = _window_case(rng, 750, 200)
     pairs = [(theta, h) for h in (0.2, 1.0) for theta in adaptation.build_grid(1000, 2.0).points]
@@ -725,7 +742,7 @@ def test_each_window_pass_runs_once_under_frequent_thread_switches(two_threads):
             assert all(sorted(ks) == list(range(len(pairs))) for ks in seen.values())
     finally:
         sys.setswitchinterval(interval)
-    assert next in two_threads.handed
+    assert "run_passes" in _handed_names(two_threads)
 
 
 def test_window_worker_keeps_the_callers_numpy_error_handling(monkeypatch, two_threads):
@@ -741,9 +758,67 @@ def test_window_worker_keeps_the_callers_numpy_error_handling(monkeypatch, two_t
         with np.errstate(all="ignore"), warnings.catch_warnings():
             warnings.simplefilter("error")
             got[threads] = estimator.window_biases(train_x, train_y, -train_y, xs, f_eval, pairs)
-    assert next in two_threads.handed
+    assert "run_passes" in _handed_names(two_threads)
     assert got[2].tobytes() == got[1].tobytes()
     assert np.isinf(got[1]).any()
+
+
+def test_a_split_cv_window_block_raises_each_theta2_power_once(monkeypatch, two_threads):
+    # CV scoring of one 82-row block of a fit's CV call: the shared theta1 = 0 pass
+    # and eight theta2 values; the cut falls between two theta2 values, so no
+    # thread raises a power the other raises too
+    rng = rng_stream(36, "window-powers")
+    train_x, train_y, f_train, xs, f_eval, val_y = _window_case(rng, 750, 82)
+    thetas = adaptation.build_grid(1000, 2.0).points
+    cv = [(theta, h) for h in adaptation.default_bandwidth_set(1000, 1.0) for theta in thetas]
+    raised = []
+    powers = estimator.holder_powers
+
+    def counted(dist, theta2):
+        raised.append(theta2)
+        return powers(dist, theta2)
+
+    monkeypatch.setattr(estimator, "holder_powers", counted)
+    for _ in range(10):
+        raised.clear()
+        two_threads.handed.clear()
+        adaptation._score_pairs(cv, train_x, train_y, f_train, xs, val_y, f_eval)
+        assert sorted(raised) == sorted({theta.theta2 for theta in thetas}), raised
+        assert len(two_threads.handed) == 2
+
+
+def test_a_window_block_raises_only_after_its_worker_is_done(monkeypatch, two_threads):
+    rng = rng_stream(37, "window-raise")
+    train_x, train_y, f_train, xs, f_eval, _ = _window_case(rng, 750, 82)
+    thetas = adaptation.build_grid(1000, 2.0).points
+    cv = [(theta, h) for h in adaptation.default_bandwidth_set(1000, 1.0) for theta in thetas]
+    caller = threading.get_ident()
+    slow = estimator.truncate
+
+    def slow_on_the_worker(*args, **kwargs):
+        if threading.get_ident() != caller:
+            time.sleep(0.002)  # the worker is still busy when the calling thread raises
+        return slow(*args, **kwargs)
+
+    monkeypatch.setattr(estimator, "truncate", slow_on_the_worker)
+    for failing in ("caller", "worker"):
+        calls = []
+
+        def consume(rows, ks, means):
+            on_caller = threading.get_ident() == caller
+            calls.append(on_caller)
+            if on_caller == (failing == "caller"):
+                raise ValueError(f"consume failed on the {failing}")
+
+        two_threads.futures.clear()
+        with pytest.raises(ValueError, match=f"on the {failing}"):
+            estimator.window_passes(train_x, train_y, f_train, xs, f_eval, cv, consume)
+        assert len(two_threads.futures) == 2 and all(f.done() for f in two_threads.futures)
+        made = len(calls)
+        time.sleep(0.05)
+        assert len(calls) == made  # no consume call after the block raised
+        # the other thread ran its passes to the end
+        assert calls.count(failing == "worker") == (29 if failing == "worker" else 28)
 
 
 def test_window_blocks_without_a_worker_thread_run_serially(monkeypatch):
