@@ -195,81 +195,74 @@ class HolderParams:
 
 def frozen_sample(x, y, what):
     """Read-only float copies of (n, d) points x and their n aligned values y;
-    ValueError naming `what` for any other shapes."""
+    ValueError naming `what` for any other shapes, and DataError naming `what`
+    and the first row whose point or value is not finite."""
     x = np.array(x, dtype=float)
     y = np.array(y, dtype=float)
     if x.ndim != 2 or y.shape != (x.shape[0],):
-        raise ValueError(f"{what} needs (n, d) points and n aligned values, got {x.shape}, {y.shape}")
+        raise ValueError(f"{what} must be (n, d) points and n aligned values, got {x.shape}, {y.shape}")
+    bad = ~(np.isfinite(x).all(axis=1) & np.isfinite(y))
+    if bad.any():
+        i = int(bad.argmax())
+        raise DataError(f"{what} must be finite; row {i} is {x[i].tolist()} with value {float(y[i])}")
     x.setflags(write=False)
     y.setflags(write=False)
     return x, y
 
 
+@dataclass(frozen=True, eq=False, repr=False)
 class SampleSet:
     """Labeled samples with train/validation index partitions.
 
-    The index sets must be disjoint subsets of range(len).  Arrays are
-    stored read-only so instances can be shared freely.
+    The index sets must be disjoint subsets of range(len); they are stored
+    sorted.  Arrays are stored read-only so instances can be shared freely.
     """
 
-    def __init__(self, x, y, train_idx=(), val_idx=()):
-        x, y = frozen_sample(x, y, "sample set")
-        train_idx = np.array(sorted(int(i) for i in np.asarray(train_idx, int).ravel()))
-        val_idx = np.array(sorted(int(i) for i in np.asarray(val_idx, int).ravel()))
+    x: np.ndarray
+    y: np.ndarray
+    train_idx: np.ndarray = ()
+    val_idx: np.ndarray = ()
+
+    def __post_init__(self):
+        x, y = frozen_sample(self.x, self.y, "sample set")
         n = x.shape[0]
-        for name, idx in (("train_idx", train_idx), ("val_idx", val_idx)):
-            if idx.size and (idx.min() < 0 or idx.max() >= n):
+        parts = {}
+        for name in ("train_idx", "val_idx"):
+            idx = np.sort(np.asarray(getattr(self, name), np.intp).ravel())
+            if idx.size and (idx[0] < 0 or idx[-1] >= n):
                 raise ValueError(f"{name} out of range for {n} samples")
-            if (idx[1:] == idx[:-1]).any():  # sorted above
+            if (idx[1:] == idx[:-1]).any():
                 raise ValueError(f"{name} contains duplicates")
-        both = np.sort(np.concatenate([train_idx, val_idx]))
+            idx.setflags(write=False)
+            parts[name] = idx
+        both = np.sort(np.concatenate(list(parts.values())))
         if (both[1:] == both[:-1]).any():
             raise ValueError("train_idx and val_idx must be disjoint")
-        for arr in (train_idx, val_idx):
-            arr.setflags(write=False)
-        self._x = x
-        self._y = y
-        self._train = train_idx
-        self._val = val_idx
+        for name, value in dict(parts, x=x, y=y).items():
+            object.__setattr__(self, name, value)
 
     def __len__(self):
-        return self._x.shape[0]
+        return self.x.shape[0]
 
     @property
     def dim(self):
-        return self._x.shape[1]
-
-    @property
-    def x(self):
-        return self._x
-
-    @property
-    def y(self):
-        return self._y
-
-    @property
-    def train_idx(self):
-        return self._train
-
-    @property
-    def val_idx(self):
-        return self._val
+        return self.x.shape[1]
 
     @property
     def train_x(self):
-        return self._x[self._train]
+        return self.x[self.train_idx]
 
     @property
     def train_y(self):
-        return self._y[self._train]
+        return self.y[self.train_idx]
 
     @property
     def val_x(self):
-        return self._x[self._val]
+        return self.x[self.val_idx]
 
     @property
     def val_y(self):
-        return self._y[self._val]
+        return self.y[self.val_idx]
 
 
 _SEED_MASK = (1 << 63) - 1

@@ -299,11 +299,9 @@ class PersonalizedEstimator:
     """
 
     def __init__(self, train_x, train_y, model, theta, bandwidth, domain, f_train=None):
-        train_x, train_y = frozen_sample(train_x, train_y, "training sample")
+        train_x, train_y = frozen_sample(train_x, train_y, "training samples")
         if train_x.shape[0] < 1:
             raise ValueError("need at least one training sample")
-        if not (np.isfinite(train_x).all() and np.isfinite(train_y).all()):
-            raise ValueError("training samples must be finite")
         if not bandwidth > 0:
             raise ValueError("bandwidth must be positive")
         if not isinstance(theta, HolderParams):
@@ -452,7 +450,8 @@ class VarianceField:
             first = np.vecdot(weights, self.pilot_y)
             out[rows] = second - first**2 / np.maximum(1.0, wsum**2)
         if not np.isfinite(out).all():
-            raise DataError("the pilot labels' moments overflow float64; rescale the labels")
+            raise DataError(f"the pilot labels' moments overflow float64 at h_sigma = {self.h_sigma!r}; "
+                            "rescale the labels or lower h_sigma")
         return np.maximum(out, 0.0)
 
     @np.errstate(divide="ignore", over="ignore", invalid="ignore")
@@ -503,8 +502,8 @@ class VarianceField:
             m -= 1
         if m < 2 or (box_hi - box_lo).max() > m * h / 4:
             return box_cell(self.domain)
-        if not (np.isfinite(self.pilot_x).all() and np.isfinite(self.pilot_y**2).all()):
-            return box_cell(self.domain)  # every kernel row is NaN or raises
+        if not np.isfinite(self.pilot_y**2).all():
+            return box_cell(self.domain)  # the kernel's moments overflow, so it raises
         edges, first, reach, near, far = [], [], [], [], []
         for j in range(dim):
             e = np.minimum(np.linspace(box_lo[j], box_hi[j], m + 1), box_hi[j])

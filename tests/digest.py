@@ -110,6 +110,14 @@ def pool_fits():
     # the benchmark's `cli` pool fit, so that the one-thread diff covers the density-ratio fit
     fit = benchmark_pool_fit()
     emit_fit("pool.bench.rule.n2000", fit, fit.estimator.domain.uniform(2000, rng_stream(14, "q")))
+    # a table model over 5,000 stored points: 1,500 queries span many of its distance blocks
+    table = fsp.TableModel(pool_x[:5000], pool_y[:5000])
+    fit = fsp.fit_personalized_pool(
+        table, None, 1000, 250, pool_x[5000:], pool_y[5000:], config=FitConfig(bandwidth="rule"), seed=2
+    )
+    queries = fit.estimator.domain.uniform(1500, rng_stream(15, "q"))
+    emit_fit("pool.table.rule.n1000", fit, queries)
+    emit("pool.table.model", table.predict_batch(queries))
 
 
 def kernels():

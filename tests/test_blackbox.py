@@ -1,5 +1,6 @@
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from fsp import (
     BernoulliNoise,
     BudgetError,
     ConfigError,
+    DataError,
     Domain,
     ExpressionModel,
     ExternalProcessModel,
@@ -104,6 +106,34 @@ def test_kernel_smooth_model_window_mean():
     m = KernelSmoothModel(pts, vals, bandwidth=0.2)
     assert m.predict([0.05]) == pytest.approx(2.0)
     assert m.predict([0.5]) == 0.0  # empty window -> hard zero via the guard
+
+
+def test_a_stored_model_sample_with_a_non_finite_point_or_value_is_refused():
+    # unchecked, the NaN point won every nearest-neighbour argmin (the table answered
+    # [3, 3] at its own points), and a kernel-smooth window silently dropped it
+    with pytest.raises(DataError, match=r"^table model must be finite; row 2 is \[nan, 0.5\] with value 3.0$"):
+        TableModel([[0, 0], [1, 1], [np.nan, 0.5]], [1, 2, 3])
+    with pytest.raises(DataError, match=r"^table model must be finite; row 1 is \[1.0, 1.0\] with value inf$"):
+        TableModel([[0, 0], [1, 1]], [1, np.inf])
+    with pytest.raises(DataError, match=r"^kernel-smooth model must be finite; row 1 "):
+        KernelSmoothModel([[0.1, 0.1], [np.nan, 0.2], [0.3, 0.3]], [1, 2, 3], 0.5)
+
+
+def test_a_large_table_answers_in_small_distance_blocks():
+    rng = rng_stream(5, "big-table")
+    points, values = rng.random((20_000, 2)), rng.normal(size=20_000)
+    table, xs = TableModel(points, values), rng.random((1_500, 2))
+    tracemalloc.start()
+    try:
+        got = table.predict_batch(xs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6  # 16 MB distance blocks traced a 32 MB peak here
+    # the same bits as whole-table distances, summed over the coordinates in order
+    for rows in (slice(0, 50), slice(700, 750), slice(1_450, 1_500)):
+        d2 = (xs[rows, None, 0] - points[:, 0]) ** 2 + (xs[rows, None, 1] - points[:, 1]) ** 2
+        assert np.array_equal(got[rows], values[np.argmin(d2, axis=1)])
 
 
 def _external(tmp_path, script, dim):

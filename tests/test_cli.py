@@ -366,8 +366,9 @@ def test_personalize_rejects_a_non_finite_pool_cell(tmp_path, capsys, cell, row,
     lambda p: p.update(domain={"lo": [0.0, 0.0], "hi": [1.0, 0.0]}),
     lambda p: p["theta"].update(theta1="abc"),
     lambda p: p["train_y"].__setitem__(0, "nan"),
+    lambda p: p.update(model={"kind": "table", "points": [[0, 0], [1, 1], ["nan", 0.5]], "values": [1, 2, 3]}),
 ], ids=["negative-bandwidth", "theta2-3", "ragged-train-x", "short-train-y",
-        "train-point-outside", "lo-equals-hi", "string-theta1", "nan-label"])
+        "train-point-outside", "lo-equals-hi", "string-theta1", "nan-label", "nan-table-point"])
 def test_a_bad_estimator_file_exits_2_and_names_it(tmp_path, capsys, edit):
     assert main(["personalize", "--config", str(_personalize_config(tmp_path))]) == 0
     est_path = tmp_path / "e.json"
@@ -751,17 +752,20 @@ def test_an_expression_outside_its_domain_prints_no_numpy_warning(tmp_path):
     assert done.stderr.strip().splitlines()[-1] == "error: sigma(x) must be finite and nonnegative"
 
 
-@pytest.mark.parametrize("x_scale, y_scale, cause", [
-    (1e160, 1.0, "the box's volume overflows float64"),
-    (1.0, 1e160, "the pilot labels' moments overflow float64"),
-], ids=["coordinates", "labels"])
+@pytest.mark.parametrize("x_scale, y_scale, h_sigma, cause", [
+    (1e160, 1.0, None, "the box's volume overflows float64"),
+    (1.0, 1e160, None, "the pilot labels' moments overflow float64"),
+    (1.0, 1.0, 1e300, "overflow float64 at h_sigma = 1e+300; rescale the labels or lower h_sigma"),
+], ids=["coordinates", "labels", "h-sigma"])
 def test_a_pool_that_overflows_float64_exits_2_naming_the_cause(
-    tmp_path, capsys, x_scale, y_scale, cause
+    tmp_path, capsys, x_scale, y_scale, h_sigma, cause
 ):
-    # both ran the sampler until its acceptance rate collapsed, after numpy warnings
+    # the first two once ran the sampler until its acceptance rate collapsed, after numpy warnings
     rng = np.random.default_rng(0)
     xs = rng.random((400, 2))
     ys = xs[:, 0] + (0.1 + 0.9 * xs[:, 0]) * rng.standard_normal(400)
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({} if h_sigma is None else {"h_sigma": h_sigma}))
     pool = tmp_path / "pool.csv"
     with open(pool, "w", encoding="utf-8") as fh:
         fh.write("x1,x2,y\n")
@@ -771,7 +775,7 @@ def test_a_pool_that_overflows_float64_exits_2_naming_the_cause(
         warnings.simplefilter("always")
         rc = main([
             "personalize", "-n", "120", "--pool-csv", str(pool), "--covariates", "x1,x2",
-            "--bandwidth", "rule", "--model-expr", "x1",
+            "--bandwidth", "rule", "--model-expr", "x1", "--config", str(config),
             "--out-estimator", str(tmp_path / "e.json"), "--out-report", str(tmp_path / "r.json"),
         ])
     err = capsys.readouterr().err
@@ -914,6 +918,26 @@ def test_a_table_model_of_another_width_exits_2_before_the_pool_is_read(
         f"error: table model covariates {covariates!r} must list 2 columns, one per covariate"
     )
     assert read == []  # neither the table nor the pool was read
+    assert not (tmp_path / "e.json").exists()
+
+
+def test_a_config_table_model_with_a_non_finite_point_exits_2_before_any_label(
+    tmp_path, capsys, monkeypatch
+):
+    # unchecked, the NaN point won every nearest-neighbour argmin: exit 0, f_train 3.0 on every row
+    labeled, label = [], SyntheticOracle.label
+
+    def recorded(self, xs, rng):
+        labeled.append(len(xs))
+        return label(self, xs, rng)
+
+    monkeypatch.setattr(SyntheticOracle, "label", recorded)
+    model = {"kind": "table", "points": [[0, 0], [1, 1], ["nan", 0.5]], "values": [1, 2, 3]}
+    rc = main(["personalize", "--config", str(_personalize_config(tmp_path, model=model))])
+    errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+    assert rc == 2
+    assert errors == ["error: table model must be finite; row 2 is [nan, 0.5] with value 3.0"]
+    assert labeled == []
     assert not (tmp_path / "e.json").exists()
 
 

@@ -10,8 +10,14 @@ from fsp import (
     DataError,
     Domain,
     DomainError,
+    ExpressionModel,
     HolderParams,
+    KernelSmoothModel,
+    PersonalizedEstimator,
+    PoolOracle,
     SampleSet,
+    TableModel,
+    VarianceField,
     derive_seed,
     load_csv,
     rng_stream,
@@ -124,6 +130,44 @@ def test_sample_set_partitions():
         SampleSet(x, y, train_idx=[5], val_idx=[])
     with pytest.raises(ValueError):
         ss.x[0, 0] = 99.0
+
+
+def test_a_sample_set_without_partitions_has_empty_integer_ones():
+    ss = SampleSet(np.zeros((4, 3)), np.zeros(4))
+    assert ss.train_x.shape == ss.val_x.shape == (0, 3)  # float64 partitions raised IndexError
+    assert ss.train_y.shape == (0,)
+    assert ss.train_idx.dtype == ss.val_idx.dtype == np.intp
+    ss = SampleSet(np.zeros((4, 1)), np.arange(4.0), train_idx=np.array([3.0, 1.0]), val_idx=[[2]])
+    assert ss.train_idx.tolist() == [1, 3] and ss.val_idx.tolist() == [2]
+    assert ss.train_y.tolist() == [1.0, 3.0]
+    with pytest.raises(ValueError):
+        ss.train_idx[0] = 0
+
+
+_HOLDERS = {
+    "sample set": SampleSet,
+    "training samples": lambda x, y: PersonalizedEstimator(
+        x, y, ExpressionModel("x1", 2), (0.5, 0.5), 0.3, Domain.cube(2), f_train=np.zeros(len(y))
+    ),
+    "pilot sample": lambda x, y: VarianceField(x, y, 0.3, Domain.cube(2)),
+    "table model": TableModel,
+    "kernel-smooth model": lambda x, y: KernelSmoothModel(x, y, 0.3),
+    "pool": PoolOracle,
+}
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("where", ["point", "value"])
+@pytest.mark.parametrize("holder", list(_HOLDERS))
+def test_every_stored_sample_refuses_a_non_finite_row(holder, where, bad):
+    x, y = rng_stream(3, "finite").random((6, 2)), np.arange(6.0)
+    _HOLDERS[holder](x, y)
+    if where == "point":
+        x[4, 1] = bad
+    else:
+        y[4] = bad
+    with pytest.raises(DataError, match=f"^{holder} must be finite; row 4 is "):
+        _HOLDERS[holder](x, y)
 
 
 def _write(tmp_path, name, text):
