@@ -226,7 +226,8 @@ class SampleSet:
     def __post_init__(self):
         x, y = frozen_sample(self.x, self.y, "sample set")
         n = x.shape[0]
-        parts = {}
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "y", y)
         for name in ("train_idx", "val_idx"):
             idx = np.sort(np.asarray(getattr(self, name), np.intp).ravel())
             if idx.size and (idx[0] < 0 or idx[-1] >= n):
@@ -234,12 +235,10 @@ class SampleSet:
             if (idx[1:] == idx[:-1]).any():
                 raise ValueError(f"{name} contains duplicates")
             idx.setflags(write=False)
-            parts[name] = idx
-        both = np.sort(np.concatenate(list(parts.values())))
+            object.__setattr__(self, name, idx)
+        both = np.sort(np.concatenate([self.train_idx, self.val_idx]))
         if (both[1:] == both[:-1]).any():
             raise ValueError("train_idx and val_idx must be disjoint")
-        for name, value in dict(parts, x=x, y=y).items():
-            object.__setattr__(self, name, value)
 
     def __len__(self):
         return self.x.shape[0]
