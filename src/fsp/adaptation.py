@@ -16,7 +16,7 @@ import numpy as np
 
 from .blackbox import FunctionModel, PoolOracle
 from .core import ConfigError, Domain, HolderParams, rng_stream
-from .estimator import PersonalizedEstimator, window_passes
+from .estimator import Candidates, PersonalizedEstimator, window_passes
 from .sampling import (
     SPLITS,
     retrieve_budgeted,
@@ -91,35 +91,20 @@ def select_theta(candidates, val_x, val_y):
 
 
 @dataclass(frozen=True, eq=False, repr=False)
-class ScoreTable(Sequence):
-    """The scored (theta, h) pairs as columns, in scoring order.
+class ScoreTable(Candidates, Sequence):
+    """The scored (theta, h) pairs as columns, in scoring order: the Candidates
+    scored and their scores.
 
     Row i is (thetas[theta_index[i]], bandwidth[i], score[i]) with Python floats.
     Rows are built when indexed or iterated and never kept, so a table of up to 256
     thetas holds about 17 bytes a row, not a tuple and two floats.
     """
 
-    thetas: tuple  # the distinct thetas, in order of first appearance
-    theta_index: np.ndarray  # the smallest unsigned integer type that fits
-    bandwidth: np.ndarray
     score: np.ndarray
 
-    @classmethod
-    def from_pairs(cls, pairs, scores):
-        """The table of (theta, h) pairs and their scores, in the same order."""
-        slots = {}
-        index = [slots.setdefault(theta, len(slots)) for theta, _ in pairs]
-        columns = (
-            np.array(index, dtype=np.min_scalar_type(len(slots))),
-            np.array([h for _, h in pairs], dtype=float),
-            np.array(scores, dtype=float),
-        )
-        for column in columns:
-            column.flags.writeable = False
-        return cls(tuple(slots), *columns)
-
-    def __len__(self):
-        return len(self.score)
+    def __post_init__(self):
+        super().__post_init__()
+        self.score.flags.writeable = False
 
     def __getitem__(self, i):
         i = range(len(self))[operator.index(i)]
@@ -159,9 +144,9 @@ class SelectionResult:
     table: ScoreTable
 
 
-def _score_pairs(pairs, train_x, train_y, f_train, val_x, val_y, f_val):
-    """Validation scores of (theta, h) pairs on one training block, summed block by block."""
-    scores = np.zeros(len(pairs))
+def _score_pairs(candidates, train_x, train_y, f_train, val_x, val_y, f_val):
+    """Validation scores of the Candidates on one training block, summed block by block."""
+    scores = np.zeros(len(candidates))
 
     def add(rows, ks, means):
         means += f_val[rows, None]
@@ -169,18 +154,24 @@ def _score_pairs(pairs, train_x, train_y, f_train, val_x, val_y, f_val):
         np.square(means, out=means)
         scores[ks] = _add_row_sums(scores[ks], means)
 
-    window_passes(train_x, train_y, f_train, val_x, f_val, pairs, add)
-    return ScoreTable.from_pairs(pairs, scores)
+    window_passes(train_x, train_y, f_train, val_x, f_val, candidates, add)
+    return ScoreTable(candidates.thetas, candidates.theta_index, candidates.bandwidth, scores)
 
 
-def _cv_pairs(thetas, bandwidths):
+def _cv_candidates(thetas, bandwidths):
     """The CV candidates, smaller bandwidth first, then the thetas in the order given."""
-    return [(theta, h) for h in sorted(bandwidths) for theta in thetas]
+    slots = {}
+    index = [slots.setdefault(theta, len(slots)) for theta in thetas]
+    return Candidates(
+        tuple(slots),
+        np.tile(np.array(index, dtype=np.min_scalar_type(len(slots))), len(bandwidths)),
+        np.repeat(np.sort(np.array(bandwidths, dtype=float)), len(index)),
+    )
 
 
-def _select_pairs(pairs, train_x, train_y, f_train, val_x, val_y, f_val):
-    """Score the pairs in the order given; the first minimum wins."""
-    table = _score_pairs(pairs, train_x, train_y, f_train, val_x, val_y, f_val)
+def _select_pairs(candidates, train_x, train_y, f_train, val_x, val_y, f_val):
+    """Score the Candidates in their order; the first minimum wins."""
+    table = _score_pairs(candidates, train_x, train_y, f_train, val_x, val_y, f_val)
     theta, h, score = table[np.argmin(table.score)]
     return SelectionResult(theta=theta, bandwidth=h, score=score, table=table)
 
@@ -206,8 +197,8 @@ def select_theta_h(thetas, bandwidths, train_x, train_y, val_x, val_y, model):
     if val_x.shape[0] == 0:
         raise ValueError("validation set must be nonempty")
     f_train, f_val = model.predict_batch(train_x), model.predict_batch(val_x)
-    pairs = _cv_pairs(thetas, bandwidths)
-    return _select_pairs(pairs, train_x, train_y, f_train, val_x, val_y, f_val)
+    candidates = _cv_candidates(thetas, bandwidths)
+    return _select_pairs(candidates, train_x, train_y, f_train, val_x, val_y, f_val)
 
 
 def _real(value, ok, message):
@@ -362,12 +353,14 @@ def _select_and_build(model, domain, rr, n, config, bandwidths):
         raise ConfigError("retrieval produced an empty training or validation block")
     thetas = sorted(config.thetas or build_grid(n, config.c1).points)
     if bandwidths is None:  # rule mode: one bandwidth per theta
-        pairs = [(t, rule_bandwidth(t.theta2, n, domain.dim, rr.mean_sigma, domain)) for t in thetas]
+        candidates = Candidates.from_pairs(
+            [(t, rule_bandwidth(t.theta2, n, domain.dim, rr.mean_sigma, domain)) for t in thetas]
+        )
     else:
-        pairs = _cv_pairs(thetas, bandwidths)
+        candidates = _cv_candidates(thetas, bandwidths)
     f_train = model.predict_batch(train_x)
     f_val = model.predict_batch(val_x)
-    selection = _select_pairs(pairs, train_x, train_y, f_train, val_x, val_y, f_val)
+    selection = _select_pairs(candidates, train_x, train_y, f_train, val_x, val_y, f_val)
     estimator = PersonalizedEstimator(
         train_x, train_y, model, selection.theta, selection.bandwidth, domain,
         f_train=f_train,

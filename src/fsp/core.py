@@ -5,6 +5,7 @@ RNG streams, and CSV ingestion. Everything here is immutable after
 construction and safe to share across workers.
 """
 
+import codecs
 import csv
 import hashlib
 import io
@@ -304,9 +305,12 @@ def load_csv(path, covariates, response=None, allow_empty=False):
     wanted = covariates + ([response] if response is not None else [])
     if len(set(wanted)) != len(wanted):
         raise DataError("duplicate column names requested")
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        text = fh.read()
-    reader = csv.reader(io.StringIO(text, newline=""))  # the lines the file object gives
+    with open(path, "rb") as fh:
+        data = fh.read().removeprefix(codecs.BOM_UTF8)
+    if not data.isascii():
+        data.decode("utf-8")  # a file that is not UTF-8 raises here, before any check
+    # the csv module reads the lines a text file object gives, decoded a chunk at a time
+    reader = csv.reader(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline=""))
     header = next(reader, None)
     if header is None:
         raise DataError(f"empty data: {path} has no header row")
@@ -318,7 +322,7 @@ def load_csv(path, covariates, response=None, allow_empty=False):
         if header.count(name) > 1:
             raise DataError(f"column {name!r} appears {header.count(name)} times in {path}")
         positions[name] = header.index(name)
-    block = _plain_numbers(text, [positions[name] for name in wanted])
+    block = _plain_numbers(data, [positions[name] for name in wanted])
     rows = [row for row in reader if row] if block is None else block
     if len(rows) == 0 and not allow_empty:
         raise DataError(f"empty data: {path} has a header but no rows")
@@ -357,24 +361,26 @@ def load_csv(path, covariates, response=None, allow_empty=False):
 _PLAIN = b"0123456789.eE+-,\n"
 
 
-def _plain_numbers(text, columns):
-    """The given columns of the rows after the header, when numpy's parse provably
-    equals the csv module's: every byte after the header line is an ASCII digit,
-    point, exponent, sign, comma or line end (CRLF included), so csv splits each
-    line at its commas, and numpy and float() hand each cell to the same
-    PyOS_string_to_double.  None when that does not hold, or when a cell is
-    missing, unparsable or not finite, so the caller's loop names the cause.
+def _plain_numbers(data, columns):
+    """The given columns of the rows after the header of a file's bytes `data` (no
+    byte-order mark), when numpy's parse provably equals the csv module's: every
+    byte after the header line is an ASCII digit, point, exponent, sign, comma or
+    line end (CRLF included), so csv splits each line at its commas, and numpy and
+    float() hand each cell to the same PyOS_string_to_double.  None when that does
+    not hold, or when a cell is missing, unparsable or not finite, so the caller's
+    loop names the cause.
     """
-    head, _, body = text.partition("\n")
-    if '"' in head or "\r" in head[:-1] or not body.isascii():
+    head, _, body = data.partition(b"\n")
+    if b'"' in head or b"\r" in head[:-1]:
         return None
-    if "\r" in body:
-        if body.count("\r") != body.count("\r\n"):
+    if b"\r" in body:
+        if body.count(b"\r") != body.count(b"\r\n"):
             return None
-        body = body.replace("\r\n", "\n")
-    if body.encode("ascii").translate(None, _PLAIN):
+        body = body.replace(b"\r\n", b"\n")
+    if body.translate(None, _PLAIN):
         return None
     lines = body.split()  # the non-empty lines, the rows csv keeps
+    del body  # the copy is freed before numpy parses the lines
     if not lines:
         return np.empty((0, len(columns)))
     if max(map(len, lines)) > csv.field_size_limit():

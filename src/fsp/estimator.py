@@ -6,7 +6,9 @@ prediction adds that average back onto the black-box value at the query.
 """
 
 import contextvars
+import math
 import os
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -19,6 +21,7 @@ __all__ = [
     "holder_powers",
     "truncate",
     "smoothed_window_means",
+    "Candidates",
     "window_passes",
     "window_biases",
     "PersonalizedEstimator",
@@ -239,30 +242,73 @@ def smoothed_window_means(train_x, train_y, f_train, xs, f_eval, hs, passes, con
     worker.result()
 
 
-def window_passes(train_x, train_y, f_train, xs, f_eval, pairs, consume):
-    """Window means at xs of each (theta, h) pair, for CV scoring, rule mode and
-    prediction alike, handed over as they are made: consume(rows, ks, means)
-    gets, per row block and residual pass, the means of the pass's pairs ks at
-    the rows slice of xs, shape (rows, len(ks)).  In a block split over two
-    threads, each thread calls consume, so two calls may run at once, with
-    disjoint ks.
+@dataclass(frozen=True, eq=False, repr=False)
+class Candidates:
+    """(theta, h) pairs as three read-only columns: pair k is
+    (thetas[theta_index[k]], bandwidth[k]).
+
+    thetas are distinct, in order of first appearance; theta_index takes the
+    smallest unsigned integer type that fits.  A candidate list holds about
+    9 bytes a pair, not a tuple and a float.
+    """
+
+    thetas: tuple
+    theta_index: np.ndarray
+    bandwidth: np.ndarray
+
+    def __post_init__(self):
+        for column in (self.theta_index, self.bandwidth):
+            column.flags.writeable = False
+
+    def __len__(self):
+        return len(self.bandwidth)
+
+    @classmethod
+    def from_pairs(cls, pairs):
+        """The columns of a list of (theta, h) pairs, in the same order."""
+        slots = {}
+        index = [slots.setdefault(theta, len(slots)) for theta, _ in pairs]
+        bandwidth = np.array([h for _, h in pairs], dtype=float)
+        return cls(tuple(slots), np.array(index, dtype=np.min_scalar_type(len(slots))), bandwidth)
+
+
+def window_passes(train_x, train_y, f_train, xs, f_eval, candidates, consume):
+    """Window means at xs of each (theta, h) pair of the Candidates, for CV
+    scoring, rule mode and prediction alike, handed over as they are made:
+    consume(rows, ks, means) gets, per row block and residual pass, the means of
+    the pass's pairs ks at the rows slice of xs, shape (rows, len(ks)).  In a
+    block split over two threads, each thread calls consume, so two calls may
+    run at once, with disjoint ks.
 
     The sorted distinct bandwidths form a ladder of nested windows.  The pairs
     share residual passes: one per theta with theta1 > 0, and one for every
-    theta1 = 0 theta.  Each pair belongs to one pass and each row's sums run
-    over its pairs in training order, so the pass order moves no bit.
+    theta1 = 0 theta.  The passes are found per distinct theta, and a stable
+    sort of the pairs by pass gives each its pairs in order.  Each pair belongs
+    to one pass and each row's sums run over its pairs in training order, so
+    the pass order moves no bit.
     """
-    pair_hs = [float(h) for _, h in pairs]
-    hs = np.array(sorted(set(pair_hs)))
-    rungs = np.searchsorted(hs, pair_hs)
-    passes = {}
-    for k, (theta, _) in enumerate(pairs):
+    hs = np.sort(candidates.bandwidth)  # then its distinct values (np.unique imports numpy.ma)
+    distinct = np.ones(len(hs), bool)
+    np.not_equal(hs[1:], hs[:-1], out=distinct[1:])
+    hs = hs[distinct]
+    groups = {}  # theta2 (None for every theta1 = 0 theta) -> theta1 -> indices into thetas
+    for i, theta in enumerate(candidates.thetas):
         theta2 = theta.theta2 if theta.theta1 > 0 else None
-        passes.setdefault(theta2, {}).setdefault(theta.theta1, []).append(k)
+        groups.setdefault(theta2, {}).setdefault(theta.theta1, []).append(i)
+    n_thetas = len(candidates.thetas)
+    keys, pass_of = [], np.empty(n_thetas, np.min_scalar_type(n_thetas))  # pass of each theta
+    for theta2, by_theta1 in groups.items():
+        for theta1, members in by_theta1.items():
+            pass_of[members] = len(keys)
+            keys.append((theta2, theta1))
+    pair_pass = pass_of.take(candidates.theta_index)
+    order = np.argsort(pair_pass, kind="stable")  # the pairs, pass by pass
+    ends = np.cumsum(np.bincount(pair_pass, minlength=len(keys))).tolist()
+    del pair_pass
+    rungs = np.searchsorted(hs, candidates.bandwidth.take(order))
     passes = [
-        (theta2, theta1, np.array(ks), rungs[ks])
-        for theta2, by_theta1 in passes.items()
-        for theta1, ks in by_theta1.items()
+        (theta2, theta1, order[start:end], rungs[start:end])
+        for (theta2, theta1), start, end in zip(keys, [0, *ends], ends)
     ]
     # the block budget counts every buffer alive at once when the widest window
     # holds every pair: per pair, the bins, rungs, two gathered operands (y and
@@ -287,7 +333,7 @@ def window_biases(train_x, train_y, f_train, xs, f_eval, pairs):
     def scatter(rows, ks, means):
         out[ks, rows] = means.T
 
-    window_passes(train_x, train_y, f_train, xs, f_eval, pairs, scatter)
+    window_passes(train_x, train_y, f_train, xs, f_eval, Candidates.from_pairs(pairs), scatter)
     return out
 
 
@@ -413,6 +459,40 @@ def pilot_bandwidth(n, dim):
     return float(n) ** (-1.0 / (dim + 2))
 
 
+def _grid_axes(xs):
+    """The axes (a_0, ..., a_{d-1}) of queries that are the C-order tensor grid
+    a_0 x ... x a_{d-1}, row (i_0, ..., i_{d-1}) holding (a_0[i_0], ..., a_{d-1}[i_{d-1}]),
+    with d >= 2 and at least two values an axis; None for any other queries.
+
+    Axis j's length is read off where coordinate j - 1 first changes, and the rows
+    are then checked against the grid of the axes so read.
+    """
+    n, dim = xs.shape
+    if dim < 2 or n < 2**dim:
+        return None
+    sizes, step = [], 1  # step: the rows between two values of axis j
+    for j in range(dim - 1, 0, -1):
+        changed = xs[:, j - 1] != xs[0, j - 1]
+        end = int(changed.argmax())
+        if not changed[end] or end % step or end // step < 2:
+            return None
+        sizes.append(end // step)
+        step = end
+    if n % step or n // step < 2:
+        return None
+    sizes = [n // step, *reversed(sizes)]
+    grid = xs.reshape(*sizes, dim)
+    axes = []
+    for j, size in enumerate(sizes):
+        values = grid[(0,) * j + (slice(None),) + (0,) * (dim - 1 - j) + (j,)]
+        shape = [1] * dim
+        shape[j] = size
+        if not (grid[..., j] == values.reshape(shape)).all():
+            return None
+        axes.append(values)
+    return axes
+
+
 class VarianceField:
     """Kernel estimate of the conditional noise variance from pilot samples.
 
@@ -421,6 +501,9 @@ class VarianceField:
     resulting variance is clamped at zero.  The weight sum and both moments
     reduce each query's row of tent weights on its own (a row sum and two
     np.vecdot row products), so a query's bits do not depend on its batch.
+    Queries that form a C-order tensor grid, as the quadrature nodes up to
+    d = 4 do, take their tent weights from per-axis tents instead of sup-norm
+    distances, with the same bits.
     """
 
     def __init__(self, pilot_x, pilot_y, h_sigma, domain):
@@ -436,15 +519,15 @@ class VarianceField:
     def variance_batch(self, xs):
         xs = np.atleast_2d(np.asarray(xs, float))
         out = np.empty(xs.shape[0])
-        # tent weights in blocks of a sixteenth of the chunk budget (1 MB): the
-        # steps below read a block six times, and a block that stays in a core's
-        # L2 cache runs about 1.4x faster than a 16 MB one; a freed 16 MB block
-        # would also lift glibc's mmap threshold, after which later blocks stay
-        # resident on the heap and a pool fit's peak RSS rises by 26-40 MB
-        for rows in row_blocks(xs.shape[0], 16 * self.pilot_x.shape[0]):
-            weights = chebyshev_distances(xs[rows], self.pilot_x)
-            np.subtract(self.h_sigma, weights, out=weights)
-            np.maximum(weights, 0.0, out=weights)
+        axes = _grid_axes(xs)
+        if axes is not None:
+            # the grid path holds every axis's tents beside one block of whole lines
+            # and its two line-sized temporaries, within the dense path's 1 MB block
+            width = sum(map(len, axes)) + len(axes[-1]) + 2
+            if width * self.pilot_x.shape[0] > _CHUNK_ELEMENTS // 16:
+                axes = None
+        blocks = self._tent_blocks(xs) if axes is None else self._grid_tent_blocks(axes)
+        for rows, weights in blocks:
             wsum = weights.sum(axis=1)
             second = np.vecdot(weights, self.pilot_y**2) / np.maximum(1.0, wsum)
             first = np.vecdot(weights, self.pilot_y)
@@ -453,6 +536,53 @@ class VarianceField:
             raise DataError(f"the pilot labels' moments overflow float64 at h_sigma = {self.h_sigma!r}; "
                             "rescale the labels or lower h_sigma")
         return np.maximum(out, 0.0)
+
+    def _tent_blocks(self, xs):
+        """(rows, tent weights of those rows of xs), in row blocks of a sixteenth of
+        the chunk budget (1 MB): the moments read a block six times, and a block
+        that stays in a core's L2 cache runs about 1.4x faster than a 16 MB one; a
+        freed 16 MB block would also lift glibc's mmap threshold, after which later
+        blocks stay resident on the heap and a pool fit's peak RSS rises by 26-40 MB."""
+        for rows in row_blocks(xs.shape[0], 16 * self.pilot_x.shape[0]):
+            weights = chebyshev_distances(xs[rows], self.pilot_x)
+            np.subtract(self.h_sigma, weights, out=weights)
+            np.maximum(weights, 0.0, out=weights)
+            yield rows, weights
+
+    def _grid_tent_blocks(self, axes):
+        """_tent_blocks for the C-order grid of the axes given (see _grid_axes), from
+        per-axis tents max(0, h - |x_j - p_j|): as rounding is monotone, their
+        minimum over the axes is the tent max(0, h - max_j |x_j - p_j|) bit for bit.
+
+        The grid's rows form lines along the last axis, the axes before it fixed.
+        A block is whole lines: its weights, the minimum tent of its lines over
+        the axes before the last and one gathered tent of those lines fit beside
+        the per-axis tents in a sixteenth of the chunk budget (1 MB), as in
+        _tent_blocks.  Every block's weights are written into one buffer, each over
+        the last: a fresh 1 MB block each time would fault its pages in again.
+        """
+        n = self.pilot_x.shape[0]
+        tents = []
+        for j, values in enumerate(axes):
+            tent = np.subtract.outer(values, self.pilot_x[:, j])  # the kernel's x - p
+            np.abs(tent, out=tent)
+            np.subtract(self.h_sigma, tent, out=tent)
+            tents.append(np.maximum(tent, 0.0, out=tent))
+        m, last = len(axes[-1]), tents[-1]
+        n_lines = math.prod(len(values) for values in axes[:-1])
+        step = (_CHUNK_ELEMENTS // 16 - sum(map(len, axes)) * n) // ((m + 2) * n)  # lines a block
+        buffer = np.empty(min(step, n_lines) * m * n)
+        for start in range(0, n_lines, step):
+            # the lines' C-order indices over the axes before the last
+            lines = np.arange(start, min(start + step, n_lines))
+            stride = n_lines // len(axes[0])
+            inner = tents[0].take(lines // stride, axis=0)
+            for tent, values in zip(tents[1:-1], axes[1:]):
+                stride //= len(values)
+                np.minimum(inner, tent.take(lines // stride % len(values), axis=0), out=inner)
+            weights = buffer[: len(lines) * m * n].reshape(len(lines), m, n)
+            np.minimum(inner[:, None, :], last[None], out=weights)
+            yield slice(start * m, (start + len(lines)) * m), weights.reshape(-1, n)
 
     @np.errstate(divide="ignore", over="ignore", invalid="ignore")
     def variance_bounds(self, rows):

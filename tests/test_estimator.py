@@ -19,8 +19,8 @@ from fsp import (
     VarianceField,
 )
 from fsp import adaptation, estimator
-from fsp.core import rng_stream
-from fsp.estimator import pilot_bandwidth
+from fsp.core import DataError, rng_stream
+from fsp.estimator import Candidates, pilot_bandwidth
 from fsp.smoothing import smooth_values
 from helpers import (
     chebyshev_broadcast,
@@ -229,14 +229,17 @@ def test_batches_spanning_several_row_blocks_match_smaller_calls(monkeypatch):
         (HolderParams(t1, t2), h) for h in (0.01, 0.03) for t1 in (0.0, 1.0) for t2 in (0.0, 0.5)
     ]
     f_points = points[:, 0] - points[:, 1] ** 2
-    args = (pairs, points, values, f_points, xs, values[: len(xs)], xs[:, 0] - xs[:, 1] ** 2)
+    args = (
+        Candidates.from_pairs(pairs), points, values, f_points, xs, values[: len(xs)],
+        xs[:, 0] - xs[:, 1] ** 2,
+    )
     several = adaptation._score_pairs(*args)
     # the bandwidth ladder must match the masked sums that one bandwidth's
     # pairs take on their own, where every theta carries one bandwidth
     ladder = {(theta, h): score for theta, h, score in several}
     for h_alone in (0.01, 0.03):
         alone = [pair for pair in pairs if pair[1] == h_alone]
-        for theta, h, score in adaptation._score_pairs(alone, *args[1:]):
+        for theta, h, score in adaptation._score_pairs(Candidates.from_pairs(alone), *args[1:]):
             assert ladder[(theta, h)] == pytest.approx(score, rel=1e-12)
     monkeypatch.setattr(estimator, "_CHUNK_ELEMENTS", 10 * len(xs) * n)
     assert adaptation._score_pairs(*args) == several
@@ -387,7 +390,9 @@ def test_cv_scoring_memory_does_not_grow_with_validation_rows(monkeypatch):
     train_x = rng.random((300, 2))
     train_y = rng.normal(size=300)
     # 49 thetas x 16 rungs; a block holds about 20 rows, so both batches span many blocks
-    pairs = [(theta, 0.5 / k) for k in range(1, 17) for theta in adaptation.build_grid(300, 2.0).points]
+    pairs = Candidates.from_pairs(
+        [(theta, 0.5 / k) for k in range(1, 17) for theta in adaptation.build_grid(300, 2.0).points]
+    )
     peaks = []
     for n_val in (300, 300, 3000):  # the first call also makes one-time allocations
         val_x = rng.random((n_val, 2))
@@ -422,7 +427,9 @@ def test_window_blocks_do_not_shrink_with_the_number_of_theta2_values(monkeypatc
     for chosen in (thetas, [t for t in thetas if t.theta2 == 1.0]):
         blocks.append([])
         pairs = [(theta, h) for h in hs for theta in chosen]
-        estimator.window_passes(train_x, train_y, train_x[:, 0], xs, xs[:, 0], pairs, lambda *a: None)
+        estimator.window_passes(
+            train_x, train_y, train_x[:, 0], xs, xs[:, 0], Candidates.from_pairs(pairs), lambda *a: None
+        )
     assert len({t.theta2 for t in thetas}) == 8
     # each thread holds one Holder power at a time, so eight theta2 values take
     # the row blocks of one
@@ -438,11 +445,11 @@ def test_full_ladder_scoring_peak_at_n_1500():
     train_y = rng.normal(size=1125)
     val_x = rng.random((375, 2))
     val_y = rng.normal(size=375)
-    pairs = [
+    pairs = Candidates.from_pairs([
         (theta, h)
         for h in adaptation.default_bandwidth_set(1500, 1.0, full=True)
         for theta in adaptation.build_grid(1500, 2.0).points
-    ]
+    ])
     tracemalloc.start()
     try:
         adaptation._score_pairs(pairs, train_x, train_y, train_x[:, 0], val_x, val_y, val_x[:, 0])
@@ -452,16 +459,40 @@ def test_full_ladder_scoring_peak_at_n_1500():
     assert peak <= 20e6, peak / 1e6
 
 
+def test_full_ladder_candidates_at_n_3000_take_bytes_a_pair_not_a_tuple():
+    # a full_bandwidth_set fit at n = 3,000 scores 100 thetas x 3,000 rungs; on a
+    # few validation rows the (row, rung) sums are small, so the candidates and the
+    # kernel's per-pair index arrays set the peak
+    rng = rng_stream(35, "candidate-peak")
+    train_x, val_x = rng.random((300, 2)), rng.random((20, 2))
+    train_y, val_y = rng.normal(size=300), rng.normal(size=20)
+    thetas = adaptation.build_grid(3000, 2.0).points
+    hs = adaptation.default_bandwidth_set(3000, 1.0, full=True)
+    tracemalloc.start()
+    try:
+        candidates = adaptation._cv_candidates(thetas, hs)
+        table = adaptation._score_pairs(
+            candidates, train_x, train_y, train_x[:, 0], val_x, val_y, val_x[:, 0]
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(candidates) == len(table) == 300_000
+    assert table[0][:2] == (thetas[0], hs[-1]) and table[-1][:2] == (thetas[-1], hs[0])
+    # a list of (theta, h) tuples alone takes 65 bytes a pair
+    assert peak <= 80 * len(table), peak / len(table)
+
+
 def test_a_kept_score_table_holds_columns_not_rows():
     # the CV table of a default fit at n = 1,000: 64 thetas x 32 rungs
     rng = rng_stream(32, "kept-table")
     train_x, val_x = rng.random((200, 2)), rng.random((100, 2))
     train_y, val_y = rng.normal(size=200), rng.normal(size=100)
-    pairs = [
+    pairs = Candidates.from_pairs([
         (theta, h)
         for h in adaptation.default_bandwidth_set(1000, 1.0)
         for theta in adaptation.build_grid(1000, 2.0).points
-    ]
+    ])
     args = (pairs, train_x, train_y, train_x[:, 0], val_x, val_y, val_x[:, 0])
     # the first call makes one-time allocations; its table stays alive, so the rows
     # of the second cannot reuse freed memory that tracemalloc never saw
@@ -664,7 +695,9 @@ def _window_bytes(case, pairs):
     """The bytes of window_biases and of the CV scores of pairs on one case."""
     train_x, train_y, f_train, xs, f_eval, val_y = case
     biases = estimator.window_biases(train_x, train_y, f_train, xs, f_eval, pairs)
-    scores = adaptation._score_pairs(pairs, train_x, train_y, f_train, xs, val_y, f_eval)
+    scores = adaptation._score_pairs(
+        Candidates.from_pairs(pairs), train_x, train_y, f_train, xs, val_y, f_eval
+    )
     return biases.tobytes(), np.array([score for *_, score in scores]).tobytes()
 
 
@@ -702,7 +735,9 @@ def test_window_blocks_split_where_designed(two_threads):
     def handed(n_train, n_rows, pairs):
         two_threads.handed.clear()
         train_x, train_y, f_train, xs, f_eval, _ = _window_case(rng, n_train, n_rows)
-        estimator.window_passes(train_x, train_y, f_train, xs, f_eval, pairs, lambda *a: None)
+        estimator.window_passes(
+            train_x, train_y, f_train, xs, f_eval, Candidates.from_pairs(pairs), lambda *a: None
+        )
         return two_threads.handed
 
     # a fit's CV call: 750 training points and 57 passes, in blocks of 82 rows
@@ -738,7 +773,9 @@ def test_each_window_pass_runs_once_under_frequent_thread_switches(two_threads):
     try:
         for _ in range(3):
             seen.clear()
-            estimator.window_passes(train_x, train_y, f_train, xs, f_eval, pairs, record)
+            estimator.window_passes(
+                train_x, train_y, f_train, xs, f_eval, Candidates.from_pairs(pairs), record
+            )
             assert all(sorted(ks) == list(range(len(pairs))) for ks in seen.values())
     finally:
         sys.setswitchinterval(interval)
@@ -782,7 +819,9 @@ def test_a_split_cv_window_block_raises_each_theta2_power_once(monkeypatch, two_
     for _ in range(10):
         raised.clear()
         two_threads.handed.clear()
-        adaptation._score_pairs(cv, train_x, train_y, f_train, xs, val_y, f_eval)
+        adaptation._score_pairs(
+            Candidates.from_pairs(cv), train_x, train_y, f_train, xs, val_y, f_eval
+        )
         assert sorted(raised) == sorted({theta.theta2 for theta in thetas}), raised
         assert len(two_threads.handed) == 2
 
@@ -812,7 +851,9 @@ def test_a_window_block_raises_only_after_its_worker_is_done(monkeypatch, two_th
 
         two_threads.futures.clear()
         with pytest.raises(ValueError, match=f"on the {failing}"):
-            estimator.window_passes(train_x, train_y, f_train, xs, f_eval, cv, consume)
+            estimator.window_passes(
+                train_x, train_y, f_train, xs, f_eval, Candidates.from_pairs(cv), consume
+            )
         assert len(two_threads.futures) == 2 and all(f.done() for f in two_threads.futures)
         made = len(calls)
         time.sleep(0.05)
@@ -901,6 +942,102 @@ def test_variance_batch_turns_its_distances_into_weights_in_place():
     finally:
         tracemalloc.stop()
     assert peak <= 1.5 * block, peak / block
+
+
+def _distance_calls(monkeypatch):
+    """The row counts of the dense path's chebyshev_distances calls, as they happen."""
+    calls = []
+    kernel = estimator.chebyshev_distances
+
+    def counted(a, b):
+        calls.append(len(a))
+        return kernel(a, b)
+
+    monkeypatch.setattr(estimator, "chebyshev_distances", counted)
+    return calls
+
+
+def _row_by_row(field, xs):
+    """variance_batch one query at a time: a lone row is no grid, so the dense path."""
+    return np.concatenate([field.variance_batch(x[None, :]) for x in xs])
+
+
+def _grid(axes):
+    return np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=1)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_variance_batch_on_a_grid_keeps_the_dense_bits(monkeypatch, dim):
+    rng = rng_stream(40 + dim, "grid-variance")
+    # offset, non-cubic boxes; the widest edge is at most 4.1
+    box = Domain([-1.5 + 0.25 * j for j in range(dim)], [0.5 + 0.7 * j for j in range(dim)])
+    nodes = box.quadrature_nodes()
+    uneven = _grid([np.sort(box.uniform(3 + j, rng)[:, j]) for j in range(dim)])
+    pilot_x = box.uniform(60, rng)
+    pilot_x[:20] = nodes[rng.integers(0, len(nodes), 20)]  # pilots on node coordinates
+    pilot_y = 3.0 * rng.normal(size=60) + 1.0
+    calls = _distance_calls(monkeypatch)
+    for h in (0.2, 0.9, 10.0):  # the last is wider than the box
+        field = VarianceField(pilot_x, pilot_y, h, box)
+        for xs in (nodes, uneven):
+            calls.clear()
+            got = field.variance_batch(xs)
+            assert calls == [], (h, len(xs))  # the grid path computes no distances
+            assert got.tobytes() == _row_by_row(field, xs).tobytes(), (h, len(xs))
+    # the overflow check sees the grid path's moments too
+    field = VarianceField(pilot_x, np.full(60, 1e160), 0.9, box)
+    calls.clear()
+    with pytest.raises(DataError, match="overflow float64 at h_sigma = 0.9"):
+        field.variance_batch(nodes)
+    assert calls == []
+    with pytest.raises(DataError, match="overflow float64"):
+        field.variance_batch(nodes[:1])
+
+
+def test_variance_batch_takes_the_dense_path_off_a_grid(monkeypatch):
+    rng = rng_stream(44, "off-grid-variance")
+    nodes = UNIT.quadrature_nodes()
+    field = VarianceField(rng.random((50, 2)), rng.normal(size=50), 0.3, UNIT)
+    on_grid = field.variance_batch(nodes)
+    order = rng.permutation(len(nodes))
+    moved = nodes.copy()
+    moved[100, 1] += 1e-9
+    calls = _distance_calls(monkeypatch)
+    cases = {
+        "row-permuted": (nodes[order], on_grid[order]),
+        "one-node-moved": (moved, _row_by_row(field, moved)),
+        "one-value-on-an-axis": (nodes[:64], on_grid[:64]),
+        "no-rows": (nodes[:0], on_grid[:0]),
+    }
+    for name, (xs, want) in cases.items():
+        calls.clear()
+        got = field.variance_batch(xs)
+        assert calls or not len(xs), name
+        assert got.tobytes() == want.tobytes(), name
+    line = Domain.cube(1)
+    field = VarianceField(rng.random((50, 1)), rng.normal(size=50), 0.1, line)
+    calls.clear()
+    field.variance_batch(line.quadrature_nodes())  # a 1-D input is no grid
+    assert calls
+
+
+def test_grid_variance_blocks_stay_within_the_block_budget(monkeypatch):
+    nodes = UNIT.quadrature_nodes()
+    calls = _distance_calls(monkeypatch)
+    for n in (75, 600, 5000):
+        rng = rng_stream(n, "grid-variance-memory")
+        field = VarianceField(rng.random((n, 2)), rng.normal(size=n), 0.3, UNIT)
+        calls.clear()
+        tracemalloc.start()
+        try:
+            field.variance_batch(nodes)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        if n <= 600:  # the per-axis tents fit beside a block of whole lines
+            assert calls == [] and peak <= 1.25e6, (n, peak)
+        else:  # they would not, so the dense path's blocks answer
+            assert calls, n
 
 
 def test_variance_matches_loop_oracle_and_nonnegative():

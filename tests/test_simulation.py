@@ -1,7 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from fsp import (
+    BlackBoxModel,
     Domain,
     FunctionModel,
     GaussianNoise,
@@ -13,8 +16,9 @@ from fsp import (
     scenario_classification,
     scenario_regression,
 )
-from fsp.core import rng_stream
-from fsp.simulation import MemoizedNoiseModel, Scenario, fit_log_log_slope
+from fsp.adaptation import FitConfig, fit_personalized
+from fsp.core import derive_seed, rng_stream
+from fsp.simulation import MemoizedNoiseModel, Scenario, fit_log_log_slope, single_task_estimator
 
 
 def test_regression_truth_spot_values():
@@ -66,6 +70,78 @@ def test_adversarial_model_memoizes():
     a = model.predict_batch(np.array([[0.1, 0.2], [0.3, 0.4]]))
     b = model.predict_batch(np.array([[0.3, 0.4], [0.1, 0.2]]))
     assert a[0] == b[1] and a[1] == b[0]
+
+
+def test_adversarial_model_draws_unseen_rows_in_first_appearance_order():
+    def loop(rng, memo, xs):  # one draw per unseen row, in row order
+        out = []
+        for row in xs:
+            if row.tobytes() not in memo:
+                memo[row.tobytes()] = float(rng.standard_normal())
+            out.append(memo[row.tobytes()])
+        return np.array(out)
+
+    rng = rng_stream(5, "t")
+    pool = rng.random((6, 2))
+    batches = [pool[[0, 1, 0, 2]], pool[[3, 1, 3, 3, 4]], pool[[5, 0]], pool[:0], pool[[4]]]
+    model, memo, reference = MemoizedNoiseModel(rng_stream(6, "noise")), {}, rng_stream(6, "noise")
+    for xs in batches:
+        assert model.predict_batch(xs).tobytes() == loop(reference, memo, xs).tobytes()
+    # -0.0 and 0.0 are different points to the memo, as their bytes differ
+    zero = model.predict_batch(np.array([[0.0, 0.5], [-0.0, 0.5]]))
+    assert zero.tobytes() == loop(reference, memo, np.array([[0.0, 0.5], [-0.0, 0.5]])).tobytes()
+
+
+class _Counting(BlackBoxModel):
+    """A model that records every batch it is asked for."""
+
+    def __init__(self, inner, seen):
+        self.inner, self.seen = inner, seen
+
+    def predict_batch(self, xs):
+        self.seen.append(np.array(xs))
+        return self.inner.predict_batch(xs)
+
+
+def _repetition_by_predict_batch(scenario, n, n_ptr, rep_seed):
+    """The rows of one repetition, each method scored through predict_batch on the
+    test set in METHODS order, as a reference."""
+    model = scenario.make_pretrained(n_ptr, rep_seed)
+    test_x = scenario.domain.uniform(scenario.n_test, rng_stream(rep_seed, "simulation-test"))
+    if scenario.metric == "mce":
+        p = np.asarray(scenario.f_star(test_x), float)
+        test_y = (rng_stream(rep_seed, "simulation-test-labels").random(len(p)) < p).astype(float)
+    single = single_task_estimator(scenario, n, derive_seed(rep_seed, "single-task"))
+    fit = fit_personalized(
+        model, scenario.domain, n, scenario.make_oracle(), FitConfig(), derive_seed(rep_seed, "fsp")
+    )
+    values = []
+    for predict in (single.predict_batch, fit.estimator.predict_batch, model.predict_batch):
+        if scenario.metric == "mce":
+            values.append(mce(predict, test_y, test_x))
+        else:
+            values.append(mse(predict, scenario.f_star, test_x))
+    return values, test_x
+
+
+@pytest.mark.parametrize(
+    "make", [scenario_regression, scenario_classification, scenario_adversarial]
+)
+def test_a_repetition_queries_the_model_once_on_its_test_set(make):
+    base = make(n_test=60)
+    seen = []
+
+    def counting(n_ptr, seed):
+        return _Counting(base.make_pretrained(n_ptr, seed), seen)
+
+    scenario = replace(base, pretrained_factory=counting)
+    result = run_experiment(scenario, n=60, n_ptr=200, repetitions=2, seed=7)
+    for rep in range(2):
+        values, test_x = _repetition_by_predict_batch(base, 60, 200, derive_seed(7, f"rep-{rep}"))
+        rows = [r for r in result.rows if r.rep == rep]
+        assert [r.method for r in rows] == ["single-task", "fsp", "pretrained"]
+        assert [r.value for r in rows] == values  # the same floats as predict_batch gives
+        assert sum(q.shape == test_x.shape and np.array_equal(q, test_x) for q in seen) == 1
 
 
 def test_adversarial_model_moments_and_independence():
