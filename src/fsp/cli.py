@@ -103,6 +103,8 @@ def _read_json(path, what):
         raise ConfigError(f"cannot read {what}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{what} is not valid JSON: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{what} {path} is not UTF-8 text: {exc}") from None
 
 
 def _load_config_file(path):
@@ -487,8 +489,11 @@ def cmd_predict(args):
 
 def _read_column(path, preferred):
     """The only column of a file, else its first column named in `preferred`."""
-    with open(path, newline="", encoding="utf-8-sig") as fh:  # as load_csv reads it
-        header = next(csv.reader(fh), None)
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:  # as load_csv reads it
+            header = next(csv.reader(fh), None)
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path} is not UTF-8 text: {exc}") from None
     if header is None:
         raise DataError(f"empty data: {path} has no header row")
     header = [c.strip() for c in header]

@@ -142,18 +142,20 @@ class Domain:
         """Draw `count` i.i.d. uniform points on the box."""
         return rng.uniform(np.asarray(self.lo), np.asarray(self.hi), size=(int(count), self.dim))
 
-    def grid(self, points_per_dim):
-        """Midpoint-rule grid: cell centers of shape (m^d, d) and the cell volume."""
+    def grid_axes(self, points_per_dim):
+        """The midpoint rule's m cell centers on each axis, a list of d arrays."""
         m = int(points_per_dim)
         if m < 2:
             raise ValueError("need at least 2 quadrature points per dimension")
-        axes = [
-            self.lo[j] + (np.arange(m) + 0.5) * (self.hi[j] - self.lo[j]) / m
-            for j in range(self.dim)
-        ]
+        return [self.lo[j] + (np.arange(m) + 0.5) * (self.hi[j] - self.lo[j]) / m for j in range(self.dim)]
+
+    def grid(self, points_per_dim):
+        """Midpoint-rule grid: cell centers of shape (m^d, d), C-order over
+        grid_axes(m), and the cell volume."""
+        axes = self.grid_axes(points_per_dim)
         mesh = np.meshgrid(*axes, indexing="ij")
         centers = np.stack([g.ravel() for g in mesh], axis=1)
-        return centers, self.volume() / m**self.dim
+        return centers, self.volume() / len(axes[0]) ** self.dim
 
     def quadrature_nodes(self, points_per_dim=None):
         """Equal-weight nodes for averages over the box, shape (nodes, d).
@@ -298,8 +300,8 @@ def load_csv(path, covariates, response=None, allow_empty=False):
     (n, d) covariate array is returned.  Malformed input raises DataError
     naming the offending row (1-based, header excluded) and column; a
     non-finite cell such as nan or inf counts as malformed, and so does a
-    requested column whose name the header holds twice.  A leading UTF-8
-    byte-order mark is skipped.
+    requested column whose name the header holds twice, and so is a file
+    that is not UTF-8 text.  A leading UTF-8 byte-order mark is skipped.
     """
     covariates = list(covariates)
     wanted = covariates + ([response] if response is not None else [])
@@ -308,7 +310,10 @@ def load_csv(path, covariates, response=None, allow_empty=False):
     with open(path, "rb") as fh:
         data = fh.read().removeprefix(codecs.BOM_UTF8)
     if not data.isascii():
-        data.decode("utf-8")  # a file that is not UTF-8 raises here, before any check
+        try:
+            data.decode("utf-8")  # a file that is not UTF-8 fails here, before any check
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path} is not UTF-8 text: {exc}") from None
     # the csv module reads the lines a text file object gives, decoded a chunk at a time
     reader = csv.reader(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline=""))
     header = next(reader, None)

@@ -6,7 +6,6 @@ prediction adds that average back onto the black-box value at the query.
 """
 
 import contextvars
-import math
 import os
 from dataclasses import dataclass
 from functools import partial
@@ -33,6 +32,10 @@ __all__ = [
 
 _CHUNK_ELEMENTS = 2_000_000
 _SLAB_PAIRS = 32_768  # (cell, pilot) pairs a slab of variance bounds holds at a time
+# pilot points a variance moment's dot product takes at a time: OpenBLAS splits a
+# dot product of more than 10,000 elements across its threads, so its bits would
+# depend on the thread count
+_DOT_COLUMNS = 8_192
 _TILE_PAIRS = 32_768  # a distance tile and its scratch take 512 KB, well inside a core's L2
 # a window block with fewer pairs runs its passes on one thread: below it the
 # hand-off costs more than the second thread saves
@@ -459,38 +462,13 @@ def pilot_bandwidth(n, dim):
     return float(n) ** (-1.0 / (dim + 2))
 
 
-def _grid_axes(xs):
-    """The axes (a_0, ..., a_{d-1}) of queries that are the C-order tensor grid
-    a_0 x ... x a_{d-1}, row (i_0, ..., i_{d-1}) holding (a_0[i_0], ..., a_{d-1}[i_{d-1}]),
-    with d >= 2 and at least two values an axis; None for any other queries.
-
-    Axis j's length is read off where coordinate j - 1 first changes, and the rows
-    are then checked against the grid of the axes so read.
-    """
-    n, dim = xs.shape
-    if dim < 2 or n < 2**dim:
-        return None
-    sizes, step = [], 1  # step: the rows between two values of axis j
-    for j in range(dim - 1, 0, -1):
-        changed = xs[:, j - 1] != xs[0, j - 1]
-        end = int(changed.argmax())
-        if not changed[end] or end % step or end // step < 2:
-            return None
-        sizes.append(end // step)
-        step = end
-    if n % step or n // step < 2:
-        return None
-    sizes = [n // step, *reversed(sizes)]
-    grid = xs.reshape(*sizes, dim)
-    axes = []
-    for j, size in enumerate(sizes):
-        values = grid[(0,) * j + (slice(None),) + (0,) * (dim - 1 - j) + (j,)]
-        shape = [1] * dim
-        shape[j] = size
-        if not (grid[..., j] == values.reshape(shape)).all():
-            return None
-        axes.append(values)
-    return axes
+def _row_dots(weights, values):
+    """np.vecdot(weights, values) over chunks of _DOT_COLUMNS columns, the partial
+    sums added in chunk order; one chunk is np.vecdot itself."""
+    total = np.vecdot(weights[:, :_DOT_COLUMNS], values[:_DOT_COLUMNS])
+    for start in range(_DOT_COLUMNS, len(values), _DOT_COLUMNS):
+        total += np.vecdot(weights[:, start : start + _DOT_COLUMNS], values[start : start + _DOT_COLUMNS])
+    return total
 
 
 class VarianceField:
@@ -500,10 +478,10 @@ class VarianceField:
     moment averages carry a max(1, .) guard in the denominator and the
     resulting variance is clamped at zero.  The weight sum and both moments
     reduce each query's row of tent weights on its own (a row sum and two
-    np.vecdot row products), so a query's bits do not depend on its batch.
-    Queries that form a C-order tensor grid, as the quadrature nodes up to
-    d = 4 do, take their tent weights from per-axis tents instead of sup-norm
-    distances, with the same bits.
+    row products, _row_dots), so a query's bits do not depend on its batch or
+    on the OpenBLAS thread count.  The domain's own quadrature grid
+    domain.grid(m)[0] (the quadrature nodes up to d = 4) takes its tent weights
+    from per-axis tents instead of sup-norm distances, with the same bits.
     """
 
     def __init__(self, pilot_x, pilot_y, h_sigma, domain):
@@ -519,18 +497,21 @@ class VarianceField:
     def variance_batch(self, xs):
         xs = np.atleast_2d(np.asarray(xs, float))
         out = np.empty(xs.shape[0])
-        axes = _grid_axes(xs)
-        if axes is not None:
-            # the grid path holds every axis's tents beside one block of whole lines
-            # and its two line-sized temporaries, within the dense path's 1 MB block
-            width = sum(map(len, axes)) + len(axes[-1]) + 2
-            if width * self.pilot_x.shape[0] > _CHUNK_ELEMENTS // 16:
-                axes = None
-        blocks = self._tent_blocks(xs) if axes is None else self._grid_tent_blocks(axes)
+        n, dim = self.pilot_x.shape
+        m = round(len(xs) ** (1 / dim))
+        # the grid path's blocks are whole lines along the last axis: a block's weights
+        # and two line-sized temporaries fit beside every axis's tents in a sixteenth
+        # of the chunk budget (1 MB), as in _tent_blocks, where step >= 1
+        step = (_CHUNK_ELEMENTS // 16 - dim * m * n) // ((m + 2) * max(n, 1))  # lines a block
+        on_grid = dim >= 2 and m >= 2 and m**dim == len(xs) and step >= 1
+        if on_grid and np.array_equal(xs, self.domain.grid(m)[0]):
+            blocks = self._grid_tent_blocks(m, step)
+        else:
+            blocks = self._tent_blocks(xs)
         for rows, weights in blocks:
             wsum = weights.sum(axis=1)
-            second = np.vecdot(weights, self.pilot_y**2) / np.maximum(1.0, wsum)
-            first = np.vecdot(weights, self.pilot_y)
+            second = _row_dots(weights, self.pilot_y**2) / np.maximum(1.0, wsum)
+            first = _row_dots(weights, self.pilot_y)
             out[rows] = second - first**2 / np.maximum(1.0, wsum**2)
         if not np.isfinite(out).all():
             raise DataError(f"the pilot labels' moments overflow float64 at h_sigma = {self.h_sigma!r}; "
@@ -549,40 +530,34 @@ class VarianceField:
             np.maximum(weights, 0.0, out=weights)
             yield rows, weights
 
-    def _grid_tent_blocks(self, axes):
-        """_tent_blocks for the C-order grid of the axes given (see _grid_axes), from
-        per-axis tents max(0, h - |x_j - p_j|): as rounding is monotone, their
-        minimum over the axes is the tent max(0, h - max_j |x_j - p_j|) bit for bit.
+    def _grid_tent_blocks(self, m, step):
+        """_tent_blocks for the domain's quadrature grid domain.grid(m)[0], `step`
+        whole lines a block, from per-axis tents max(0, h - |x_j - p_j|) at the
+        domain's grid_axes(m): as rounding is monotone, their minimum over the axes
+        is the tent max(0, h - max_j |x_j - p_j|) bit for bit.
 
         The grid's rows form lines along the last axis, the axes before it fixed.
-        A block is whole lines: its weights, the minimum tent of its lines over
-        the axes before the last and one gathered tent of those lines fit beside
-        the per-axis tents in a sixteenth of the chunk budget (1 MB), as in
-        _tent_blocks.  Every block's weights are written into one buffer, each over
-        the last: a fresh 1 MB block each time would fault its pages in again.
+        Every block's weights are written into one buffer, each over the last: a
+        fresh 1 MB block each time would fault its pages in again.
         """
-        n = self.pilot_x.shape[0]
+        n, dim = self.pilot_x.shape
         tents = []
-        for j, values in enumerate(axes):
+        for j, values in enumerate(self.domain.grid_axes(m)):
             tent = np.subtract.outer(values, self.pilot_x[:, j])  # the kernel's x - p
             np.abs(tent, out=tent)
             np.subtract(self.h_sigma, tent, out=tent)
             tents.append(np.maximum(tent, 0.0, out=tent))
-        m, last = len(axes[-1]), tents[-1]
-        n_lines = math.prod(len(values) for values in axes[:-1])
-        step = (_CHUNK_ELEMENTS // 16 - sum(map(len, axes)) * n) // ((m + 2) * n)  # lines a block
+        n_lines = m ** (dim - 1)
         buffer = np.empty(min(step, n_lines) * m * n)
         for start in range(0, n_lines, step):
-            # the lines' C-order indices over the axes before the last
-            lines = np.arange(start, min(start + step, n_lines))
-            stride = n_lines // len(axes[0])
-            inner = tents[0].take(lines // stride, axis=0)
-            for tent, values in zip(tents[1:-1], axes[1:]):
-                stride //= len(values)
-                np.minimum(inner, tent.take(lines // stride % len(values), axis=0), out=inner)
-            weights = buffer[: len(lines) * m * n].reshape(len(lines), m, n)
-            np.minimum(inner[:, None, :], last[None], out=weights)
-            yield slice(start * m, (start + len(lines)) * m), weights.reshape(-1, n)
+            # each line's index on every axis before the last
+            lines = np.unravel_index(np.arange(start, min(start + step, n_lines)), (m,) * (dim - 1))
+            inner = tents[0].take(lines[0], axis=0)
+            for tent, index in zip(tents[1:-1], lines[1:]):
+                np.minimum(inner, tent.take(index, axis=0), out=inner)
+            weights = buffer[: len(inner) * m * n].reshape(len(inner), m, n)
+            np.minimum(inner[:, None, :], tents[-1][None], out=weights)
+            yield slice(start * m, (start + len(inner)) * m), weights.reshape(-1, n)
 
     @np.errstate(divide="ignore", over="ignore", invalid="ignore")
     def variance_bounds(self, rows):

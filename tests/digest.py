@@ -146,6 +146,11 @@ def kernels():
         field = fsp.VarianceField(train_x, train_y, 0.3, fsp.Domain.cube(dim))
         emit(f"variance.d{dim}", field.variance_batch(xs))
         emit(f"mean_sigma.d{dim}", field.mean_sigma(fsp.core.default_quadrature_points(dim)))
+    # pilots above the 10,000 elements at which OpenBLAS splits a dot product across threads
+    for n in (12_000, 40_000):
+        rng = rng_stream(n, "digest-variance")
+        field = fsp.VarianceField(rng.random((n, 2)), rng.normal(size=n), 0.9, fsp.Domain.cube(2))
+        emit(f"variance.pilot{n}", field.variance_batch(rng.random((300, 2))))
 
 
 def experiments():

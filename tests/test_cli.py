@@ -397,6 +397,44 @@ def test_an_unreadable_or_malformed_json_file_exits_2_and_names_it(tmp_path, cap
         assert capsys.readouterr().err.strip().splitlines()[-1].startswith(message)
 
 
+@pytest.mark.parametrize("role", ["config", "estimator", "pool-csv", "table-csv", "queries",
+                                  "predictions", "truth"])
+def test_a_file_that_is_not_utf8_exits_2_and_names_it(tmp_path, capsys, role):
+    bad = tmp_path / "latin-1.txt"
+    queries, column = tmp_path / "q.csv", tmp_path / "c.csv"
+    queries.write_text("x1,x2\n0.5,0.5\n")
+    column.write_text("y\n1\n")
+    outputs = ["--out-estimator", tmp_path / "e.json", "--out-report", tmp_path / "r.json"]
+    if role in ("estimator", "queries"):
+        assert main(["personalize", "--config", str(_personalize_config(tmp_path))]) == 0
+    if role == "config":
+        content, argv = b'{"n": 48, "seed": "caf\xe9"}', ["personalize", "--config", bad]
+    elif role == "estimator":
+        content, argv = b'{"kind": "\xe9"}', ["predict", "--estimator", bad, "--queries", queries]
+    elif role == "pool-csv":
+        content = b"x1,x2,y\n0.5,0.5,1\n0.5,\xe9,1\n"
+        argv = ["personalize", "--pool-csv", bad, "--covariates", "x1,x2", "-n", 1, "--model-expr", "x1",
+                *outputs]
+    elif role == "table-csv":
+        content = b"x1,x2,y\n\xe9,0.5,1\n"
+        model = {"kind": "table", "csv": str(bad), "covariates": ["x1", "x2"], "value": "y"}
+        argv = ["personalize", "--config", _personalize_config(tmp_path, model=model)]
+    elif role == "queries":
+        content = b"x1,x2\n0.5,\xe9\n"
+        argv = ["predict", "--estimator", tmp_path / "e.json", "--queries", bad, "--out", tmp_path / "p.csv"]
+    elif role == "predictions":
+        content, argv = b"prediction\n\xe9\n", ["eval", "--predictions", bad, "--truth", column]
+    else:
+        content, argv = b"y\n\xe9\n", ["eval", "--predictions", column, "--truth", bad]
+    bad.write_bytes(content)
+    capsys.readouterr()
+    assert main([str(a) for a in argv]) == 2
+    err = capsys.readouterr().err
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and str(bad) in errors[0], err
+    assert "Traceback" not in err
+
+
 def _reject_constant(name):
     raise ValueError(f"non-standard JSON constant {name}")
 

@@ -1,3 +1,5 @@
+import os
+import subprocess
 import sys
 import threading
 import time
@@ -19,8 +21,9 @@ from fsp import (
     VarianceField,
 )
 from fsp import adaptation, estimator
-from fsp.core import DataError, rng_stream
+from fsp.core import DataError, default_quadrature_points, rng_stream
 from fsp.estimator import Candidates, pilot_bandwidth
+from fsp.sampling import plug_in_density
 from fsp.smoothing import smooth_values
 from helpers import (
     chebyshev_broadcast,
@@ -972,6 +975,8 @@ def test_variance_batch_on_a_grid_keeps_the_dense_bits(monkeypatch, dim):
     # offset, non-cubic boxes; the widest edge is at most 4.1
     box = Domain([-1.5 + 0.25 * j for j in range(dim)], [0.5 + 0.7 * j for j in range(dim)])
     nodes = box.quadrature_nodes()
+    # the domain's own grids take the grid path; any other tensor grid, the dense path
+    grids = {"nodes": nodes, "grid-5": box.grid(5)[0], "nodes-5": box.quadrature_nodes(5)}
     uneven = _grid([np.sort(box.uniform(3 + j, rng)[:, j]) for j in range(dim)])
     pilot_x = box.uniform(60, rng)
     pilot_x[:20] = nodes[rng.integers(0, len(nodes), 20)]  # pilots on node coordinates
@@ -979,11 +984,14 @@ def test_variance_batch_on_a_grid_keeps_the_dense_bits(monkeypatch, dim):
     calls = _distance_calls(monkeypatch)
     for h in (0.2, 0.9, 10.0):  # the last is wider than the box
         field = VarianceField(pilot_x, pilot_y, h, box)
-        for xs in (nodes, uneven):
+        for name, xs in (*grids.items(), ("uneven", uneven)):
             calls.clear()
             got = field.variance_batch(xs)
-            assert calls == [], (h, len(xs))  # the grid path computes no distances
-            assert got.tobytes() == _row_by_row(field, xs).tobytes(), (h, len(xs))
+            if name == "uneven":
+                assert calls == [len(xs)], (h, name)
+            else:
+                assert calls == [], (h, name)  # the grid path computes no distances
+            assert got.tobytes() == _row_by_row(field, xs).tobytes(), (h, name)
     # the overflow check sees the grid path's moments too
     field = VarianceField(pilot_x, np.full(60, 1e160), 0.9, box)
     calls.clear()
@@ -1038,6 +1046,39 @@ def test_grid_variance_blocks_stay_within_the_block_budget(monkeypatch):
             assert calls == [] and peak <= 1.25e6, (n, peak)
         else:  # they would not, so the dense path's blocks answer
             assert calls, n
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_the_quadrature_average_takes_the_grid_path(monkeypatch, dim):
+    rng = rng_stream(50 + dim, "quadrature-variance")
+    box = Domain([-1.0] * dim, [0.5 + 0.5 * j for j in range(dim)])
+    field = VarianceField(box.uniform(200, rng), rng.normal(size=200), 0.4, box)
+    calls = _distance_calls(monkeypatch)
+    plug_in_density(field)
+    field.mean_sigma(default_quadrature_points(dim))
+    assert calls == []
+
+
+# the variance of 300 queries on 12,000 pilot points, as hex bytes
+_THREADED_MOMENTS = """\
+from fsp import Domain, VarianceField
+from fsp.core import rng_stream
+rng = rng_stream(12_000, "threaded-moments")
+field = VarianceField(rng.random((12_000, 2)), rng.normal(size=12_000), 0.9, Domain.cube(2))
+print(field.variance_batch(rng.random((300, 2))).tobytes().hex())
+"""
+
+
+def test_variance_moments_do_not_depend_on_the_openblas_thread_count():
+    src = os.path.dirname(os.path.dirname(estimator.__file__))
+    out = []
+    for threads in ("1", "2"):  # OpenBLAS splits a dot product above 10,000 elements
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-c", _THREADED_MOMENTS], capture_output=True, text=True,
+                              env=env, timeout=120, check=True)
+        out.append(done.stdout)
+    assert out[0] == out[1]
 
 
 def test_variance_matches_loop_oracle_and_nonnegative():
