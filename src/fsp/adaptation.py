@@ -9,7 +9,6 @@ than the target-only kernel estimate.
 
 import numbers
 import operator
-from collections.abc import Sequence
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -54,10 +53,12 @@ class ThetaGrid:
 def build_grid(n, c1):
     n = int(n)
     if n < 3:
-        raise ValueError("grid needs n >= 3")
+        raise ConfigError(f"n must be at least 3 for the theta grid, got {n}")
     if not c1 > 0:
         raise ValueError("c1 must be positive")
     m = int(np.ceil(np.log(n)))
+    if not np.isfinite(m * c1):
+        raise ConfigError(f"c1 must leave m * c1 finite, with m = {m} for n = {n}; got {c1!r}")
     points = tuple(
         HolderParams(k * c1 / m, j / m) for k in range(m + 1) for j in range(m + 1)
     )
@@ -91,7 +92,7 @@ def select_theta(candidates, val_x, val_y):
 
 
 @dataclass(frozen=True, eq=False, repr=False)
-class ScoreTable(Candidates, Sequence):
+class ScoreTable(Candidates):
     """The scored (theta, h) pairs as columns, in scoring order: the Candidates
     scored and their scores.
 
@@ -345,13 +346,12 @@ def _resolve_bandwidths(config, n, domain, cap=None):
     return values
 
 
-def _select_and_build(model, domain, rr, n, config, bandwidths):
+def _select_and_build(model, domain, rr, n, config, thetas, bandwidths):
     ss = rr.samples
     train_x, train_y = ss.train_x, ss.train_y
     val_x, val_y = ss.val_x, ss.val_y
     if train_x.shape[0] == 0 or val_x.shape[0] == 0:
         raise ConfigError("retrieval produced an empty training or validation block")
-    thetas = sorted(config.thetas or build_grid(n, config.c1).points)
     if bandwidths is None:  # rule mode: one bandwidth per theta
         candidates = Candidates.from_pairs(
             [(t, rule_bandwidth(t.theta2, n, domain.dim, rr.mean_sigma, domain)) for t in thetas]
@@ -379,15 +379,17 @@ def _select_and_build(model, domain, rr, n, config, bandwidths):
 
 
 def _fit(model, domain, n, config, seed, retrieve, cap=None):
-    """The fit entry sequence: check the settings, resolve the candidate bandwidths
-    (all at most `cap`), retrieve with `retrieve(cfg, rng)`, then select and build.
+    """The fit entry sequence: check the settings, build the theta grid, resolve the
+    candidate bandwidths (all at most `cap`), retrieve with `retrieve(cfg, rng)`,
+    then select and build.
 
     A bad setting raises before `retrieve` runs, so it costs no label.
     """
     cfg = (config or FitConfig()).validate()
+    thetas = sorted(cfg.thetas or build_grid(n, cfg.c1).points)
     bandwidths = _resolve_bandwidths(cfg, n, domain, cap)
     rr = retrieve(cfg, rng_stream(seed, "retrieval"))
-    return _select_and_build(model, domain, rr, n, cfg, bandwidths)
+    return _select_and_build(model, domain, rr, n, cfg, thetas, bandwidths)
 
 
 def fit_personalized(model, domain, n, oracle, config=None, seed=0):

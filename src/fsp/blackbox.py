@@ -154,7 +154,6 @@ def compile_expression(expr, dim):
             value = eval(code, {"__builtins__": {}}, env)
         return np.broadcast_to(np.asarray(value, float), (xs.shape[0],)).copy()
 
-    fn.expression = str(expr)
     return fn
 
 
@@ -225,6 +224,9 @@ class KernelSmoothModel(BlackBoxModel):
         return _finite_or_raise(out, "kernel-smooth model")
 
 
+_START_TIMEOUT = 10.0  # seconds a child has to answer its handshake
+
+
 class ExternalProcessModel(BlackBoxModel):
     """Child process queried over standard streams.
 
@@ -241,13 +243,12 @@ class ExternalProcessModel(BlackBoxModel):
 
     kind, fields = "external", ("argv", "dim")
 
-    def __init__(self, argv, dim, timeout=30.0, start_timeout=10.0):
+    def __init__(self, argv, dim, timeout=30.0):
         if isinstance(argv, str):
             argv = [argv]
         self.argv = [str(a) for a in argv]
         self.dim = int(dim)
         self.timeout = float(timeout)
-        self.start_timeout = float(start_timeout)
         self._proc = None
         self._ready = False  # whether the child answered its handshake
         self._buffer = b""
@@ -283,7 +284,7 @@ class ExternalProcessModel(BlackBoxModel):
             if self._proc.poll() is not None:
                 raise QueryError("model process exited (stage: session)")
             return
-        (reply,) = self._exchange(f"DIM {self.dim}\n", 1, self.start_timeout, "handshake")
+        (reply,) = self._exchange(f"DIM {self.dim}\n", 1, _START_TIMEOUT, "handshake")
         if reply.strip() != "OK":
             raise QueryError(f"handshake failed (stage: handshake): expected OK, got {reply!r}")
         self._ready = True
@@ -377,7 +378,6 @@ class GaussianNoise:
     """Additive Gaussian noise with sigma given as a constant, expression, or callable."""
 
     def __init__(self, sigma=1.0, dim=None):
-        self._descriptor = sigma
         if callable(sigma):
             self._sigma = sigma
         elif isinstance(sigma, str):

@@ -106,11 +106,11 @@ def _squared_distances(a, b, pairs=None):
     return _fold_coordinates(a, b, np.square, np.add, pairs)
 
 
-def holder_powers(dist2, theta2):
+def holder_powers(dist, theta2):
     """Euclidean distances raised to theta2; with theta2 = 0, distance 0 maps to 0."""
     if theta2 > 0:
-        return dist2**theta2
-    return np.where(dist2 > 0, 1.0, 0.0)
+        return dist**theta2
+    return np.where(dist > 0, 1.0, 0.0)
 
 
 def truncate(anchor, sign, magnitude, band, out=None):
@@ -163,13 +163,13 @@ def smoothed_window_means(train_x, train_y, f_train, xs, f_eval, hs, passes, con
     wait on each other.  An empty window gives 0 through the max(1, count) guard.
 
     A block of more than one pass whose window holds at least _SPLIT_PAIRS pairs
-    runs on two threads, as bincount, searchsorted and the residual chain let go
-    of the GIL: the pool's worker searches the second half of the rungs, then
-    runs and consumes the passes from the theta2 boundary nearest the middle of
-    the list (the middle itself where every pass shares one theta2), while the
-    calling thread runs and consumes those before it.  A thread raises a
-    theta2's Holder powers at its first pass of that theta2 and drops them
-    before its next theta2's, so each thread holds one power array at a time.
+    runs on two threads, as bincount and the residual chain let go of the GIL:
+    the pool's worker runs and consumes the passes from the theta2 boundary
+    nearest the middle of the list (the middle itself where every pass shares
+    one theta2), while the calling thread runs and consumes those before it.
+    A thread raises a theta2's Holder powers at its first pass of that theta2
+    and drops them before its next theta2's, so each thread holds one power
+    array at a time.
     A pass reads only the block's shared arrays and hands over only its own
     pairs ks, so the bits do not depend on the thread count; the block returns
     or raises only once the worker is done.
@@ -177,13 +177,8 @@ def smoothed_window_means(train_x, train_y, f_train, xs, f_eval, hs, passes, con
     n_rows, n_rungs = xs.shape[0], len(hs)
     dist_inf = chebyshev_distances(train_x, xs)
     flat = np.flatnonzero(dist_inf <= hs[-1])
-    split = _threads > 1 and len(passes) > 1 and flat.size >= _SPLIT_PAIRS
     if n_rungs > 1:  # with one bandwidth, every gathered pair is on its one rung
-        keys = dist_inf.ravel().take(flat)
-        tail = _start(np.searchsorted, hs, keys[keys.size // 2 :]) if split else None
-        half = keys.size if tail is None else keys.size // 2
-        head = np.searchsorted(hs, keys[:half])
-        del keys
+        pair_rungs = np.searchsorted(hs, dist_inf.ravel().take(flat))
     del dist_inf
     cols = flat // n_rows  # a floor division by a scalar, unlike np.divmod, is fast
     rows = cols * n_rows
@@ -205,10 +200,8 @@ def smoothed_window_means(train_x, train_y, f_train, xs, f_eval, hs, passes, con
     bins *= n_rungs
     del rows
     if n_rungs > 1:
-        bins[:half] += head
-        if tail is not None:
-            bins[half:] += tail.result()
-        del head, tail
+        bins += pair_rungs
+        del pair_rungs
     counts = np.bincount(bins, minlength=n_rows * n_rungs).reshape(n_rows, n_rungs).cumsum(axis=1)
     np.maximum(counts, 1, out=counts)
 
@@ -231,7 +224,7 @@ def smoothed_window_means(train_x, train_y, f_train, xs, f_eval, hs, passes, con
             consume(ks, means[:, rungs])
 
     worker = None
-    if split and _threads > 1:
+    if _threads > 1 and len(passes) > 1 and bins.size >= _SPLIT_PAIRS:
         # the theta2 boundary nearest the middle of the list, or the middle itself
         cuts = [k for k in range(1, len(passes)) if passes[k][0] != passes[k - 1][0]]
         cut = min(cuts or [len(passes) // 2], key=lambda k: abs(2 * k - len(passes)))
@@ -503,7 +496,10 @@ class VarianceField:
         # and two line-sized temporaries fit beside every axis's tents in a sixteenth
         # of the chunk budget (1 MB), as in _tent_blocks, where step >= 1
         step = (_CHUNK_ELEMENTS // 16 - dim * m * n) // ((m + 2) * max(n, 1))  # lines a block
-        on_grid = dim >= 2 and m >= 2 and m**dim == len(xs) and step >= 1
+        # the first row is compared first, so a batch of m ** d rows off the grid
+        # does not build it
+        on_grid = (dim >= 2 and m >= 2 and m**dim == len(xs) and step >= 1
+                   and np.array_equal(xs[0], [axis[0] for axis in self.domain.grid_axes(m)]))
         if on_grid and np.array_equal(xs, self.domain.grid(m)[0]):
             blocks = self._grid_tent_blocks(m, step)
         else:

@@ -199,6 +199,7 @@ _BAD_SETTINGS = [
     ({"thetas": [0.5]}, "thetas: "),
     ({"thetas": []}, "thetas must name at least one pair, got []"),
     ({"c1": np.inf}, "c1 must be a finite positive number, got inf"),
+    ({"c1": 1e308}, "c1 must leave m * c1 finite, with m = 5 for n = 60; got 1e+308"),
     ({"c1": "abc"}, "c1 must be a finite positive number, got 'abc'"),
     ({"c1": True}, "c1 must be a finite positive number, got True"),
     ({"pilot_fraction": "0.25"}, "pilot_fraction must be a number in (0, 1), got '0.25'"),
@@ -214,7 +215,7 @@ _BAD_SETTINGS = [
 @pytest.mark.parametrize(
     "setting, message", _BAD_SETTINGS, ids=[
         "empty-bandwidths", "string-bandwidth", "theta2-above-1", "theta-not-a-pair", "empty-thetas",
-        "c1-inf",
+        "c1-inf", "c1-overflow",
         "c1-string", "c1-bool", "pilot-fraction-string", "h-sigma-negative", "h-sigma-inf",
         "full-set-string", "cap-zero", "cap-float",
     ],

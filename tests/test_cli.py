@@ -291,6 +291,9 @@ def _simulate_config(tmp_path, **changes):
     ("simulate", {"full_bandwidth_set": "false"},
      "full_bandwidth_set must be true or false, got 'false'"),
     ("personalize", {"c1": "abc"}, "c1 must be a finite positive number, got 'abc'"),
+    # the theta grid is built before the first label is spent
+    ("personalize", {"c1": 1e308}, "c1 must leave m * c1 finite, with m = 4 for n = 48; got 1e+308"),
+    ("simulate", {"c1": 1e308}, "c1 must leave m * c1 finite, with m = 4 for n = 32; got 1e+308"),
     ("personalize", {"synthetic_cap": 0}, "synthetic_cap must be a positive integer, got 0"),
     ("personalize", {"h_sigma": -1}, "h_sigma must be a finite positive number, got -1"),
     ("personalize", {"bandwidth": []}, "bandwidth list must be nonempty"),
@@ -312,7 +315,8 @@ def _simulate_config(tmp_path, **changes):
     ("personalize", {"source": {"kind": "pool", "csv": "pool.csv", "covariates": "x1"}},
      "covariates must be a list of column names, got 'x1'"),
 ], ids=["source-f_star", "model-expr", "model-cmd", "source-not-object", "noise-not-object",
-        "estimator-bandwidth", "full-set-string", "c1-string", "cap-zero", "h-sigma-negative",
+        "estimator-bandwidth", "full-set-string", "c1-string", "c1-overflow", "c1-overflow-simulate",
+        "cap-zero", "h-sigma-negative",
         "empty-bandwidths", "n-float", "n-string", "seed-bool", "small-domain-string",
         "methods-string", "methods-empty", "n-ptr-negative", "repetitions-negative", "n-test-zero",
         "methods-unknown", "out-dir-int", "n-negative", "out-report-int", "covariates-string"])
@@ -472,6 +476,27 @@ def test_json_outputs_are_strict_and_round_trip_infinite_bandwidth(tmp_path):
     fit = fit_personalized(ExpressionModel("x1", 2), Domain([0.0, 0.0], [1.0, 1.0]), 48, oracle,
                            FitConfig(bandwidth=float("inf")), seed=4)
     assert got == fit.estimator.predict_batch(xs).tolist()
+
+
+@pytest.mark.parametrize("changes", [
+    {"bandwidth": [5e-324]}, {"bandwidth": [1e-300, 1e300]}, {"bandwidth": "1e-320"},
+    {"h_sigma": 5e-324}, {"c1": 5e-324}, {"c1": 1e307},
+    {"pilot_fraction": 1e-300}, {"pilot_fraction": 0.999999},
+], ids=["bandwidth-subnormal", "bandwidth-span", "bandwidth-string-subnormal", "h-sigma-subnormal",
+        "c1-subnormal", "c1-large", "pilot-fraction-tiny", "pilot-fraction-near-1"])
+def test_extreme_settings_fit_and_predict_finite_values(tmp_path, changes):
+    config = _personalize_config(tmp_path, n=200, **changes)
+    assert main(["personalize", "--config", str(config)]) == 0
+    est_path = tmp_path / "e.json"
+    for path in (est_path, tmp_path / "r.json"):
+        json.loads(path.read_text(), parse_constant=_reject_constant)
+    queries = tmp_path / "q.csv"
+    xs = rng_stream(5, "extreme-settings").random((20, 2))
+    queries.write_text("x1,x2\n" + "".join(f"{a!r},{b!r}\n" for a, b in xs.tolist()))
+    assert main(["predict", "--estimator", str(est_path), "--queries", str(queries),
+                 "--out", str(tmp_path / "p.csv")]) == 0
+    got = np.array([float(row[0]) for row in _read_rows(tmp_path / "p.csv")[1:]])
+    assert got.shape == (20,) and np.isfinite(got).all()
 
 
 def test_predict_round_trip_and_empty(tmp_path):

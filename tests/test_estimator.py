@@ -744,16 +744,16 @@ def test_window_blocks_split_where_designed(two_threads):
         return two_threads.handed
 
     # a fit's CV call: 750 training points and 57 passes, in blocks of 82 rows
-    # (61,500 pairs); the first block hands the worker its rung search and, once,
-    # the passes from the theta2 boundary nearest the middle: the last four of the
-    # eight theta2 values, seven passes each (the 16-row block does not split)
-    (search, _), (runner, (theirs,)) = handed(750, 98, cv)
-    assert (search, runner) == ("searchsorted", "run_passes")
+    # (61,500 pairs); the first block hands the worker, once, the passes from the
+    # theta2 boundary nearest the middle: the last four of the eight theta2
+    # values, seven passes each (the 16-row block does not split)
+    ((runner, (theirs,)),) = handed(750, 98, cv)
+    assert runner == "run_passes"
     assert len(theirs) == 28 and len({theta2 for theta2, *_ in theirs}) == 4
     # with one theta2 the cut is the middle of the seven passes
     one_theta2 = [(t, h) for h in hs for t in thetas if t.theta2 == 1.0 and t.theta1 > 0]
-    (search, _), (runner, (theirs,)) = handed(750, 98, one_theta2)
-    assert (search, runner, len(theirs)) == ("searchsorted", "run_passes", 4)
+    ((runner, (theirs,)),) = handed(750, 98, one_theta2)
+    assert (runner, len(theirs)) == ("run_passes", 4)
     # simulate's CV blocks, and a one-pass prediction, stay on the calling thread
     assert handed(225, 75, cv) == []
     assert handed(750, 98, [(HolderParams(1.0, 0.5), 0.3)]) == []
@@ -826,7 +826,7 @@ def test_a_split_cv_window_block_raises_each_theta2_power_once(monkeypatch, two_
             Candidates.from_pairs(cv), train_x, train_y, f_train, xs, val_y, f_eval
         )
         assert sorted(raised) == sorted({theta.theta2 for theta in thetas}), raised
-        assert len(two_threads.handed) == 2
+        assert _handed_names(two_threads) == ["run_passes"]
 
 
 def test_a_window_block_raises_only_after_its_worker_is_done(monkeypatch, two_threads):
@@ -852,12 +852,14 @@ def test_a_window_block_raises_only_after_its_worker_is_done(monkeypatch, two_th
             if on_caller == (failing == "caller"):
                 raise ValueError(f"consume failed on the {failing}")
 
+        two_threads.handed.clear()
         two_threads.futures.clear()
         with pytest.raises(ValueError, match=f"on the {failing}"):
             estimator.window_passes(
                 train_x, train_y, f_train, xs, f_eval, Candidates.from_pairs(cv), consume
             )
-        assert len(two_threads.futures) == 2 and all(f.done() for f in two_threads.futures)
+        assert _handed_names(two_threads) == ["run_passes"]
+        assert all(f.done() for f in two_threads.futures)
         made = len(calls)
         time.sleep(0.05)
         assert len(calls) == made  # no consume call after the block raised
@@ -1027,6 +1029,22 @@ def test_variance_batch_takes_the_dense_path_off_a_grid(monkeypatch):
     calls.clear()
     field.variance_batch(line.quadrature_nodes())  # a 1-D input is no grid
     assert calls
+
+
+def test_a_batch_whose_first_row_is_off_the_grid_does_not_build_it(monkeypatch):
+    rng = rng_stream(45, "no-grid-build")
+    field = VarianceField(rng.random((50, 2)), rng.normal(size=50), 0.3, UNIT)
+    xs = rng.random((64, 2))  # 8 ** 2 rows
+    built = []
+    grid = Domain.grid
+
+    def counted(self, points_per_dim):
+        built.append(points_per_dim)
+        return grid(self, points_per_dim)
+
+    monkeypatch.setattr(Domain, "grid", counted)
+    assert field.variance_batch(xs).tobytes() == _row_by_row(field, xs).tobytes()
+    assert built == []
 
 
 def test_grid_variance_blocks_stay_within_the_block_budget(monkeypatch):
