@@ -14,7 +14,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .blackbox import FunctionModel, PoolOracle
-from .core import ConfigError, Domain, HolderParams, rng_stream
+from .core import ConfigError, DataError, Domain, HolderParams, rng_stream
 from .estimator import Candidates, PersonalizedEstimator, window_passes
 from .sampling import (
     SPLITS,
@@ -116,17 +116,6 @@ class ScoreTable(Candidates):
         for k, h, s in zip(self.theta_index.tolist(), self.bandwidth.tolist(), self.score.tolist()):
             yield thetas[k], h, s
 
-    def __eq__(self, other):
-        if not isinstance(other, ScoreTable):
-            return NotImplemented
-        return self.thetas == other.thetas and all(
-            np.array_equal(getattr(self, name), getattr(other, name))
-            for name in ("theta_index", "bandwidth", "score")
-        )
-
-    def __repr__(self):
-        return f"ScoreTable({len(self)} rows, {len(self.thetas)} thetas)"
-
     def columns(self):
         """Four parallel lists: theta1, theta2, bandwidth and score."""
         return {
@@ -146,7 +135,8 @@ class SelectionResult:
 
 
 def _score_pairs(candidates, train_x, train_y, f_train, val_x, val_y, f_val):
-    """Validation scores of the Candidates on one training block, summed block by block."""
+    """Validation scores of the Candidates on one training block, summed block by block;
+    a score that overflows is inf, without a warning."""
     scores = np.zeros(len(candidates))
 
     def add(rows, ks, means):
@@ -155,7 +145,8 @@ def _score_pairs(candidates, train_x, train_y, f_train, val_x, val_y, f_val):
         np.square(means, out=means)
         scores[ks] = _add_row_sums(scores[ks], means)
 
-    window_passes(train_x, train_y, f_train, val_x, f_val, candidates, add)
+    with np.errstate(over="ignore", invalid="ignore"):  # a split block's worker runs under it too
+        window_passes(train_x, train_y, f_train, val_x, f_val, candidates, add)
     return ScoreTable(candidates.thetas, candidates.theta_index, candidates.bandwidth, scores)
 
 
@@ -171,9 +162,13 @@ def _cv_candidates(thetas, bandwidths):
 
 
 def _select_pairs(candidates, train_x, train_y, f_train, val_x, val_y, f_val):
-    """Score the Candidates in their order; the first minimum wins."""
+    """Score the Candidates in their order; the first minimum wins, and DataError
+    if it is not finite."""
     table = _score_pairs(candidates, train_x, train_y, f_train, val_x, val_y, f_val)
     theta, h, score = table[np.argmin(table.score)]
+    if not np.isfinite(score):
+        raise DataError(f"the selected (theta, h) scores {score} on validation, not a finite "
+                        "number; rescale the model or the labels")
     return SelectionResult(theta=theta, bandwidth=h, score=score, table=table)
 
 
@@ -350,8 +345,6 @@ def _select_and_build(model, domain, rr, n, config, thetas, bandwidths):
     ss = rr.samples
     train_x, train_y = ss.train_x, ss.train_y
     val_x, val_y = ss.val_x, ss.val_y
-    if train_x.shape[0] == 0 or val_x.shape[0] == 0:
-        raise ConfigError("retrieval produced an empty training or validation block")
     if bandwidths is None:  # rule mode: one bandwidth per theta
         candidates = Candidates.from_pairs(
             [(t, rule_bandwidth(t.theta2, n, domain.dim, rr.mean_sigma, domain)) for t in thetas]

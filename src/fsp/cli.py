@@ -10,6 +10,7 @@ import argparse
 import contextlib
 import csv
 import dataclasses
+import io
 import json
 import math
 import os
@@ -35,7 +36,8 @@ from .blackbox import (
     model_from_spec,
 )
 from .core import (
-    ConfigError, DataError, Domain, DomainError, HolderParams, covariate_names, load_csv, required,
+    ConfigError, DataError, Domain, DomainError, HolderParams, covariate_names, load_csv, read_input,
+    required,
 )
 from .estimator import PersonalizedEstimator
 from .sampling import SPLITS
@@ -95,16 +97,11 @@ _EVAL_DEFAULTS = {"predictions": None, "truth": None, "metric": "mse", "seed": 0
 
 
 def _read_json(path, what):
-    """The file's JSON value; an unreadable or malformed file is a ConfigError naming `what`."""
+    """The file's JSON value, read by read_input; a malformed file is a ConfigError naming `what`."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read {what}: {exc}") from None
+        return json.loads(read_input(path, what).decode("utf-8"))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{what} is not valid JSON: {exc}") from None
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"{what} {path} is not UTF-8 text: {exc}") from None
 
 
 def _load_config_file(path):
@@ -475,25 +472,21 @@ def cmd_predict(args):
         backends.push(est.model)
         xs = load_csv(resolved["queries"], covariates, allow_empty=True)
         est.model.start()
-        ok = est.domain.contains(xs) if len(xs) else np.ones(0, bool)
-        if len(xs) and not ok.all():
+        ok = est.domain.contains(xs)
+        if not ok.all():
             bad = int(np.flatnonzero(~ok)[0])
             raise DomainError(
                 f"query row {bad + 1} of {resolved['queries']} lies outside the "
                 f"estimator's domain: {xs[bad].tolist()}"
             )
-        preds = est.predict_batch(xs) if len(xs) else np.empty(0)
+        preds = est.predict_batch(xs)
     _write_csv(resolved["out"], ["prediction"], [[float(p)] for p in preds])
     return 0
 
 
 def _read_column(path, preferred):
     """The only column of a file, else its first column named in `preferred`."""
-    try:
-        with open(path, newline="", encoding="utf-8-sig") as fh:  # as load_csv reads it
-            header = next(csv.reader(fh), None)
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{path} is not UTF-8 text: {exc}") from None
+    header = next(csv.reader(io.StringIO(read_input(path).decode("utf-8"), newline="")), None)
     if header is None:
         raise DataError(f"empty data: {path} has no header row")
     header = [c.strip() for c in header]

@@ -1,8 +1,8 @@
 """Core types shared by the whole package.
 
 Covariate boxes, smoothness parameters, labeled sample sets, reproducible
-RNG streams, and CSV ingestion. Everything here is immutable after
-construction and safe to share across workers.
+RNG streams, and input-file and CSV reading. Everything here is immutable
+after construction and safe to share across workers.
 """
 
 import codecs
@@ -28,6 +28,7 @@ __all__ = [
     "frozen_sample",
     "rng_stream",
     "derive_seed",
+    "read_input",
     "load_csv",
     "covariate_names",
     "required",
@@ -291,6 +292,25 @@ def derive_seed(seed, label):
     return int.from_bytes(hashlib.sha256(payload).digest()[:8], "little") & _SEED_MASK
 
 
+def read_input(path, what=None):
+    """The bytes of the input file at `path`, without a leading UTF-8 byte-order mark.
+
+    DataError naming `what` (default: the path) if the file cannot be read, and
+    naming the path if its bytes are not UTF-8 text.
+    """
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read().removeprefix(codecs.BOM_UTF8)
+    except OSError as exc:
+        raise DataError(f"cannot read {what or path}: {exc}") from None
+    if not data.isascii():
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path} is not UTF-8 text: {exc}") from None
+    return data
+
+
 def load_csv(path, covariates, response=None, allow_empty=False):
     """Read a header-plus-rows CSV into a SampleSet or a bare covariate pool.
 
@@ -298,46 +318,32 @@ def load_csv(path, covariates, response=None, allow_empty=False):
     given, names the response column and the result is a SampleSet with
     empty index partitions (callers split).  Without a response the raw
     (n, d) covariate array is returned.  Malformed input raises DataError
-    naming the offending row (1-based, header excluded) and column; a
-    non-finite cell such as nan or inf counts as malformed, and so does a
-    requested column whose name the header holds twice, and so is a file
-    that is not UTF-8 text.  A leading UTF-8 byte-order mark is skipped.
+    naming the first offending cell in row order (1-based, header excluded)
+    and its column; a non-finite cell such as nan or inf counts as malformed,
+    and so does a requested column whose name the header holds twice.  The
+    file is read by read_input.
     """
     covariates = list(covariates)
     wanted = covariates + ([response] if response is not None else [])
     if len(set(wanted)) != len(wanted):
         raise DataError("duplicate column names requested")
-    with open(path, "rb") as fh:
-        data = fh.read().removeprefix(codecs.BOM_UTF8)
-    if not data.isascii():
-        try:
-            data.decode("utf-8")  # a file that is not UTF-8 fails here, before any check
-        except UnicodeDecodeError as exc:
-            raise DataError(f"{path} is not UTF-8 text: {exc}") from None
+    data = read_input(path)
     # the csv module reads the lines a text file object gives, decoded a chunk at a time
     reader = csv.reader(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline=""))
     header = next(reader, None)
     if header is None:
         raise DataError(f"empty data: {path} has no header row")
     header = [c.strip() for c in header]
-    positions = {}
     for name in wanted:
         if name not in header:
             raise DataError(f"missing column {name!r} in {path} (found {header})")
         if header.count(name) > 1:
             raise DataError(f"column {name!r} appears {header.count(name)} times in {path}")
-        positions[name] = header.index(name)
-    block = _plain_numbers(data, [positions[name] for name in wanted])
-    rows = [row for row in reader if row] if block is None else block
-    if len(rows) == 0 and not allow_empty:
-        raise DataError(f"empty data: {path} has a header but no rows")
-    if block is not None:
-        x = np.array(block[:, : len(covariates)])
-        y = block[:, -1] if response is not None else None
-    else:
+    columns = [header.index(name) for name in wanted]
+    block = _plain_numbers(data, columns)
+    if block is None:
 
-        def cell(row_values, row_number, name):
-            j = positions[name]
+        def cell(row_values, row_number, j, name):
             if j >= len(row_values):
                 raise DataError(f"row {row_number} is too short for column {name!r} of {path}")
             text = row_values[j].strip()
@@ -351,16 +357,17 @@ def load_csv(path, covariates, response=None, allow_empty=False):
                 )
             return value
 
-        x = np.array(
-            [[cell(row, r, name) for name in covariates] for r, row in enumerate(rows, start=1)],
+        rows = [row for row in reader if row]
+        block = np.array(
+            [[cell(row, r, j, name) for j, name in zip(columns, wanted)] for r, row in enumerate(rows, 1)],
             dtype=float,
-        ).reshape(len(rows), len(covariates))
-        if response is not None:
-            y = np.array([cell(row, r, response) for r, row in enumerate(rows, start=1)], dtype=float)
+        ).reshape(len(rows), len(wanted))
+    if len(block) == 0 and not allow_empty:
+        raise DataError(f"empty data: {path} has a header but no rows")
     if response is None:
-        x.setflags(write=False)
-        return x
-    return SampleSet(x, y)
+        block.setflags(write=False)
+        return block
+    return SampleSet(block[:, :-1], block[:, -1])
 
 
 _PLAIN = b"0123456789.eE+-,\n"

@@ -316,7 +316,6 @@ class LogisticFit:
     beta: np.ndarray
     converged: bool
     iterations: int
-    gradient_norm: float
 
     @property
     def intercept(self):
@@ -378,7 +377,6 @@ def fit_density_ratio(class0_x, class1_x, max_iter=100):
         beta=beta,
         converged=grad_norm <= _NEWTON_TOL,
         iterations=iterations,
-        gradient_norm=grad_norm,
     )
 
 

@@ -188,8 +188,9 @@ def scenario_adversarial(n_test=500):
 
 
 def mean_squared_error(truth, pred):
-    """Mean of (truth - pred)^2 over aligned arrays."""
-    return float(np.mean((truth - pred) ** 2))
+    """Mean of (truth - pred)^2 over aligned arrays; inf, without a warning, if it overflows."""
+    with np.errstate(over="ignore"):
+        return float(np.mean((truth - pred) ** 2))
 
 
 def misclassification_rate(labels, pred):

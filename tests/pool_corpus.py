@@ -36,7 +36,8 @@ from fsp.cli import main
 
 @dataclass
 class Case:
-    """One `fsp personalize` run on a pool; `pilot` None leaves the pilot size to fsp."""
+    """One `fsp personalize` run on a pool with the expression model `model`; `pilot`
+    None leaves the pilot size to fsp."""
 
     name: str
     x: np.ndarray
@@ -46,11 +47,12 @@ class Case:
     bandwidth: str = "rule"
     split: str = "reuse"
     seed: int = 0
+    model: str = "x1"
 
     def argv(self, pool, out_dir):
         names = [f"x{j + 1}" for j in range(self.x.shape[1])]
         argv = ["personalize", "--pool-csv", pool, "--covariates", ",".join(names), "-n", str(self.n),
-                "--model-expr", "x1", "--bandwidth", self.bandwidth, "--split", self.split,
+                "--model-expr", self.model, "--bandwidth", self.bandwidth, "--split", self.split,
                 "--seed", str(self.seed), "--out-estimator", os.path.join(out_dir, "est.json"),
                 "--out-report", os.path.join(out_dir, "rep.json")]
         return argv + (["--pilot-size", str(self.pilot)] if self.pilot is not None else [])
@@ -79,6 +81,8 @@ def _named():
         Case("nan-label", x, np.where(np.arange(400) == 7, np.nan, y), 120),
         Case("coordinates-1e160", 1e160 * x, y, 120),
         Case("labels-1e160", x, 1e160 * y, 120),
+        Case("model-1e200", x, y, 120, model="x1*1e200"),
+        Case("model-1e200-cv", x, y, 120, bandwidth="cv", model="x1*1e200"),
     ]
     x10, y10 = _pool(rng, 600, 10)
     cases.append(Case("d10", x10, y10, 150))

@@ -1,4 +1,5 @@
 import argparse
+import codecs
 import csv
 import dataclasses
 import inspect
@@ -401,10 +402,11 @@ def test_an_unreadable_or_malformed_json_file_exits_2_and_names_it(tmp_path, cap
         assert capsys.readouterr().err.strip().splitlines()[-1].startswith(message)
 
 
-@pytest.mark.parametrize("role", ["config", "estimator", "pool-csv", "table-csv", "queries",
-                                  "predictions", "truth"])
-def test_a_file_that_is_not_utf8_exits_2_and_names_it(tmp_path, capsys, role):
-    bad = tmp_path / "latin-1.txt"
+_ROLES = ["config", "estimator", "pool-csv", "table-csv", "queries", "predictions", "truth"]
+
+
+def _input_role(tmp_path, role, bad):
+    """The argv that reads the file `bad` in `role`, and bytes that are not UTF-8 for it."""
     queries, column = tmp_path / "q.csv", tmp_path / "c.csv"
     queries.write_text("x1,x2\n0.5,0.5\n")
     column.write_text("y\n1\n")
@@ -430,13 +432,55 @@ def test_a_file_that_is_not_utf8_exits_2_and_names_it(tmp_path, capsys, role):
         content, argv = b"prediction\n\xe9\n", ["eval", "--predictions", bad, "--truth", column]
     else:
         content, argv = b"y\n\xe9\n", ["eval", "--predictions", column, "--truth", bad]
-    bad.write_bytes(content)
-    capsys.readouterr()
-    assert main([str(a) for a in argv]) == 2
+    return [str(a) for a in argv], content
+
+
+def _one_error(capsys):
     err = capsys.readouterr().err
     errors = [line for line in err.splitlines() if line.startswith("error:")]
-    assert len(errors) == 1 and str(bad) in errors[0], err
-    assert "Traceback" not in err
+    assert len(errors) == 1 and "Traceback" not in err, err
+    return errors[0]
+
+
+@pytest.mark.parametrize("role", _ROLES)
+def test_a_file_that_is_not_utf8_exits_2_and_names_it(tmp_path, capsys, role):
+    bad = tmp_path / "latin-1.txt"
+    argv, content = _input_role(tmp_path, role, bad)
+    bad.write_bytes(content)
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert str(bad) in _one_error(capsys)
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory"])
+@pytest.mark.parametrize("role", _ROLES)
+def test_an_input_file_that_cannot_be_read_exits_2_and_names_it(tmp_path, capsys, role, kind):
+    # a CSV role once exited 1 with a bare "[Errno 2] No such file or directory"
+    bad = tmp_path / "input"
+    argv, _ = _input_role(tmp_path, role, bad)
+    if kind == "directory":
+        bad.mkdir()
+    capsys.readouterr()
+    assert main(argv) == 2
+    error = _one_error(capsys)
+    assert error.startswith("error: cannot read ") and str(bad) in error, error
+
+
+@pytest.mark.parametrize("role", ["config", "estimator"])
+def test_a_json_file_that_starts_with_a_byte_order_mark_loads(tmp_path, role):
+    config, est_path, queries = _personalize_config(tmp_path), tmp_path / "e.json", tmp_path / "q.csv"
+    queries.write_text("x1,x2\n0.5,0.5\n")
+
+    def mark(path):
+        path.write_bytes(codecs.BOM_UTF8 + path.read_bytes())
+
+    if role == "config":
+        mark(config)
+    assert main(["personalize", "--config", str(config)]) == 0
+    if role == "estimator":
+        mark(est_path)
+    assert main(["predict", "--estimator", str(est_path), "--queries", str(queries),
+                 "--out", str(tmp_path / "p.csv")]) == 0
 
 
 def _reject_constant(name):
@@ -614,6 +658,16 @@ def test_eval_length_mismatch(tmp_path, capsys):
     rc = main(["eval", "--predictions", str(tmp_path / "p.csv"), "--truth", str(tmp_path / "t.csv"), "--metric", "mse"])
     assert rc == 2
     assert "mismatch" in capsys.readouterr().err
+
+
+def test_eval_prints_inf_without_a_warning_when_the_error_overflows(tmp_path, capsys):
+    _write_column(tmp_path / "p.csv", "prediction", [1e308, -1e308])
+    _write_column(tmp_path / "t.csv", "y", [1.0, 2.0])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(["eval", "--predictions", str(tmp_path / "p.csv"), "--truth", str(tmp_path / "t.csv")])
+    assert rc == 0 and caught == []
+    assert capsys.readouterr().out.strip() == "inf"
 
 
 def test_eval_reads_a_truth_file_that_starts_with_a_byte_order_mark(tmp_path, capsys):
@@ -846,6 +900,22 @@ def test_a_pool_that_overflows_float64_exits_2_naming_the_cause(
     assert rc == 2
     assert len(errors) == 1 and cause in errors[0]
     assert caught == [] and "RuntimeWarning" not in err
+
+
+def test_a_fit_with_no_finite_validation_score_exits_2_without_a_warning(tmp_path, capsys):
+    # every (theta, h) once scored inf after an overflow warning, and the first pair won
+    pool = tmp_path / "pool.csv"
+    _make_pool_csv(pool, n=300)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main([
+            "personalize", "-n", "100", "--pool-csv", str(pool), "--covariates", "x1,x2",
+            "--model-expr", "x1*1e200", "--out-estimator", str(tmp_path / "e.json"),
+            "--out-report", str(tmp_path / "r.json"),
+        ])
+    assert rc == 2 and caught == []
+    assert "scores inf on validation, not a finite number" in _one_error(capsys)
+    assert not (tmp_path / "e.json").exists()
 
 
 def _record_spawns(monkeypatch):

@@ -214,6 +214,13 @@ def test_load_csv_bad_cell_names_row_and_column(tmp_path):
         load_csv(path, ["x1"], response="y")
 
 
+def test_load_csv_names_the_first_bad_cell_in_row_order(tmp_path):
+    # every covariate cell was once checked before any response cell
+    path = _write(tmp_path, "d.csv", "x1,y\n0.5,abc\nxyz,2\n")
+    with pytest.raises(DataError, match=r"row 1, column 'y'"):
+        load_csv(path, ["x1"], response="y")
+
+
 @pytest.mark.parametrize("text, row, column", [
     ("x1,y\n0.5,1\n0.25,nan\n", 2, "y"),
     ("x1,y\n0.5,1\ninf,2\n", 2, "x1"),
