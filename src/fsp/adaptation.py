@@ -75,8 +75,8 @@ def _add_row_sums(totals, terms):
 def select_theta(candidates, val_x, val_y):
     """Pick the candidate minimizing the validation sum of squared errors.
 
-    Ties resolve to the lexicographically smallest (theta1, theta2).
-    Returns the winner and the full score table.
+    Ties resolve to the lexicographically smallest (theta1, theta2).  Returns the
+    winner and the full score table; DataError if the winner's score is not finite.
     """
     if not candidates:
         raise ValueError("need at least one candidate")
@@ -84,11 +84,14 @@ def select_theta(candidates, val_x, val_y):
     val_y = np.asarray(val_y, float)
     if val_x.shape[0] == 0:
         raise ValueError("validation set must be nonempty")
-    scores = {
-        theta: float(_add_row_sums(0.0, (val_y - candidates[theta].predict_batch(val_x)) ** 2))
-        for theta in sorted(candidates)
-    }
-    return min(scores, key=scores.get), scores
+    preds = {theta: candidates[theta].predict_batch(val_x) for theta in sorted(candidates)}
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow scores inf
+        scores = {theta: float(_add_row_sums(0.0, (val_y - p) ** 2)) for theta, p in preds.items()}
+    best = min(scores, key=scores.get)
+    if not np.isfinite(scores[best]):
+        raise DataError(f"the selected theta scores {scores[best]} on validation, not a finite "
+                        "number; rescale the model or the labels")
+    return best, scores
 
 
 @dataclass(frozen=True, eq=False, repr=False)

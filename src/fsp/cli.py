@@ -148,8 +148,8 @@ _PATH_KEYS = (
 
 
 def _check_types(resolved, defaults):
-    """Reject a command key of the wrong type or range; a key whose default
-    is None may stay None."""
+    """Reject a command key of the wrong type or range, or an output path that cannot
+    be written; a key whose default is None may stay None."""
     for key, value in resolved.items():
         if value is None and defaults[key] is None:
             continue
@@ -169,26 +169,30 @@ def _check_types(resolved, defaults):
             for name in value:
                 if name not in METHODS:
                     raise ConfigError(f"methods must be among {', '.join(METHODS)}, got {name!r}")
+    _check_outputs([(k, v) for k, v in resolved.items() if k in ("out_estimator", "out_report", "out")])
+
+
+def _check_outputs(outputs):
+    """Reject a (key, path) output that names a directory, lies in no existing
+    directory or shares another output's path, before any work."""
+    owners = {}  # the real path of each output checked: its key
+    for key, path in outputs:
+        if not os.path.basename(path) or os.path.isdir(path):
+            raise ConfigError(f"{key} must name a file, not a directory: {path}")
+        if not os.path.isdir(os.path.dirname(path) or "."):
+            raise ConfigError(f"{key} is not in an existing directory: {path}")
+        other = owners.setdefault(os.path.realpath(path), key)
+        if other != key:
+            raise ConfigError(f"{key} is the path of {other} too: {path}")
 
 
 def _echo(resolved):
     print("resolved-config: " + json.dumps(resolved, sort_keys=True), file=sys.stderr)
 
 
-def _fmt(value):
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def _write_csv(path, header, rows):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+    with open(path, "w", newline="", encoding="utf-8") as fh:  # None is written "", a float its repr
+        csv.writer(fh, lineterminator="\n").writerows([header, *rows])
 
 
 def _strict(value):
@@ -240,6 +244,15 @@ def cmd_simulate(args):
     started = time.time()
     config = _fit_config(resolved)
     scenario = SCENARIOS[resolved["scenario"]](n_test=resolved["n_test"])
+    out_dir = resolved["out_dir"]
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"out_dir cannot be made a directory: {out_dir}: {exc.strerror}") from None
+    stem = os.path.join(out_dir, resolved["prefix"] or resolved["scenario"])
+    runs_path, summary_path, report_path = paths = [stem + "_runs.csv", stem + "_summary.csv",
+                                                    stem + "_report.json"]
+    _check_outputs([("prefix", path) for path in paths])
     result = run_experiment(
         scenario,
         methods=tuple(resolved["methods"]),
@@ -249,12 +262,6 @@ def cmd_simulate(args):
         seed=resolved["seed"],
         config=config,
     )
-    prefix = resolved["prefix"] or resolved["scenario"]
-    out_dir = resolved["out_dir"]
-    os.makedirs(out_dir, exist_ok=True)
-    runs_path = os.path.join(out_dir, f"{prefix}_runs.csv")
-    summary_path = os.path.join(out_dir, f"{prefix}_summary.csv")
-    report_path = os.path.join(out_dir, f"{prefix}_report.json")
     _write_csv(
         runs_path,
         ["scenario", "method", "rep", "metric", "value", "theta1", "theta2", "bandwidth"],
@@ -263,17 +270,10 @@ def cmd_simulate(args):
             for r in result.rows
         ],
     )
-    summary = result.summary()
-    _write_csv(
-        summary_path,
-        ["method", "metric", "mean", "sd", "median", "q25", "q75", "reps"],
-        [
-            [m, result.metric, s["mean"], s["sd"], s["median"], s["q25"], s["q75"], s["reps"]]
-            for m, s in summary.items()
-        ],
-    )
-    _write_report(report_path, "simulate", resolved, started, [runs_path, summary_path],
-                  summary=summary)
+    summary = result.summary()  # its statistics, in their order, are the columns after metric
+    _write_csv(summary_path, ["method", "metric", *next(iter(summary.values()))],
+               [[m, result.metric, *s.values()] for m, s in summary.items()])
+    _write_report(report_path, "simulate", resolved, started, paths[:2], summary=summary)
     return 0
 
 
@@ -578,12 +578,9 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, DataError) as exc:
+    except Exception as exc:  # exit 2 for a configuration or data error, 1 for a runtime failure
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except Exception as exc:  # runtime and backend failures
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, (ConfigError, DataError)) else 1
 
 
 def entrypoint():

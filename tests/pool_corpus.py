@@ -8,7 +8,7 @@ JSON, or exits 1 or 2 with exactly one `error:` line on stderr; in both cases
 with no traceback and no warning.
 
 `NAMED` lists pools with known awkward shapes (constant columns, duplicate or
-clustered rows, tiny and huge magnitudes, budgets and pilots at their limits);
+clustered rows, tiny and huge magnitudes, budgets, pilots and bandwidths at their limits);
 `generated(seed, count)` draws random ones in plain numpy.  The tier-1 test
 `tests/test_pool_corpus.py` runs the named cases and a few generated ones.
 The manual mode runs more and prints a one-line repro for each failing case:
@@ -83,6 +83,9 @@ def _named():
         Case("labels-1e160", x, 1e160 * y, 120),
         Case("model-1e200", x, y, 120, model="x1*1e200"),
         Case("model-1e200-cv", x, y, 120, bandwidth="cv", model="x1*1e200"),
+        Case("bandwidth-1e-300", x, y, 120, bandwidth="1e-300"),
+        Case("bandwidth-1e300", x, y, 120, bandwidth="1e300"),
+        Case("bandwidth-inf", x, y, 120, bandwidth="inf"),
     ]
     x10, y10 = _pool(rng, 600, 10)
     cases.append(Case("d10", x10, y10, 150))

@@ -186,6 +186,18 @@ def test_select_theta_h_with_no_finite_score_raises_data_error():
         select_theta_h(build_grid(60, 2.0).points, [0.5, 0.25], xs[:40], ys[:40], xs[40:], ys[40:], model)
 
 
+def test_select_theta_with_no_finite_score_raises_data_error():
+    # the squares once overflowed with a warning, and min took the first of the inf scores
+    rng = rng_stream(10, "sel")
+    val_x = rng.random((20, 2))
+    cands = {
+        HolderParams(0.0, 0.0): FunctionModel(lambda q: 1e200 * q[:, 0]),
+        HolderParams(1.0, 0.5): FunctionModel(lambda q: 2e200 * q[:, 0]),
+    }
+    with pytest.raises(DataError, match="rescale the model or the labels"):
+        select_theta(cands, val_x, rng.normal(size=20))
+
+
 @pytest.mark.parametrize("bad", [0.0, -0.1, float("nan")], ids=["zero", "negative", "nan"])
 def test_bandwidths_must_be_positive_numbers(bad):
     rng = rng_stream(9, "sel")

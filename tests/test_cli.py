@@ -466,6 +466,58 @@ def test_an_input_file_that_cannot_be_read_exits_2_and_names_it(tmp_path, capsys
     assert error.startswith("error: cannot read ") and str(bad) in error, error
 
 
+def _forbid_work(monkeypatch):
+    """Fail the test if a fitter, run_experiment or model_from_spec is called."""
+    def forbidden(*args, **kwargs):
+        pytest.fail("work started before the output paths were checked")
+
+    for name in ("fit_personalized", "fit_personalized_pool", "fit_personalized_small_domain",
+                 "run_experiment", "model_from_spec"):
+        monkeypatch.setattr(cli, name, forbidden)
+
+
+_UNUSABLE_OUTPUTS = {  # case: (command, flags, the key named, a part of the path named)
+    "estimator-in-missing-dir": ("personalize", ["--out-estimator", "missing/e.json"], "out_estimator",
+                                 "missing/e.json"),
+    "report-in-missing-dir": ("personalize", ["--out-report", "missing/r.json"], "out_report",
+                              "missing/r.json"),
+    "estimator-and-report-share-a-path": ("personalize", ["--out-estimator", "x.json",
+                                                          "--out-report", "x.json"], "out_report", "x.json"),
+    "report-is-a-directory": ("personalize", ["--out-report", "dir"], "out_report", "dir"),
+    "predictions-in-missing-dir": ("predict", ["--out", "missing/p.csv"], "out", "missing/p.csv"),
+    "predictions-is-a-directory": ("predict", ["--out", "dir"], "out", "dir"),
+    "predictions-path-is-empty": ("predict", ["--out", ""], "out", "file, not a directory"),
+    "prefix-in-missing-dir": ("simulate", ["--out-dir", "dir", "--prefix", "../missing/x"], "prefix",
+                              "../missing/x"),
+    "out-dir-is-a-file": ("simulate", ["--out-dir", "file"], "out_dir", "file"),
+}
+
+
+@pytest.mark.parametrize("case", _UNUSABLE_OUTPUTS)
+def test_an_unusable_output_path_exits_2_before_any_work(tmp_path, monkeypatch, capsys, case):
+    # each once failed with exit 1 after the work was done, or (a shared path) exited 0
+    # with the report written over the estimator
+    command, flags, key, named = _UNUSABLE_OUTPUTS[case]
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "dir").mkdir()
+    (tmp_path / "file").write_text("")
+    if command == "personalize":
+        argv = ["personalize", "--config", str(_personalize_config(tmp_path))]
+    elif command == "predict":
+        assert main(["personalize", "--config", str(_personalize_config(tmp_path))]) == 0
+        (tmp_path / "q.csv").write_text("x1,x2\n0.5,0.5\n")
+        argv = ["predict", "--estimator", "e.json", "--queries", "q.csv"]
+    else:
+        argv = ["simulate", "--config", str(_simulate_config(tmp_path, out_dir="."))]
+    before = sorted(tmp_path.rglob("*"))
+    _forbid_work(monkeypatch)
+    capsys.readouterr()
+    assert main(argv + flags) == 2
+    error = _one_error(capsys)
+    assert error.startswith(f"error: {key} ") and named in error, error
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 @pytest.mark.parametrize("role", ["config", "estimator"])
 def test_a_json_file_that_starts_with_a_byte_order_mark_loads(tmp_path, role):
     config, est_path, queries = _personalize_config(tmp_path), tmp_path / "e.json", tmp_path / "q.csv"
@@ -573,6 +625,15 @@ def test_predict_round_trip_and_empty(tmp_path):
     out2 = tmp_path / "p2.csv"
     assert main(["predict", "--estimator", str(est_path), "--queries", str(empty), "--out", str(out2)]) == 0
     assert _read_rows(out2) == [["prediction"]]
+
+
+def test_csv_cells_are_written_as_the_csv_module_writes_them(tmp_path):
+    # None is an empty cell (a one-cell row of it is quoted), a float its repr, an int its str
+    path = tmp_path / "cells.csv"
+    cli._write_csv(path, ["a", "b"], [
+        [None, 0.1], [None], [-0.0, 1e-300], [5e-324, float("inf")], [float("nan"), 7],
+    ])
+    assert path.read_bytes() == b'a,b\n,0.1\n""\n-0.0,1e-300\n5e-324,inf\nnan,7\n'
 
 
 def test_predict_out_of_domain_names_row(tmp_path, capsys):
