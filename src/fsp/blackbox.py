@@ -12,6 +12,7 @@ import os
 import select
 import subprocess
 import threading
+import time
 import types
 
 import numpy as np
@@ -235,7 +236,9 @@ class ExternalProcessModel(BlackBoxModel):
     line; the reply is one decimal per line, order preserved.  Access is
     serialized: one in-flight batch at a time.  Requests are written while
     replies are read, so a child that answers line by line never blocks on
-    a full output pipe; `timeout` bounds every wait for either pipe.
+    a full output pipe.  A batch has `timeout` seconds to finish its request
+    and to complete each reply line, counted from the last of these, so a
+    batch of k queries ends within (k + 1) * `timeout`.
 
     launch() spawns the child and leaves the handshake to start() or the first
     batch, so the caller's work in between overlaps the child's start-up.
@@ -295,10 +298,12 @@ class ExternalProcessModel(BlackBoxModel):
         stdin = self._proc.stdin.fileno()
         stdout = self._proc.stdout.fileno()
         lines = []
+        deadline = time.monotonic() + timeout
         while request or len(lines) < n_lines:
+            wait = deadline - time.monotonic()
             readable, writable, _ = select.select(
-                [stdout] if len(lines) < n_lines else [], [stdin] if request else [], [], timeout
-            )
+                [stdout] if len(lines) < n_lines else [], [stdin] if request else [], [], wait
+            ) if wait > 0 else ((), (), ())
             if not readable and not writable:
                 raise QueryError(f"model process timed out (stage: {stage})")
             if writable:
@@ -308,11 +313,15 @@ class ExternalProcessModel(BlackBoxModel):
                     pass
                 except OSError as exc:
                     raise QueryError(f"model process pipe broke (stage: request): {exc}") from None
+                if not request:
+                    deadline = time.monotonic() + timeout
             if readable:
                 chunk = os.read(stdout, 65536)
                 if not chunk:
                     raise QueryError(f"model process closed its output (stage: {stage})")
                 *done, self._buffer = (self._buffer + chunk).split(b"\n")
+                if done:
+                    deadline = time.monotonic() + timeout
                 lines += done
         # lines beyond the reply stay buffered, as if they had not been read yet
         self._buffer = b"\n".join(lines[n_lines:] + [self._buffer])

@@ -136,7 +136,18 @@ def _resolve(defaults, args, **overrides):
         except ValueError:
             raise ConfigError(f"FSP_SEED must be an integer, got {env_seed!r}") from None
     _check_types(resolved, defaults)
+    _check_outputs([(k, v) for k, v in resolved.items() if k in ("out_estimator", "out_report", "out")],
+                   _inputs(args, resolved))
     return resolved
+
+
+def _inputs(args, resolved):
+    """(key, path) of each file the command reads: its config file, a pool's or a
+    table model's csv, an estimator and queries."""
+    paths = [("config", args.config)] + [(key, resolved.get(key)) for key in ("estimator", "queries")]
+    paths += [(f"{role} csv", spec.get("csv")) for role in ("source", "model")
+              if isinstance(spec := resolved.get(role), dict)]
+    return [(key, path) for key, path in paths if isinstance(path, str)]
 
 
 _INT_KEYS = ("n", "n_ptr", "repetitions", "n_test", "seed", "pilot_size")
@@ -148,8 +159,8 @@ _PATH_KEYS = (
 
 
 def _check_types(resolved, defaults):
-    """Reject a command key of the wrong type or range, or an output path that cannot
-    be written; a key whose default is None may stay None."""
+    """Reject a command key of the wrong type or range; a key whose default is None
+    may stay None."""
     for key, value in resolved.items():
         if value is None and defaults[key] is None:
             continue
@@ -169,19 +180,23 @@ def _check_types(resolved, defaults):
             for name in value:
                 if name not in METHODS:
                     raise ConfigError(f"methods must be among {', '.join(METHODS)}, got {name!r}")
-    _check_outputs([(k, v) for k, v in resolved.items() if k in ("out_estimator", "out_report", "out")])
 
 
-def _check_outputs(outputs):
+def _check_outputs(outputs, inputs):
     """Reject a (key, path) output that names a directory, lies in no existing
-    directory or shares another output's path, before any work."""
+    directory, or shares its path with another output or one of the (key, path)
+    inputs, before any work."""
+    readers = {os.path.realpath(path): key for key, path in inputs}
     owners = {}  # the real path of each output checked: its key
     for key, path in outputs:
         if not os.path.basename(path) or os.path.isdir(path):
             raise ConfigError(f"{key} must name a file, not a directory: {path}")
         if not os.path.isdir(os.path.dirname(path) or "."):
             raise ConfigError(f"{key} is not in an existing directory: {path}")
-        other = owners.setdefault(os.path.realpath(path), key)
+        real = os.path.realpath(path)
+        if real in readers:
+            raise ConfigError(f"{key} would overwrite the {readers[real]} it reads: {path}")
+        other = owners.setdefault(real, key)
         if other != key:
             raise ConfigError(f"{key} is the path of {other} too: {path}")
 
@@ -252,7 +267,7 @@ def cmd_simulate(args):
     stem = os.path.join(out_dir, resolved["prefix"] or resolved["scenario"])
     runs_path, summary_path, report_path = paths = [stem + "_runs.csv", stem + "_summary.csv",
                                                     stem + "_report.json"]
-    _check_outputs([("prefix", path) for path in paths])
+    _check_outputs([("prefix", path) for path in paths], _inputs(args, resolved))
     result = run_experiment(
         scenario,
         methods=tuple(resolved["methods"]),

@@ -40,11 +40,10 @@ _TILE_PAIRS = 32_768  # a distance tile and its scratch take 512 KB, well inside
 # a window block with fewer pairs runs its passes on one thread: below it the
 # hand-off costs more than the second thread saves
 _SPLIT_PAIRS = 32_768
-# threads a window block may run on: the calling thread and, with 2, one pool worker
+# threads a window block may run on: the calling thread and, with 2, one worker of its own
 _threads = min(
     len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1, 2
 )
-_pool = None  # the worker's single-thread executor, made on first use
 
 
 def row_blocks(n_rows, n_points):
@@ -124,18 +123,16 @@ def truncate(anchor, sign, magnitude, band, out=None):
 
 
 def _start(fn, *args):
-    """A Future of fn(*args) on the pool's single worker thread, in a copy of the
-    caller's context (so under its numpy error handling), or None where the
-    worker cannot start; then no later block is split."""
-    global _threads, _pool
+    """(executor, Future) of fn(*args) on a new single-use worker thread, in a copy
+    of the caller's context (so under its numpy error handling), or None where
+    the thread cannot start.  No executor outlives its block, so a forked child
+    inherits no executor whose thread it lacks."""
     from concurrent.futures import ThreadPoolExecutor  # pulls in logging: 2.5 ms
 
+    executor = ThreadPoolExecutor(1)
     try:
-        if _pool is None:
-            _pool = ThreadPoolExecutor(1)
-        return _pool.submit(contextvars.copy_context().run, fn, *args)
-    except RuntimeError:  # can't start new thread
-        _threads, _pool = 1, None  # the pool's queue keeps the call that never ran
+        return executor, executor.submit(contextvars.copy_context().run, fn, *args)
+    except RuntimeError:  # can't start new thread: the next block tries again
         return None
 
 
@@ -164,15 +161,16 @@ def smoothed_window_means(train_x, train_y, f_train, xs, f_eval, hs, passes, con
 
     A block of more than one pass whose window holds at least _SPLIT_PAIRS pairs
     runs on two threads, as bincount and the residual chain let go of the GIL:
-    the pool's worker runs and consumes the passes from the theta2 boundary
-    nearest the middle of the list (the middle itself where every pass shares
-    one theta2), while the calling thread runs and consumes those before it.
+    a worker thread of the block's own runs and consumes the passes from the
+    theta2 boundary nearest the middle of the list (the middle itself where every
+    pass shares one theta2), while the calling thread runs and consumes those
+    before it.  A block whose worker cannot start runs its passes serially.
     A thread raises a theta2's Holder powers at its first pass of that theta2
     and drops them before its next theta2's, so each thread holds one power
     array at a time.
     A pass reads only the block's shared arrays and hands over only its own
     pairs ks, so the bits do not depend on the thread count; the block returns
-    or raises only once the worker is done.
+    or raises only once its worker thread has ended.
     """
     n_rows, n_rungs = xs.shape[0], len(hs)
     dist_inf = chebyshev_distances(train_x, xs)
@@ -223,18 +221,19 @@ def smoothed_window_means(train_x, train_y, f_train, xs, f_eval, hs, passes, con
             means /= counts
             consume(ks, means[:, rungs])
 
-    worker = None
+    started = None
     if _threads > 1 and len(passes) > 1 and bins.size >= _SPLIT_PAIRS:
         # the theta2 boundary nearest the middle of the list, or the middle itself
         cuts = [k for k in range(1, len(passes)) if passes[k][0] != passes[k - 1][0]]
         cut = min(cuts or [len(passes) // 2], key=lambda k: abs(2 * k - len(passes)))
-        worker = _start(run_passes, passes[cut:])
-    if worker is None:
+        started = _start(run_passes, passes[cut:])
+    if started is None:
         return run_passes(passes)
+    executor, worker = started
     try:
         run_passes(passes[:cut])
-    finally:  # waits: no consume call follows this block's return or exception
-        worker.exception()
+    finally:  # joins the worker: no consume call follows this block's return or exception
+        executor.shutdown()
     worker.result()
 
 

@@ -5,10 +5,11 @@ Each case writes a pool CSV (covariates x1..xd and a label column y) and runs
 one `fsp personalize` on it with an expression model.  A case passes if it
 either exits 0 and writes an estimator file and a report that parse as strict
 JSON, or exits 1 or 2 with exactly one `error:` line on stderr; in both cases
-with no traceback and no warning.
+with no traceback, no warning and the pool file unchanged.
 
 `NAMED` lists pools with known awkward shapes (constant columns, duplicate or
-clustered rows, tiny and huge magnitudes, budgets, pilots and bandwidths at their limits);
+clustered rows, tiny and huge magnitudes, budgets, pilots and bandwidths at their limits,
+an estimator file named as the pool);
 `generated(seed, count)` draws random ones in plain numpy.  The tier-1 test
 `tests/test_pool_corpus.py` runs the named cases and a few generated ones.
 The manual mode runs more and prints a one-line repro for each failing case:
@@ -48,12 +49,13 @@ class Case:
     split: str = "reuse"
     seed: int = 0
     model: str = "x1"
+    estimator: str = "est.json"  # the estimator file's name, beside the pool's "pool.csv"
 
     def argv(self, pool, out_dir):
         names = [f"x{j + 1}" for j in range(self.x.shape[1])]
         argv = ["personalize", "--pool-csv", pool, "--covariates", ",".join(names), "-n", str(self.n),
                 "--model-expr", self.model, "--bandwidth", self.bandwidth, "--split", self.split,
-                "--seed", str(self.seed), "--out-estimator", os.path.join(out_dir, "est.json"),
+                "--seed", str(self.seed), "--out-estimator", os.path.join(out_dir, self.estimator),
                 "--out-report", os.path.join(out_dir, "rep.json")]
         return argv + (["--pilot-size", str(self.pilot)] if self.pilot is not None else [])
 
@@ -86,6 +88,7 @@ def _named():
         Case("bandwidth-1e-300", x, y, 120, bandwidth="1e-300"),
         Case("bandwidth-1e300", x, y, 120, bandwidth="1e300"),
         Case("bandwidth-inf", x, y, 120, bandwidth="inf"),
+        Case("estimator-over-pool", x, y, 120, estimator="pool.csv"),
     ]
     x10, y10 = _pool(rng, 600, 10)
     cases.append(Case("d10", x10, y10, 150))
@@ -154,6 +157,8 @@ def run_case(case):
     with tempfile.TemporaryDirectory() as tmp:
         pool = os.path.join(tmp, "pool.csv")
         _write_pool(pool, case.x, case.y)
+        with open(pool, "rb") as fh:
+            pool_bytes = fh.read()
         err = StringIO()
         with warnings.catch_warnings(record=True) as caught, redirect_stderr(err):
             warnings.simplefilter("always")
@@ -168,7 +173,7 @@ def run_case(case):
         errors = [line for line in stderr.splitlines() if line.startswith("error:")]
         if rc == 0:
             try:
-                for name in ("est.json", "rep.json"):
+                for name in (case.estimator, "rep.json"):
                     _strict_json(os.path.join(tmp, name))
             except (OSError, ValueError) as exc:
                 problems.append(f"exit 0 without strict-JSON outputs: {exc}")
@@ -179,6 +184,9 @@ def run_case(case):
                 problems.append(f"exit {rc} with {len(errors)} error lines")
         else:
             problems.append(f"exit code {rc}")
+        with open(pool, "rb") as fh:
+            if fh.read() != pool_bytes:
+                problems.append("the pool file changed")
     return problems
 
 

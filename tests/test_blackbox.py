@@ -1,5 +1,6 @@
 import sys
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -210,6 +211,50 @@ def test_external_malformed_reply(tmp_path):
     with _external(tmp_path, bad, 1) as m:
         with pytest.raises(QueryError, match="not-a-number"):
             m.predict_batch(np.array([[0.0]]))
+
+
+TRICKLE_SCRIPT = """\
+import sys, time
+unit, pause = sys.argv[1], float(sys.argv[2])  # reply pieces: "byte" or "line"
+sys.stdin.readline()  # DIM line
+sys.stdout.write("OK\\n")
+sys.stdout.flush()
+rows = 0
+for line in sys.stdin:
+    if line.strip():
+        rows += 1
+        continue
+    reply = "1.0\\n" * rows
+    for piece in reply if unit == "byte" else reply.splitlines(keepends=True):
+        time.sleep(pause)
+        sys.stdout.write(piece)
+        sys.stdout.flush()
+    rows = 0
+"""
+
+
+def _trickling(tmp_path, unit, pause):
+    script = tmp_path / "trickle.py"
+    script.write_text(TRICKLE_SCRIPT, encoding="utf-8")
+    return ExternalProcessModel([sys.executable, str(script), unit, str(pause)], dim=2, timeout=0.5)
+
+
+def test_a_trickled_reply_times_out_within_its_bound(tmp_path):
+    # one byte every 0.15 s: every wait is shorter than the timeout, but no reply
+    # line completes within it, so the batch fails well inside (5 + 1) * 0.5 s
+    with _trickling(tmp_path, "byte", 0.15) as model:
+        model.start()
+        began = time.monotonic()
+        with pytest.raises(QueryError, match="timed out \\(stage: response\\)"):
+            model.predict_batch(np.zeros((5, 2)))
+        assert time.monotonic() - began < 3.0
+
+
+def test_a_slow_reply_finishes_while_each_line_keeps_its_bound(tmp_path):
+    # 10 lines 0.3 s apart: 3 s in all, six times the timeout, but each line
+    # completes within it
+    with _trickling(tmp_path, "line", 0.3) as model:
+        assert np.array_equal(model.predict_batch(np.zeros((10, 2))), np.ones(10))
 
 
 RECORD_SCRIPT = """\

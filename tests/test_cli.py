@@ -518,6 +518,55 @@ def test_an_unusable_output_path_exits_2_before_any_work(tmp_path, monkeypatch, 
     assert sorted(tmp_path.rglob("*")) == before
 
 
+# role: (command, the output flag, the key named, the input's key in the error)
+_OVERWRITTEN_INPUTS = {
+    "config": ("personalize", "--out-report", "out_report", "config"),
+    "pool-csv": ("personalize", "--out-estimator", "out_estimator", "source csv"),
+    "table-csv": ("personalize", "--out-estimator", "out_estimator", "model csv"),
+    "estimator": ("predict", "--out", "out", "estimator"),
+    "queries": ("predict", "--out", "out", "queries"),
+    "simulate-config": ("simulate", "--prefix", "prefix", "config"),
+}
+
+
+@pytest.mark.parametrize("role", _OVERWRITTEN_INPUTS)
+def test_an_output_that_overwrites_an_input_exits_2_before_any_work(tmp_path, monkeypatch, capsys,
+                                                                     role):
+    # each once exited 0 and wrote its output over the file it had read
+    command, flag, key, reader = _OVERWRITTEN_INPUTS[role]
+    monkeypatch.chdir(tmp_path)
+    _make_pool_csv(tmp_path / "pool.csv")
+    (tmp_path / "q.csv").write_text("x1,x2\n0.5,0.5\n")
+    config = str(_personalize_config(tmp_path))
+    if command == "predict":
+        assert main(["personalize", "--config", config]) == 0
+        argv = ["predict", "--estimator", str(tmp_path / "e.json"), "--queries", str(tmp_path / "q.csv")]
+        target = {"estimator": "e.json", "queries": "q.csv"}[role]
+    elif role == "pool-csv":
+        argv = ["personalize", "--pool-csv", str(tmp_path / "pool.csv"), "--covariates", "x1,x2", "-n",
+                "20", "--model-expr", "x1"]
+        target = "pool.csv"
+    elif role == "table-csv":
+        model = {"kind": "table", "csv": str(tmp_path / "pool.csv"), "covariates": ["x1", "x2"],
+                 "value": "y"}
+        argv, target = ["personalize", "--config", str(_personalize_config(tmp_path, model=model))], "pool.csv"
+    elif role == "config":
+        argv, target = ["personalize", "--config", config], "cfg.json"
+    else:  # simulate writes <prefix>_runs.csv first: name the config so
+        (tmp_path / "x_runs.csv").write_text(_simulate_config(tmp_path, out_dir=".").read_text())
+        argv, target = ["simulate", "--config", str(tmp_path / "x_runs.csv")], "x"
+    # the output spells the input's path another way
+    flags = [flag, os.path.join("sub", "..", target)]
+    (tmp_path / "sub").mkdir()
+    before = {path: path.read_bytes() for path in tmp_path.rglob("*") if path.is_file()}
+    _forbid_work(monkeypatch)
+    capsys.readouterr()
+    assert main(argv + flags) == 2
+    error = _one_error(capsys)
+    assert error.startswith(f"error: {key} would overwrite the {reader} it reads: "), error
+    assert {path: path.read_bytes() for path in tmp_path.rglob("*") if path.is_file()} == before
+
+
 @pytest.mark.parametrize("role", ["config", "estimator"])
 def test_a_json_file_that_starts_with_a_byte_order_mark_loads(tmp_path, role):
     config, est_path, queries = _personalize_config(tmp_path), tmp_path / "e.json", tmp_path / "q.csv"

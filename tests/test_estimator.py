@@ -1,4 +1,5 @@
 import os
+import signal
 import subprocess
 import sys
 import threading
@@ -10,6 +11,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
+import fsp
 from fsp import (
     Domain,
     ExpressionModel,
@@ -659,32 +661,30 @@ def test_theta1_zero_ladder_rows_equal_per_pair_masked_sums():
             assert np.array_equal(row, want), (theta, h)
 
 
-class _CountingPool(ThreadPoolExecutor):
-    """The window kernel's worker pool, recording each function handed to it (each
-    comes as context.run, fn, *args) as (name, args), and each future it returns."""
+class _StartSpy:
+    """The window kernel's _start, recording each function handed to it as (name,
+    args), and what it returned: (executor, Future), or None."""
 
-    def __init__(self):
-        super().__init__(1)
-        self.handed, self.futures = [], []
+    def __init__(self, start):
+        self.start, self.handed, self.started = start, [], []
 
-    def submit(self, fn, *args):
-        self.handed.append((args[0].__name__, args[1:]))
-        self.futures.append(super().submit(fn, *args))
-        return self.futures[-1]
+    def __call__(self, fn, *args):
+        self.handed.append((fn.__name__, args))
+        self.started.append(self.start(fn, *args))
+        return self.started[-1]
 
 
-def _handed_names(pool):
-    return [name for name, _ in pool.handed]
+def _handed_names(spy):
+    return [name for name, _ in spy.handed]
 
 
 @pytest.fixture
 def two_threads(monkeypatch):
-    """Window blocks may split over two threads; yields the pool's record."""
-    pool = _CountingPool()
+    """Window blocks may split over two threads; returns the record of _start."""
+    spy = _StartSpy(estimator._start)
     monkeypatch.setattr(estimator, "_threads", 2)
-    monkeypatch.setattr(estimator, "_pool", pool)
-    yield pool
-    pool.shutdown()
+    monkeypatch.setattr(estimator, "_start", spy)
+    return spy
 
 
 def _window_case(rng, n_train, n_rows):
@@ -853,13 +853,13 @@ def test_a_window_block_raises_only_after_its_worker_is_done(monkeypatch, two_th
                 raise ValueError(f"consume failed on the {failing}")
 
         two_threads.handed.clear()
-        two_threads.futures.clear()
+        two_threads.started.clear()
         with pytest.raises(ValueError, match=f"on the {failing}"):
             estimator.window_passes(
                 train_x, train_y, f_train, xs, f_eval, Candidates.from_pairs(cv), consume
             )
         assert _handed_names(two_threads) == ["run_passes"]
-        assert all(f.done() for f in two_threads.futures)
+        assert all(worker.done() for _, worker in two_threads.started)
         made = len(calls)
         time.sleep(0.05)
         assert len(calls) == made  # no consume call after the block raised
@@ -868,9 +868,11 @@ def test_a_window_block_raises_only_after_its_worker_is_done(monkeypatch, two_th
 
 
 def test_window_blocks_without_a_worker_thread_run_serially(monkeypatch):
-    class NoThreads:
-        def submit(self, fn, *args):
-            raise RuntimeError("can't start new thread")
+    attempts = []
+
+    def no_thread(executor):
+        attempts.append(executor)
+        raise RuntimeError("can't start new thread")
 
     rng = rng_stream(33, "window-no-thread")
     train_x, train_y, f_train, xs, f_eval, _ = _window_case(rng, 750, 250)
@@ -878,13 +880,64 @@ def test_window_blocks_without_a_worker_thread_run_serially(monkeypatch):
     monkeypatch.setattr(estimator, "_threads", 1)
     serial = estimator.window_biases(train_x, train_y, f_train, xs, f_eval, pairs)
     monkeypatch.setattr(estimator, "_threads", 2)
-    monkeypatch.setattr(estimator, "_pool", NoThreads())
+    monkeypatch.setattr(ThreadPoolExecutor, "_adjust_thread_count", no_thread)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = estimator.window_biases(train_x, train_y, f_train, xs, f_eval, pairs)
     assert np.array_equal(got, serial)
-    # every later block runs on the calling thread, without a new pool
-    assert estimator._threads == 1 and estimator._pool is None
+    # each of the three 82-row blocks tries a worker of its own (the 4-row block does not split)
+    assert len(attempts) == 3 and len({id(executor) for executor in attempts}) == 3
+
+
+def test_a_split_window_block_leaves_no_thread_running(two_threads):
+    rng = rng_stream(38, "window-thread-count")
+    train_x, train_y, f_train, xs, f_eval, _ = _window_case(rng, 750, 250)
+    pairs = [(theta, h) for h in (0.1, 0.4, 1.0) for theta in adaptation.build_grid(1000, 2.0).points]
+    before = threading.active_count()
+    estimator.window_passes(
+        train_x, train_y, f_train, xs, f_eval, Candidates.from_pairs(pairs), lambda *a: None
+    )
+    assert _handed_names(two_threads) == ["run_passes"] * 3
+    assert threading.active_count() == before
+
+
+def _fit_selection():
+    """The selection, bandwidth and score of an n = 1,000 fit with the default CV."""
+    scenario = fsp.scenario_regression()
+    model = scenario.make_pretrained(1000, fsp.derive_seed(1, "fork-model"))
+    fit = fsp.fit_personalized(model, scenario.domain, 1000, scenario.make_oracle(), seed=1)
+    return repr((fit.theta, fit.bandwidth, fit.score))
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_a_fit_with_split_window_blocks_reruns_in_a_forked_child(two_threads):
+    # a worker kept across blocks would be inherited by the child without its thread,
+    # and the child's first split block would wait for it for ever
+    want = _fit_selection()
+    assert "run_passes" in _handed_names(two_threads)
+    read, write = os.pipe()
+    pid = os.fork()
+    if pid == 0:  # the child never returns into pytest
+        code = 1
+        try:
+            os.close(read)
+            signal.alarm(10)  # the fit takes well under a second
+            os.write(write, _fit_selection().encode())
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write)
+    deadline = time.monotonic() + 30
+    while True:  # reap the child, killing it past the deadline
+        reaped, status = os.waitpid(pid, os.WNOHANG)
+        if reaped:
+            break
+        if time.monotonic() > deadline:
+            os.kill(pid, signal.SIGKILL)
+        time.sleep(0.01)
+    with os.fdopen(read, "rb") as fh:
+        got = fh.read().decode()
+    assert got == want, f"the child ended with wait status {status}"
 
 
 def test_out_of_domain_query_raises():
