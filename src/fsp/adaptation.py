@@ -80,18 +80,28 @@ def select_theta(candidates, val_x, val_y):
     """
     if not candidates:
         raise ValueError("need at least one candidate")
-    val_x = np.atleast_2d(np.asarray(val_x, float))
-    val_y = np.asarray(val_y, float)
-    if val_x.shape[0] == 0:
-        raise ValueError("validation set must be nonempty")
+    val_x, val_y = _validation_block(val_x, val_y)
     preds = {theta: candidates[theta].predict_batch(val_x) for theta in sorted(candidates)}
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow scores inf
         scores = {theta: float(_add_row_sums(0.0, (val_y - p) ** 2)) for theta, p in preds.items()}
     best = min(scores, key=scores.get)
-    if not np.isfinite(scores[best]):
-        raise DataError(f"the selected theta scores {scores[best]} on validation, not a finite "
-                        "number; rescale the model or the labels")
+    _check_winner("theta", scores[best])
     return best, scores
+
+
+def _validation_block(val_x, val_y):
+    """val_x as (m, d) floats and val_y as floats; ValueError if the block is empty."""
+    val_x = np.atleast_2d(np.asarray(val_x, float))
+    if val_x.shape[0] == 0:
+        raise ValueError("validation set must be nonempty")
+    return val_x, np.asarray(val_y, float)
+
+
+def _check_winner(what, score):
+    """DataError unless the selected `what`'s validation score is finite."""
+    if not np.isfinite(score):
+        raise DataError(f"the selected {what} scores {score} on validation, "
+                        "not a finite number; rescale the model or the labels")
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -155,13 +165,9 @@ def _score_pairs(candidates, train_x, train_y, f_train, val_x, val_y, f_val):
 
 def _cv_candidates(thetas, bandwidths):
     """The CV candidates, smaller bandwidth first, then the thetas in the order given."""
-    slots = {}
-    index = [slots.setdefault(theta, len(slots)) for theta in thetas]
-    return Candidates(
-        tuple(slots),
-        np.tile(np.array(index, dtype=np.min_scalar_type(len(slots))), len(bandwidths)),
-        np.repeat(np.sort(np.array(bandwidths, dtype=float)), len(index)),
-    )
+    hs = np.sort(np.array(bandwidths, dtype=float))
+    one = Candidates.from_pairs([(theta, hs[0]) for theta in thetas])
+    return Candidates(one.thetas, np.tile(one.theta_index, len(hs)), np.repeat(hs, len(one)))
 
 
 def _select_pairs(candidates, train_x, train_y, f_train, val_x, val_y, f_val):
@@ -169,9 +175,7 @@ def _select_pairs(candidates, train_x, train_y, f_train, val_x, val_y, f_val):
     if it is not finite."""
     table = _score_pairs(candidates, train_x, train_y, f_train, val_x, val_y, f_val)
     theta, h, score = table[np.argmin(table.score)]
-    if not np.isfinite(score):
-        raise DataError(f"the selected (theta, h) scores {score} on validation, not a finite "
-                        "number; rescale the model or the labels")
+    _check_winner("(theta, h)", score)
     return SelectionResult(theta=theta, bandwidth=h, score=score, table=table)
 
 
@@ -191,10 +195,7 @@ def select_theta_h(thetas, bandwidths, train_x, train_y, val_x, val_y, model):
         raise ValueError("bandwidths must be positive numbers")
     train_x = np.atleast_2d(np.asarray(train_x, float))
     train_y = np.asarray(train_y, float)
-    val_x = np.atleast_2d(np.asarray(val_x, float))
-    val_y = np.asarray(val_y, float)
-    if val_x.shape[0] == 0:
-        raise ValueError("validation set must be nonempty")
+    val_x, val_y = _validation_block(val_x, val_y)
     f_train, f_val = model.predict_batch(train_x), model.predict_batch(val_x)
     candidates = _cv_candidates(thetas, bandwidths)
     return _select_pairs(candidates, train_x, train_y, f_train, val_x, val_y, f_val)

@@ -10,7 +10,6 @@ import argparse
 import contextlib
 import csv
 import dataclasses
-import io
 import json
 import math
 import os
@@ -36,8 +35,8 @@ from .blackbox import (
     model_from_spec,
 )
 from .core import (
-    ConfigError, DataError, Domain, DomainError, HolderParams, covariate_names, load_csv, read_input,
-    required,
+    ConfigError, DataError, Domain, DomainError, HolderParams, covariate_names, load_column, load_csv,
+    read_input, required,
 )
 from .estimator import PersonalizedEstimator
 from .sampling import SPLITS
@@ -137,14 +136,14 @@ def _resolve(defaults, args, **overrides):
             raise ConfigError(f"FSP_SEED must be an integer, got {env_seed!r}") from None
     _check_types(resolved, defaults)
     _check_outputs([(k, v) for k, v in resolved.items() if k in ("out_estimator", "out_report", "out")],
-                   _inputs(args, resolved))
+                   _inputs(resolved, args.config))
     return resolved
 
 
-def _inputs(args, resolved):
-    """(key, path) of each file the command reads: its config file, a pool's or a
-    table model's csv, an estimator and queries."""
-    paths = [("config", args.config)] + [(key, resolved.get(key)) for key in ("estimator", "queries")]
+def _inputs(resolved, config=None):
+    """(key, path) of each file a command reads: its `config` file, and the pool's or
+    table model's csv, the estimator and the queries that `resolved` names."""
+    paths = [("config", config)] + [(key, resolved.get(key)) for key in ("estimator", "queries")]
     paths += [(f"{role} csv", spec.get("csv")) for role in ("source", "model")
               if isinstance(spec := resolved.get(role), dict)]
     return [(key, path) for key, path in paths if isinstance(path, str)]
@@ -267,7 +266,7 @@ def cmd_simulate(args):
     stem = os.path.join(out_dir, resolved["prefix"] or resolved["scenario"])
     runs_path, summary_path, report_path = paths = [stem + "_runs.csv", stem + "_summary.csv",
                                                     stem + "_report.json"]
-    _check_outputs([("prefix", path) for path in paths], _inputs(args, resolved))
+    _check_outputs([("prefix", path) for path in paths], _inputs(resolved, args.config))
     result = run_experiment(
         scenario,
         methods=tuple(resolved["methods"]),
@@ -442,9 +441,9 @@ def _personalize(resolved, backends):
     return 0
 
 
-def load_estimator(path):
-    """Rebuild a PersonalizedEstimator (and covariate names) from its JSON file.
-    The caller closes the estimator's model; a failure closes it here."""
+def load_estimator(path, backends, outputs=()):
+    """Rebuild a PersonalizedEstimator (and covariate names) from its JSON file; its model
+    goes to the ExitStack `backends`, and a (key, path) of `outputs` that is its csv is refused."""
     payload = _read_json(path, "estimator file")
     if not isinstance(payload, dict) or payload.get("format") != "fsp-estimator":
         raise ConfigError("not an estimator file (missing format marker)")
@@ -455,25 +454,24 @@ def load_estimator(path):
     theta = [required(pair, key, "estimator theta") for key in ("theta1", "theta2")]
     bandwidth = required(payload, "bandwidth", "estimator file")
     spec = required(payload, "model", "estimator file")
-    with contextlib.ExitStack() as backends:
-        try:
-            domain = Domain(lo, hi)
-            covariates = payload.get("covariates", covariate_names(domain.dim))
-            if not (isinstance(covariates, list) and all(isinstance(c, str) for c in covariates)
-                    and len(set(covariates)) == len(covariates) == domain.dim):
-                raise ValueError(f"covariates must be a list of {domain.dim} distinct column "
-                                 f"names, got {covariates!r}")
-            train_x, train_y = np.asarray(train_x, float), np.asarray(train_y, float)
-            theta = HolderParams(*theta)
-            bandwidth = float(bandwidth)  # a non-finite bandwidth is stored as a string
-            model = _build_model(spec, domain.dim, backends)
-            # files written before f_train was stored query the model at the training points
-            est = PersonalizedEstimator(
-                train_x, train_y, model, theta, bandwidth, domain, f_train=payload.get("f_train")
-            )
-        except (TypeError, ValueError) as exc:  # a backend's QueryError is not the file's fault
-            raise ConfigError(f"bad estimator file {path}: {exc}") from None
-        backends.pop_all()
+    _check_outputs(outputs, _inputs({"model": spec}))
+    try:
+        domain = Domain(lo, hi)
+        covariates = payload.get("covariates", covariate_names(domain.dim))
+        if not (isinstance(covariates, list) and all(isinstance(c, str) for c in covariates)
+                and len(set(covariates)) == len(covariates) == domain.dim):
+            raise ValueError(f"covariates must be a list of {domain.dim} distinct column "
+                             f"names, got {covariates!r}")
+        train_x, train_y = np.asarray(train_x, float), np.asarray(train_y, float)
+        theta = HolderParams(*theta)
+        bandwidth = float(bandwidth)  # a non-finite bandwidth is stored as a string
+        model = _build_model(spec, domain.dim, backends)
+        # files written before f_train was stored query the model at the training points
+        est = PersonalizedEstimator(
+            train_x, train_y, model, theta, bandwidth, domain, f_train=payload.get("f_train")
+        )
+    except (TypeError, ValueError) as exc:  # a backend's QueryError is not the file's fault
+        raise ConfigError(f"bad estimator file {path}: {exc}") from None
     return est, covariates
 
 
@@ -483,8 +481,7 @@ def cmd_predict(args):
         raise ConfigError("predict needs --estimator and --queries")
     _echo(resolved)
     with contextlib.ExitStack() as backends:
-        est, covariates = load_estimator(resolved["estimator"])
-        backends.push(est.model)
+        est, covariates = load_estimator(resolved["estimator"], backends, [("out", resolved["out"])])
         xs = load_csv(resolved["queries"], covariates, allow_empty=True)
         est.model.start()
         ok = est.domain.contains(xs)
@@ -499,21 +496,6 @@ def cmd_predict(args):
     return 0
 
 
-def _read_column(path, preferred):
-    """The only column of a file, else its first column named in `preferred`."""
-    header = next(csv.reader(io.StringIO(read_input(path).decode("utf-8"), newline="")), None)
-    if header is None:
-        raise DataError(f"empty data: {path} has no header row")
-    header = [c.strip() for c in header]
-    names = header if len(header) == 1 else [name for name in preferred if name in header]
-    if not names:
-        raise ConfigError(
-            f"{path} has columns {header}; expected one of {list(preferred)} "
-            "or a single-column file"
-        )
-    return load_csv(path, names[:1], allow_empty=True)[:, 0]
-
-
 def cmd_eval(args):
     resolved = _resolve(_EVAL_DEFAULTS, args)
     if not resolved["predictions"] or not resolved["truth"]:
@@ -522,8 +504,8 @@ def cmd_eval(args):
     if not (isinstance(metric, str) and metric in METRICS):  # a config value may be unhashable
         raise ConfigError(f"unknown metric {metric!r}; valid: {', '.join(METRICS)}")
     _echo(resolved)
-    preds = _read_column(resolved["predictions"], ("prediction", "pred", "y"))
-    truth = _read_column(resolved["truth"], ("y", "truth", "label"))
+    preds = load_column(resolved["predictions"], ("prediction", "pred", "y"))
+    truth = load_column(resolved["truth"], ("y", "truth", "label"))
     if len(preds) != len(truth):
         raise ConfigError(
             f"length mismatch: {len(preds)} predictions vs {len(truth)} truth rows"

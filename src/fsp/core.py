@@ -30,6 +30,7 @@ __all__ = [
     "derive_seed",
     "read_input",
     "load_csv",
+    "load_column",
     "covariate_names",
     "required",
     "default_quadrature_points",
@@ -121,19 +122,22 @@ class Domain:
     def volume(self):
         return float(np.prod(self.edge_lengths()))
 
+    def _of_width(self, x, what):
+        """x as a float array whose last axis holds d coordinates; DomainError naming
+        `what` and both widths otherwise."""
+        x = np.atleast_1d(np.asarray(x, float))
+        if x.shape[-1] != self.dim:
+            raise DomainError(f"{what} has dimension {x.shape[-1]}, domain has {self.dim}")
+        return x
+
     def contains(self, x):
         """Membership of a point (d,) or batch (m, d); the box is closed."""
-        x = np.asarray(x, float)
-        lo = np.asarray(self.lo)
-        hi = np.asarray(self.hi)
-        ok = (x >= lo) & (x <= hi)
-        return ok.all(axis=-1)
+        x = self._of_width(x, "point")
+        return ((x >= np.asarray(self.lo)) & (x <= np.asarray(self.hi))).all(axis=-1)
 
     def require(self, x, what="point"):
         """Raise DomainError unless every row of x lies in the box."""
-        x = np.atleast_2d(np.asarray(x, float))
-        if x.shape[1] != self.dim:
-            raise DomainError(f"{what} has dimension {x.shape[1]}, domain has {self.dim}")
+        x = self._of_width(np.atleast_2d(np.asarray(x, float)), what)
         ok = self.contains(x)
         if not ok.all():
             i = int(np.flatnonzero(~ok)[0])
@@ -323,10 +327,30 @@ def load_csv(path, covariates, response=None, allow_empty=False):
     and so does a requested column whose name the header holds twice.  The
     file is read by read_input.
     """
-    covariates = list(covariates)
-    wanted = covariates + ([response] if response is not None else [])
+    wanted = list(covariates) + ([response] if response is not None else [])
     if len(set(wanted)) != len(wanted):
         raise DataError("duplicate column names requested")
+    block = _read_columns(path, lambda header: wanted, allow_empty)
+    return block if response is None else SampleSet(block[:, :-1], block[:, -1])
+
+
+def load_column(path, preferred):
+    """One column of a header-plus-rows CSV, read as load_csv reads it: the file's only
+    column, else the first name in `preferred` its header holds (ConfigError if none)."""
+
+    def pick(header):
+        names = header if len(header) == 1 else [name for name in preferred if name in header]
+        if not names:
+            raise ConfigError(f"{path} has columns {header}; expected one of {list(preferred)} "
+                              "or a single-column file")
+        return names[:1]
+
+    return _read_columns(path, pick, allow_empty=True)[:, 0]
+
+
+def _read_columns(path, pick, allow_empty):
+    """The read-only (n, k) block of the k columns that pick(header) names, the
+    file read once by read_input; see load_csv for the errors."""
     data = read_input(path)
     # the csv module reads the lines a text file object gives, decoded a chunk at a time
     reader = csv.reader(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline=""))
@@ -334,6 +358,7 @@ def load_csv(path, covariates, response=None, allow_empty=False):
     if header is None:
         raise DataError(f"empty data: {path} has no header row")
     header = [c.strip() for c in header]
+    wanted = pick(header)
     for name in wanted:
         if name not in header:
             raise DataError(f"missing column {name!r} in {path} (found {header})")
@@ -364,10 +389,8 @@ def load_csv(path, covariates, response=None, allow_empty=False):
         ).reshape(len(rows), len(wanted))
     if len(block) == 0 and not allow_empty:
         raise DataError(f"empty data: {path} has a header but no rows")
-    if response is None:
-        block.setflags(write=False)
-        return block
-    return SampleSet(block[:, :-1], block[:, -1])
+    block.setflags(write=False)
+    return block
 
 
 _PLAIN = b"0123456789.eE+-,\n"

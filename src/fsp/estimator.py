@@ -487,7 +487,8 @@ class VarianceField:
 
     @np.errstate(over="ignore", invalid="ignore")  # an overflow raises DataError instead
     def variance_batch(self, xs):
-        xs = np.atleast_2d(np.asarray(xs, float))
+        """The variance estimate at each row of xs; DomainError if xs is not as wide as the domain."""
+        xs = self.domain._of_width(np.atleast_2d(np.asarray(xs, float)), "query point")
         out = np.empty(xs.shape[0])
         n, dim = self.pilot_x.shape
         m = round(len(xs) ** (1 / dim))

@@ -7,7 +7,7 @@ memoized white noise.  Repetitions are driven by per-repetition RNG
 streams, so result tables are bit-identical for a fixed master seed.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -173,17 +173,9 @@ def scenario_classification(n_test=500):
 
 def scenario_adversarial(n_test=500):
     """Regression truth with an uninformative white-noise pre-trained model."""
-    base = scenario_regression(n_test=n_test)
-    return Scenario(
-        name="adversarial",
-        domain=base.domain,
-        f_star=base.f_star,
-        noise=base.noise,
-        metric="mse",
-        pretrained_factory=lambda n_ptr, seed: MemoizedNoiseModel(
-            rng_stream(seed, "pretrain-noise")
-        ),
-        n_test=n_test,
+    return replace(
+        scenario_regression(n_test=n_test), name="adversarial",
+        pretrained_factory=lambda n_ptr, seed: MemoizedNoiseModel(rng_stream(seed, "pretrain-noise")),
     )
 
 

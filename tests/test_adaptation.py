@@ -182,7 +182,8 @@ def test_select_theta_h_with_no_finite_score_raises_data_error():
     xs = rng.random((60, 2))
     ys = xs[:, 0] + rng.normal(size=60)
     model = FunctionModel(lambda q: 1e200 * q[:, 0])
-    with pytest.raises(DataError, match="rescale the model or the labels"):
+    with pytest.raises(DataError, match=r"^the selected \(theta, h\) scores inf on validation, not a "
+                                        r"finite number; rescale the model or the labels$"):
         select_theta_h(build_grid(60, 2.0).points, [0.5, 0.25], xs[:40], ys[:40], xs[40:], ys[40:], model)
 
 
@@ -194,7 +195,8 @@ def test_select_theta_with_no_finite_score_raises_data_error():
         HolderParams(0.0, 0.0): FunctionModel(lambda q: 1e200 * q[:, 0]),
         HolderParams(1.0, 0.5): FunctionModel(lambda q: 2e200 * q[:, 0]),
     }
-    with pytest.raises(DataError, match="rescale the model or the labels"):
+    with pytest.raises(DataError, match=r"^the selected theta scores inf on validation, not a "
+                                        r"finite number; rescale the model or the labels$"):
         select_theta(cands, val_x, rng.normal(size=20))
 
 

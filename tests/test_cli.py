@@ -1,5 +1,6 @@
 import argparse
 import codecs
+import contextlib
 import csv
 import dataclasses
 import inspect
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 
 import fsp
-from fsp import blackbox, cli
+from fsp import blackbox, cli, core
 from fsp.adaptation import FitConfig, fit_personalized
 from fsp.blackbox import ExpressionModel, GaussianNoise, SyntheticOracle
 from fsp.cli import build_parser, load_estimator, main
@@ -224,9 +225,10 @@ def test_personalize_synthetic_source(tmp_path):
         "out_report": str(tmp_path / "r.json"),
     }))
     assert main(["personalize", "--config", str(cfg)]) == 0
-    loaded, covs = load_estimator(est)
-    assert covs == ["x1", "x2"]
-    assert np.isfinite(loaded.predict(np.array([0.5, 0.5])))
+    with contextlib.ExitStack() as backends:
+        loaded, covs = load_estimator(est, backends)
+        assert covs == ["x1", "x2"]
+        assert np.isfinite(loaded.predict(np.array([0.5, 0.5])))
 
 
 def test_loaded_external_estimator_queries_only_new_rows(tmp_path):
@@ -247,11 +249,9 @@ def test_loaded_external_estimator_queries_only_new_rows(tmp_path):
     rows_log = tmp_path / "rows.log"
     payload["model"]["argv"].append(str(rows_log))
     est_path.write_text(json.dumps(payload))
-    est, _ = load_estimator(est_path)
-    try:
+    with contextlib.ExitStack() as backends:
+        est, _ = load_estimator(est_path, backends)
         preds = est.predict_batch(rng_stream(3, "loaded").random((7, 2)) * 0.5 + 0.25)
-    finally:
-        est.model.close()
     assert len(preds) == 7
     assert len(rows_log.read_text().splitlines()) == 7  # training points are not queried again
 
@@ -654,20 +654,21 @@ def test_predict_round_trip_and_empty(tmp_path):
         "--model-expr", "abs(x1) + 0.5*x2", "--seed", "1",
         "--out-estimator", str(est_path), "--out-report", str(tmp_path / "r.json"),
     ])
-    est, covs = load_estimator(est_path)
     rng = rng_stream(0, "pred")
     xs = rng.random((100, 2)) * 0.8 + 0.05
     queries = tmp_path / "q.csv"
-    with open(queries, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(covs)
-        for row in xs:
-            w.writerow([repr(float(v)) for v in row])
-    out = tmp_path / "p.csv"
-    assert main(["predict", "--estimator", str(est_path), "--queries", str(queries), "--out", str(out)]) == 0
-    rows = _read_rows(out)
-    got = np.array([float(r[0]) for r in rows[1:]])
-    assert np.array_equal(got, est.predict_batch(xs))  # bit-identical round trip
+    with contextlib.ExitStack() as backends:
+        est, covs = load_estimator(est_path, backends)
+        with open(queries, "w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(covs)
+            for row in xs:
+                w.writerow([repr(float(v)) for v in row])
+        out = tmp_path / "p.csv"
+        assert main(["predict", "--estimator", str(est_path), "--queries", str(queries), "--out", str(out)]) == 0
+        rows = _read_rows(out)
+        got = np.array([float(r[0]) for r in rows[1:]])
+        assert np.array_equal(got, est.predict_batch(xs))  # bit-identical round trip
 
     empty = tmp_path / "empty.csv"
     empty.write_text("x1,x2\n")
@@ -738,6 +739,43 @@ def test_eval_random_instance_matches_loop(tmp_path, capsys):
     got = float(capsys.readouterr().out.strip())
     want = sum((float(t) - float(p)) ** 2 for t, p in zip(truth, preds)) / 30
     assert got == pytest.approx(want, rel=1e-5)
+
+
+# case: (predictions file, truth file, metric, the error or None ({p} is the predictions
+# path), the number of files read)
+_EVAL_CASES = {
+    "scored": ("prediction\n0.5\n1.0\n", "y\n0.5\n0.0\n", "mse", None, 2),
+    "no-header": ("", "y\n1.0\n", "mse", "error: empty data: {p} has no header row", 1),
+    "unknown-columns": ("a,b\n1,2\n", "y\n1.0\n", "mse",
+                        "error: {p} has columns ['a', 'b']; expected one of ['prediction', 'pred', 'y'] "
+                        "or a single-column file", 1),
+    "labels": ("p\n0.6\n0.4\n", "label\n1.0\n0.5\n", "mce", "error: mce needs 0/1 labels; label 2 is 0.5",
+               2),
+}
+
+
+@pytest.mark.parametrize("case", _EVAL_CASES)
+def test_eval_reads_each_file_once_and_keeps_its_messages(tmp_path, monkeypatch, capsys, case):
+    # eval once read each file's header, then the whole file again
+    predictions, truth, metric, error, files_read = _EVAL_CASES[case]
+    paths = [tmp_path / "p.csv", tmp_path / "t.csv"]
+    for path, text in zip(paths, [predictions, truth]):
+        path.write_text(text)
+    reads, read = [], core.read_input
+
+    def counting(path, what=None):
+        reads.append(str(path))
+        return read(path, what)
+
+    monkeypatch.setattr(core, "read_input", counting)
+    monkeypatch.setattr(cli, "read_input", counting)
+    capsys.readouterr()
+    rc = main(["eval", "--predictions", str(paths[0]), "--truth", str(paths[1]), "--metric", metric])
+    if error is None:
+        assert rc == 0 and float(capsys.readouterr().out) == pytest.approx(0.5)
+    else:
+        assert rc == 2 and _one_error(capsys) == error.format(p=paths[0])
+    assert reads == [str(path) for path in paths[:files_read]]
 
 
 def test_eval_mce_rejects_non_binary_truth(tmp_path, capsys):
@@ -1057,6 +1095,45 @@ def test_a_wrong_handshake_on_a_synthetic_source_exits_1_and_stops_the_child(
     finally:
         for model in built:
             model.close()
+
+
+def test_predict_refuses_an_out_that_overwrites_the_table_csv_its_estimator_reads(
+    tmp_path, monkeypatch, capsys
+):
+    # it once exited 0 and wrote the predictions over the table it had just read
+    monkeypatch.chdir(tmp_path)
+    assert main(["personalize", "--config", str(_personalize_config(tmp_path))]) == 0
+    _make_pool_csv(tmp_path / "t.csv")
+    payload = json.loads((tmp_path / "e.json").read_text())
+    payload["model"] = {"kind": "table", "csv": "t.csv", "covariates": ["x1", "x2"], "value": "y"}
+    (tmp_path / "e.json").write_text(json.dumps(payload))
+    (tmp_path / "q.csv").write_text("x1,x2\n0.5,0.5\n")
+    argv = ["predict", "--estimator", "e.json", "--queries", "q.csv", "--out"]
+    assert main(argv + ["p.csv"]) == 0  # the estimator file loads
+    before = {path: path.read_bytes() for path in tmp_path.iterdir()}
+    _forbid_work(monkeypatch)
+    monkeypatch.setattr(cli, "load_csv", lambda *args, **kwargs: pytest.fail("a csv was read"))
+    capsys.readouterr()
+    assert main(argv + ["t.csv"]) == 2
+    assert _one_error(capsys) == "error: out would overwrite the model csv it reads: t.csv"
+    assert {path: path.read_bytes() for path in tmp_path.iterdir()} == before
+
+
+def test_a_failed_estimator_load_leaves_its_model_child_to_the_callers_stack(tmp_path, monkeypatch):
+    stub = tmp_path / "stub.py"
+    stub.write_text(STUB_MODEL)
+    config = _personalize_config(tmp_path, model={"kind": "external", "cmd": f"{sys.executable} {stub}"})
+    assert main(["personalize", "--config", str(config)]) == 0
+    est_path = tmp_path / "e.json"
+    payload = json.loads(est_path.read_text())
+    payload["train_x"][0][0] = 2.0  # outside the domain
+    est_path.write_text(json.dumps(payload))
+    spawned = _record_spawns(monkeypatch)
+    with contextlib.ExitStack() as backends:
+        with pytest.raises(fsp.ConfigError, match=f"^bad estimator file {est_path}: "):
+            load_estimator(est_path, backends)
+        assert len(spawned) == 1 and spawned[0].poll() is None  # the caller's stack holds it
+    assert spawned[0].poll() is not None
 
 
 def test_a_bad_estimator_file_with_an_external_model_exits_2_and_stops_the_child(

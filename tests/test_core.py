@@ -78,6 +78,15 @@ def test_domain_geometry():
         d.require([[0.0, 0.0], [0.6, 0.0]])
 
 
+@pytest.mark.parametrize("x, width", [([[0.5]], 1), ([0.5], 1), ([[0.5, 0.5, 0.5]], 3)])
+def test_domain_contains_refuses_points_of_another_width(x, width):
+    # a one-column batch once broadcast against the 2-d box and read as inside it
+    with pytest.raises(DomainError, match=rf"^point has dimension {width}, domain has 2$"):
+        Domain.cube(2).contains(x)
+    with pytest.raises(DomainError, match=rf"^query point has dimension {width}, domain has 2$"):
+        Domain.cube(2).require(x, "query point")
+
+
 def test_domain_uniform_and_grid():
     d = Domain.cube(2, 0.0, 2.0)
     pts = d.uniform(1000, rng_stream(0, "u"))

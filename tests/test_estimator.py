@@ -983,6 +983,20 @@ def test_variance_constant_labels_zero():
     assert field.variance_at(rng.random(2)) == 0.0
 
 
+@pytest.mark.parametrize("width", [1, 3])
+def test_variance_batch_refuses_queries_of_another_width(monkeypatch, width):
+    # a one-column batch once read the first pilot coordinate only, a three-column
+    # one raised IndexError
+    field = VarianceField(rng_stream(8, "est").random((30, 2)), np.arange(30.0), 0.4, UNIT)
+
+    def no_distances(*args):
+        raise AssertionError("distances computed before the width check")
+
+    monkeypatch.setattr(estimator, "chebyshev_distances", no_distances)
+    with pytest.raises(fsp.DomainError, match=rf"^query point has dimension {width}, domain has 2$"):
+        field.variance_batch(np.full((4, width), 0.5))
+
+
 def test_variance_no_support_zero():
     field = VarianceField(np.array([[0.1, 0.1]]), np.array([5.0]), 0.05, UNIT)
     assert field.variance_at(np.array([0.9, 0.9])) == 0.0

@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -142,6 +142,23 @@ def test_a_repetition_queries_the_model_once_on_its_test_set(make):
         assert [r.method for r in rows] == ["single-task", "fsp", "pretrained"]
         assert [r.value for r in rows] == values  # the same floats as predict_batch gives
         assert sum(q.shape == test_x.shape and np.array_equal(q, test_x) for q in seen) == 1
+
+
+def test_the_adversarial_scenario_is_the_regression_scenario_with_a_noise_model():
+    adversarial, regression = scenario_adversarial(n_test=70), scenario_regression(n_test=70)
+    for f in fields(Scenario):
+        a, r = getattr(adversarial, f.name), getattr(regression, f.name)
+        if f.name == "f_star":  # each call makes its own closure
+            assert a.__code__ is r.__code__
+        elif f.name == "noise":  # as is its noise
+            assert type(a) is type(r)
+        elif f.name not in ("name", "pretrained_factory"):
+            assert a == r, f.name
+    assert adversarial.name == "adversarial"
+    assert isinstance(adversarial.make_pretrained(10, 0), MemoizedNoiseModel)
+    xs = adversarial.domain.uniform(50, rng_stream(3, "adv"))
+    assert np.array_equal(adversarial.f_star(xs), regression.f_star(xs))
+    assert np.array_equal(adversarial.noise.sigma(xs), regression.noise.sigma(xs))
 
 
 def test_adversarial_model_moments_and_independence():
