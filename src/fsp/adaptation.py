@@ -7,14 +7,13 @@ contains theta1 = 0, so the selected fit never scores worse on validation
 than the target-only kernel estimate.
 """
 
-import numbers
 import operator
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from .blackbox import FunctionModel, PoolOracle
-from .core import ConfigError, DataError, Domain, HolderParams, rng_stream
+from .core import ConfigError, DataError, Domain, HolderParams, json_scalar, rng_stream
 from .estimator import Candidates, PersonalizedEstimator, window_passes
 from .sampling import (
     SPLITS,
@@ -188,24 +187,16 @@ def select_theta_h(thetas, bandwidths, train_x, train_y, val_x, val_y, model):
     thetas = sorted(thetas)
     if not thetas:
         raise ValueError("need at least one theta")
-    bandwidths = [float(h) for h in bandwidths]
+    bandwidths = [json_scalar(h, float, "bandwidths", "positive numbers", lambda v: v > 0)
+                  for h in bandwidths]
     if not bandwidths:
         raise ValueError("need at least one bandwidth")
-    if not all(h > 0 for h in bandwidths):  # also rejects NaN
-        raise ValueError("bandwidths must be positive numbers")
     train_x = np.atleast_2d(np.asarray(train_x, float))
     train_y = np.asarray(train_y, float)
     val_x, val_y = _validation_block(val_x, val_y)
     f_train, f_val = model.predict_batch(train_x), model.predict_batch(val_x)
     candidates = _cv_candidates(thetas, bandwidths)
     return _select_pairs(candidates, train_x, train_y, f_train, val_x, val_y, f_val)
-
-
-def _real(value, ok, message):
-    """float(value) for a real number (not a bool) that passes `ok`, else ConfigError(message)."""
-    if isinstance(value, numbers.Real) and not isinstance(value, bool) and ok(float(value)):
-        return float(value)
-    raise ConfigError(message)
 
 
 @dataclass
@@ -228,28 +219,17 @@ class FitConfig:
 
         A bad setting raises ConfigError naming its field, before any label is spent.
         """
-        c1 = _real(
-            self.c1, lambda v: 0 < v < np.inf, f"c1 must be a finite positive number, got {self.c1!r}"
-        )
-        pilot_fraction = _real(
-            self.pilot_fraction, lambda v: 0 < v < 1,
-            f"pilot_fraction must be a number in (0, 1), got {self.pilot_fraction!r}",
-        )
+        c1 = json_scalar(self.c1, float, "c1", "a finite positive number", lambda v: 0 < v < np.inf)
+        pilot_fraction = json_scalar(self.pilot_fraction, float, "pilot_fraction", "a number in (0, 1)",
+                                     lambda v: 0 < v < 1)
         h_sigma = self.h_sigma
         if h_sigma is not None:
-            h_sigma = _real(
-                h_sigma, lambda v: 0 < v < np.inf,
-                f"h_sigma must be a finite positive number, got {h_sigma!r}",
-            )
+            h_sigma = json_scalar(h_sigma, float, "h_sigma", "a finite positive number",
+                                  lambda v: 0 < v < np.inf)
         if self.split not in SPLITS:
             raise ConfigError(f"unknown split mode {self.split!r}")
-        if not isinstance(self.full_bandwidth_set, bool):
-            raise ConfigError(
-                f"full_bandwidth_set must be true or false, got {self.full_bandwidth_set!r}"
-            )
-        cap = self.synthetic_cap
-        if isinstance(cap, bool) or not isinstance(cap, numbers.Integral) or not cap > 0:
-            raise ConfigError(f"synthetic_cap must be a positive integer, got {cap!r}")
+        json_scalar(self.full_bandwidth_set, bool, "full_bandwidth_set", "true or false")
+        cap = json_scalar(self.synthetic_cap, int, "synthetic_cap", "a positive integer", lambda v: v > 0)
         bandwidth = self.bandwidth
         if isinstance(bandwidth, str) and bandwidth not in ("cv", "rule"):
             try:
@@ -262,7 +242,8 @@ class FitConfig:
             if not values:
                 raise ConfigError("bandwidth list must be nonempty")
             # v > 0 also rejects NaN
-            values = tuple(_real(h, lambda v: v > 0, "bandwidths must be positive numbers") for h in values)
+            values = tuple(json_scalar(h, float, "bandwidths", "positive numbers", lambda v: v > 0)
+                           for h in values)
             bandwidth = values if is_list else values[0]
         thetas = self.thetas
         if thetas is not None:
@@ -274,7 +255,7 @@ class FitConfig:
                 raise ConfigError(f"thetas must name at least one pair, got {self.thetas!r}")
         return replace(
             self, c1=c1, pilot_fraction=pilot_fraction, h_sigma=h_sigma, bandwidth=bandwidth,
-            thetas=thetas, synthetic_cap=int(cap),
+            thetas=thetas, synthetic_cap=cap,
         )
 
     def to_dict(self):

@@ -19,7 +19,7 @@ import numpy as np
 
 from .core import (
     BudgetError, ConfigError, DomainError, HolderParams, QueryError, covariate_names, frozen_sample,
-    required,
+    json_scalar, required,
 )
 from .estimator import _squared_distances, row_blocks, window_biases
 
@@ -213,9 +213,7 @@ class KernelSmoothModel(BlackBoxModel):
 
     def __init__(self, points, values, bandwidth):
         self.points, self.values = frozen_sample(points, values, "kernel-smooth model")
-        if not bandwidth > 0:
-            raise ValueError("bandwidth must be positive")
-        self.bandwidth = float(bandwidth)
+        self.bandwidth = json_scalar(bandwidth, float, "bandwidth", "a positive number", lambda v: v > 0)
 
     def predict_batch(self, xs):
         xs = _queries(xs, self.points.shape[1])
@@ -394,9 +392,7 @@ class GaussianNoise:
                 raise ConfigError("sigma expressions need the covariate dimension")
             self._sigma = compile_expression(sigma, dim)
         else:
-            value = float(sigma)
-            if not 0 <= value < np.inf:
-                raise ValueError(f"sigma must be finite and nonnegative, got {value}")
+            value = json_scalar(sigma, float, "sigma", "finite and nonnegative", lambda v: 0 <= v < np.inf)
             self._sigma = lambda xs: np.full(np.atleast_2d(xs).shape[0], value)
 
     def sigma(self, xs):

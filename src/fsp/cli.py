@@ -35,8 +35,8 @@ from .blackbox import (
     model_from_spec,
 )
 from .core import (
-    ConfigError, DataError, Domain, DomainError, HolderParams, covariate_names, load_column, load_csv,
-    read_input, required,
+    ConfigError, DataError, Domain, DomainError, column_names, covariate_names, json_scalar, load_column,
+    load_csv, read_input, required,
 )
 from .estimator import PersonalizedEstimator
 from .sampling import SPLITS
@@ -149,7 +149,6 @@ def _inputs(resolved, config=None):
     return [(key, path) for key, path in paths if isinstance(path, str)]
 
 
-_INT_KEYS = ("n", "n_ptr", "repetitions", "n_test", "seed", "pilot_size")
 _POSITIVE_KEYS = ("n", "n_ptr", "repetitions", "n_test")
 _PATH_KEYS = (
     "out_dir", "prefix", "out_estimator", "out_report", "estimator", "queries", "out",
@@ -163,14 +162,14 @@ def _check_types(resolved, defaults):
     for key, value in resolved.items():
         if value is None and defaults[key] is None:
             continue
-        if key in _INT_KEYS and (isinstance(value, bool) or not isinstance(value, int)):
-            raise ConfigError(f"{key} must be an integer, got {value!r}")
-        if key in _POSITIVE_KEYS and value < 1:
-            raise ConfigError(f"{key} must be a positive integer, got {value!r}")
+        if key in _POSITIVE_KEYS:
+            json_scalar(value, int, key, "a positive integer", lambda v: v >= 1)
+        if key in ("seed", "pilot_size"):
+            json_scalar(value, int, key, "an integer")
         if key in _PATH_KEYS and not isinstance(value, str):
             raise ConfigError(f"{key} must be a path string, got {value!r}")
-        if key == "small_domain" and not isinstance(value, bool):
-            raise ConfigError(f"small_domain must be true or false, got {value!r}")
+        if key == "small_domain":
+            json_scalar(value, bool, key, "true or false")
         if key == "methods":
             if not (isinstance(value, list) and all(isinstance(m, str) for m in value)):
                 raise ConfigError(f"methods must be a list of names, got {value!r}")
@@ -324,11 +323,8 @@ def _build_model(spec, dim, backends):
         spec["argv"] = shlex.split(cmd) if isinstance(cmd, str) else cmd
     if "csv" in spec:
         covariates = required(spec, "covariates", "table model")
-        if not isinstance(covariates, list) or len(covariates) != dim:
-            raise ConfigError(
-                f"table model covariates {covariates!r} must list {dim} columns, one per covariate"
-            )
-        table = load_csv(spec["csv"], covariates, response=required(spec, "value", "table model"))
+        table = load_csv(spec["csv"], column_names(covariates, "table model covariates", dim),
+                         response=required(spec, "value", "table model"))
         spec["points"], spec["values"] = table.x, table.y
     model = backends.push(model_from_spec(spec))
     points = getattr(model, "points", None)  # a table or kernel-smooth model's stored sample
@@ -386,10 +382,7 @@ def _personalize(resolved, backends):
 
     kind = required(source, "kind", "source")
     if kind == "pool":
-        covariates = source.get("covariates")
-        if not (isinstance(covariates, list) and covariates
-                and all(isinstance(c, str) for c in covariates)):
-            raise ConfigError(f"covariates must be a list of column names, got {covariates!r}")
+        covariates = column_names(source.get("covariates"), "covariates")
         model = _build_model(resolved["model"], len(covariates), backends)
         ss = load_csv(
             required(source, "csv", "pool source"),
@@ -457,14 +450,8 @@ def load_estimator(path, backends, outputs=()):
     _check_outputs(outputs, _inputs({"model": spec}))
     try:
         domain = Domain(lo, hi)
-        covariates = payload.get("covariates", covariate_names(domain.dim))
-        if not (isinstance(covariates, list) and all(isinstance(c, str) for c in covariates)
-                and len(set(covariates)) == len(covariates) == domain.dim):
-            raise ValueError(f"covariates must be a list of {domain.dim} distinct column "
-                             f"names, got {covariates!r}")
-        train_x, train_y = np.asarray(train_x, float), np.asarray(train_y, float)
-        theta = HolderParams(*theta)
-        bandwidth = float(bandwidth)  # a non-finite bandwidth is stored as a string
+        covariates = column_names(payload.get("covariates", covariate_names(domain.dim)), "covariates",
+                                  domain.dim)
         model = _build_model(spec, domain.dim, backends)
         # files written before f_train was stored query the model at the training points
         est = PersonalizedEstimator(

@@ -6,10 +6,12 @@ after construction and safe to share across workers.
 """
 
 import codecs
+import contextlib
 import csv
 import hashlib
 import io
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,7 +34,9 @@ __all__ = [
     "load_csv",
     "load_column",
     "covariate_names",
+    "column_names",
     "required",
+    "json_scalar",
     "default_quadrature_points",
 ]
 
@@ -65,6 +69,13 @@ class SeparationError(RuntimeError):
     """Logistic regression detected (quasi-)perfect separation."""
 
 
+def _bounds(values):
+    """A tuple of floats from a domain's lo or hi, each bound read by json_scalar."""
+    # a list is read item by item: numpy would turn [True, 0.5] into floats
+    items = values if isinstance(values, (list, tuple)) else np.atleast_1d(values).tolist()
+    return tuple(json_scalar(v, float, "a domain bound", "a number") for v in items)
+
+
 @dataclass(frozen=True)
 class Domain:
     """Axis-aligned box in R^d describing the target covariate region."""
@@ -73,8 +84,7 @@ class Domain:
     hi: tuple
 
     def __post_init__(self):
-        lo = tuple(float(v) for v in np.atleast_1d(self.lo))
-        hi = tuple(float(v) for v in np.atleast_1d(self.hi))
+        lo, hi = _bounds(self.lo), _bounds(self.hi)
         if len(lo) != len(hi) or len(lo) < 1:
             raise ValueError("lo and hi must be nonempty vectors of equal length")
         for a, b in zip(lo, hi):
@@ -191,12 +201,8 @@ class HolderParams:
     theta2: float
 
     def __post_init__(self):
-        t1 = float(self.theta1)
-        t2 = float(self.theta2)
-        if not np.isfinite(t1) or t1 < 0:
-            raise ValueError(f"theta1 must be finite and >= 0, got {t1}")
-        if not np.isfinite(t2) or not 0.0 <= t2 <= 1.0:
-            raise ValueError(f"theta2 must lie in [0, 1], got {t2}")
+        t1 = json_scalar(self.theta1, float, "theta1", "a finite number >= 0", lambda v: 0 <= v < np.inf)
+        t2 = json_scalar(self.theta2, float, "theta2", "a number in [0, 1]", lambda v: 0 <= v <= 1)
         object.__setattr__(self, "theta1", t1)
         object.__setattr__(self, "theta2", t2)
 
@@ -204,9 +210,12 @@ class HolderParams:
 def frozen_sample(x, y, what):
     """Read-only float copies of (n, d) points x and their n aligned values y;
     ValueError naming `what` for any other shapes, and DataError naming `what`
-    and the first row whose point or value is not finite."""
-    x = np.array(x, dtype=float)
-    y = np.array(y, dtype=float)
+    and the first row whose point or value is not finite, or naming `what` if it
+    holds an integer beyond float64."""
+    try:
+        x, y = np.array(x, dtype=float), np.array(y, dtype=float)
+    except OverflowError:  # an integer, as JSON may hold one, beyond float64
+        raise DataError(f"an integer in the {what} is too large for float64") from None
     if x.ndim != 2 or y.shape != (x.shape[0],):
         raise ValueError(f"{what} must be (n, d) points and n aligned values, got {x.shape}, {y.shape}")
     bad = ~(np.isfinite(x).all(axis=1) & np.isfinite(y))
@@ -325,11 +334,11 @@ def load_csv(path, covariates, response=None, allow_empty=False):
     naming the first offending cell in row order (1-based, header excluded)
     and its column; a non-finite cell such as nan or inf counts as malformed,
     and so does a requested column whose name the header holds twice.  The
+    requested names, possibly none, must be distinct strings (column_names).  The
     file is read by read_input.
     """
     wanted = list(covariates) + ([response] if response is not None else [])
-    if len(set(wanted)) != len(wanted):
-        raise DataError("duplicate column names requested")
+    column_names(wanted, "columns", len(wanted))
     block = _read_columns(path, lambda header: wanted, allow_empty)
     return block if response is None else SampleSet(block[:, :-1], block[:, -1])
 
@@ -434,6 +443,17 @@ def covariate_names(dim):
     return [f"x{j + 1}" for j in range(dim)]
 
 
+def column_names(names, what, dim=None):
+    """`names` if it is a list of distinct strings, `dim` of them when dim is given and
+    at least one otherwise; ConfigError naming `what` otherwise."""
+    distinct = (isinstance(names, list) and all(isinstance(c, str) for c in names)
+                and len(set(names)) == len(names))
+    if not (distinct and (names if dim is None else len(names) == dim)):
+        raise ConfigError(f"{what} must be a list of {'one or more' if dim is None else dim} distinct "
+                          f"column names, got {names!r}")
+    return names
+
+
 def required(spec, key, what):
     """spec[key] from a JSON object; ConfigError naming `what` and the key otherwise."""
     if not isinstance(spec, dict):
@@ -441,6 +461,24 @@ def required(spec, key, what):
     if key not in spec:
         raise ConfigError(f"{what} needs the field {key!r}")
     return spec[key]
+
+
+_JSON_TYPES = {bool: bool, int: numbers.Integral, float: numbers.Real}  # a bool is an int to Python
+_NON_FINITE = ("inf", "-inf", "nan")  # how strict JSON output writes non-finite floats
+
+
+def json_scalar(value, kind, what, expected, ok=None):
+    """`value`, read as JSON gives it, as a `kind`: true or false for bool; for int an
+    integer and for float a real number or a string of _NON_FINITE, neither a bool.  The
+    value as `kind` if it is one and passes `ok`, else ConfigError "{what} must be
+    {expected}, got {value!r}"."""
+    good = isinstance(value, _JSON_TYPES[kind]) and (kind is bool or not isinstance(value, bool))
+    good = good or (kind is float and isinstance(value, str) and value in _NON_FINITE)
+    if good:
+        with contextlib.suppress(OverflowError):  # an integer too large for a float
+            if ok is None or ok(kind(value)):
+                return kind(value)
+    raise ConfigError(f"{what} must be {expected}, got {value!r}")
 
 
 _GRID_MAX_DIM = 4

@@ -12,7 +12,7 @@ from functools import partial
 
 import numpy as np
 
-from .core import DataError, HolderParams, frozen_sample
+from .core import DataError, HolderParams, frozen_sample, json_scalar
 
 __all__ = [
     "row_blocks",
@@ -343,50 +343,56 @@ class PersonalizedEstimator:
         train_x, train_y = frozen_sample(train_x, train_y, "training samples")
         if train_x.shape[0] < 1:
             raise ValueError("need at least one training sample")
-        if not bandwidth > 0:
-            raise ValueError("bandwidth must be positive")
+        bandwidth = json_scalar(bandwidth, float, "bandwidth", "a positive number", lambda v: v > 0)
         if not isinstance(theta, HolderParams):
             theta = HolderParams(*theta)
         domain.require(train_x, "training point")
         if f_train is None:
             f_train = model.predict_batch(train_x)
-        f_train = np.asarray(f_train, float)
-        if f_train.shape != train_y.shape or not np.isfinite(f_train).all():
-            raise ValueError("f_train must be a finite vector aligned with train_x rows")
+        self.f_train = frozen_sample(train_x, f_train, "f_train")[1]
         self.train_x = train_x
         self.train_y = train_y
         self.model = model
         self.theta = theta
-        self.bandwidth = float(bandwidth)
+        self.bandwidth = bandwidth
         self.domain = domain
-        self._f_train = f_train
 
-    @property
-    def f_train(self):
-        return self._f_train
-
+    @np.errstate(over="ignore", invalid="ignore")  # an overflow raises DataError instead
     def estimate_bias(self, x):
-        """Kernel estimate of the bias at one point."""
+        """Kernel estimate of the bias at one point; DataError if it is not finite."""
         xs = np.atleast_1d(np.asarray(x, float))[None, :]
         self.domain.require(xs, "query point")
-        return float(self._bias_given_f(xs, self.model.predict_batch(xs))[0])
+        bias = self._bias_given_f(xs, self.model.predict_batch(xs))
+        return float(_finite(bias, xs, "bias estimate")[0])
 
     def predict(self, x):
         x = np.atleast_1d(np.asarray(x, float))
         return float(self.predict_batch(x[None, :])[0])
 
+    @np.errstate(over="ignore", invalid="ignore")  # an overflow raises DataError instead
     def predict_batch(self, xs):
-        """Black-box value plus estimated bias, one batched query for xs."""
+        """Black-box value plus estimated bias, one batched query for xs; DataError if
+        a prediction is not finite."""
         xs = np.atleast_2d(np.asarray(xs, float))
         if xs.shape[0] == 0:
             return np.empty(0)
         self.domain.require(xs, "query point")
         f_eval = self.model.predict_batch(xs)
-        return f_eval + self._bias_given_f(xs, f_eval)
+        return _finite(f_eval + self._bias_given_f(xs, f_eval), xs, "prediction")
 
     def _bias_given_f(self, xs, f_eval):
         pair = (self.theta, self.bandwidth)
-        return window_biases(self.train_x, self.train_y, self._f_train, xs, f_eval, [pair])[0]
+        return window_biases(self.train_x, self.train_y, self.f_train, xs, f_eval, [pair])[0]
+
+
+def _finite(values, xs, what):
+    """values, one per row of xs; DataError naming the first row whose `what` is not finite."""
+    bad = ~np.isfinite(values)
+    if bad.any():
+        i = int(bad.argmax())
+        raise DataError(f"the {what} at query point {i} = {xs[i].tolist()} overflows float64; "
+                        "rescale the model or the labels")
+    return values
 
 
 def _moment_bounds(cell, n_cells, w_lo, w_hi, y, y2, gamma):

@@ -26,7 +26,7 @@ import os
 import sys
 import tempfile
 import warnings
-from contextlib import redirect_stderr
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import dataclass
 from io import StringIO
 
@@ -105,10 +105,10 @@ _SHAPES = (
 
 def generated(seed, count):
     """`count` random cases; case i depends on (seed, i) alone."""
-    return [_generated_case(seed, i) for i in range(count)]
+    return [generated_case(seed, i) for i in range(count)]
 
 
-def _generated_case(seed, i):
+def generated_case(seed, i):
     rng = np.random.default_rng([seed, i])
     dim = int(rng.choice([1, 2, 3, 4, 6, 10], p=[0.25, 0.3, 0.2, 0.1, 0.1, 0.05]))
     rows = int(rng.integers(8, 1500))
@@ -152,46 +152,65 @@ def _strict_json(path):
         json.load(fh, parse_constant=reject)
 
 
+def _finite_csv(path):
+    with open(path, encoding="utf-8") as fh:
+        cells = [cell for line in fh.read().splitlines()[1:] for cell in line.split(",")]
+    if not np.isfinite(np.array(cells, dtype=float)).all():
+        raise ValueError("a cell is not a finite number")
+
+
+def check_run(argv, inputs, outputs):
+    """Run `fsp` on argv in-process; a list of the ways it failed.  It passes if it exits 0
+    and every path of `outputs` holds strict JSON (a .json file) or CSV cells of finite
+    numbers (any other), or exits 1 or 2 with exactly one `error:` line on stderr; in both
+    cases with no traceback, no warning and every file of `inputs` unchanged."""
+    before = {}
+    for path in inputs:
+        with open(path, "rb") as fh:
+            before[path] = fh.read()
+    err = StringIO()
+    with warnings.catch_warnings(record=True) as caught, redirect_stderr(err), redirect_stdout(StringIO()):
+        warnings.simplefilter("always")
+        try:
+            rc = main(argv)
+        except (Exception, SystemExit) as exc:  # main() must return an exit code
+            return [f"raised {type(exc).__name__}: {exc}"]
+    stderr = err.getvalue()
+    problems = [f"warning: {w.category.__name__}: {w.message}" for w in caught]
+    if "Traceback" in stderr or "Warning" in stderr:
+        problems.append("traceback or warning on stderr")
+    errors = [line for line in stderr.splitlines() if line.startswith("error:")]
+    if rc == 0:
+        try:
+            for path in outputs:
+                (_strict_json if path.endswith(".json") else _finite_csv)(path)
+        except (OSError, ValueError) as exc:
+            problems.append(f"exit 0 without valid outputs: {exc}")
+        if errors:
+            problems.append(f"exit 0 with {errors}")
+    elif rc in (1, 2):
+        if len(errors) != 1:
+            problems.append(f"exit {rc} with {len(errors)} error lines")
+    else:
+        problems.append(f"exit code {rc}")
+    for path, data in before.items():
+        with open(path, "rb") as fh:
+            if fh.read() != data:
+                problems.append(f"the input {os.path.basename(path)} changed")
+    return problems
+
+
 def run_case(case):
     """Run one case in a fresh temporary directory; a list of the ways it failed."""
     with tempfile.TemporaryDirectory() as tmp:
         pool = os.path.join(tmp, "pool.csv")
         _write_pool(pool, case.x, case.y)
-        with open(pool, "rb") as fh:
-            pool_bytes = fh.read()
-        err = StringIO()
-        with warnings.catch_warnings(record=True) as caught, redirect_stderr(err):
-            warnings.simplefilter("always")
-            try:
-                rc = main(case.argv(pool, tmp))
-            except (Exception, SystemExit) as exc:  # main() must return an exit code
-                return [f"raised {type(exc).__name__}: {exc}"]
-        stderr = err.getvalue()
-        problems = [f"warning: {w.category.__name__}: {w.message}" for w in caught]
-        if "Traceback" in stderr or "Warning" in stderr:
-            problems.append("traceback or warning on stderr")
-        errors = [line for line in stderr.splitlines() if line.startswith("error:")]
-        if rc == 0:
-            try:
-                for name in (case.estimator, "rep.json"):
-                    _strict_json(os.path.join(tmp, name))
-            except (OSError, ValueError) as exc:
-                problems.append(f"exit 0 without strict-JSON outputs: {exc}")
-            if errors:
-                problems.append(f"exit 0 with {errors}")
-        elif rc in (1, 2):
-            if len(errors) != 1:
-                problems.append(f"exit {rc} with {len(errors)} error lines")
-        else:
-            problems.append(f"exit code {rc}")
-        with open(pool, "rb") as fh:
-            if fh.read() != pool_bytes:
-                problems.append("the pool file changed")
-    return problems
+        outputs = [os.path.join(tmp, name) for name in (case.estimator, "rep.json")]
+        return check_run(case.argv(pool, tmp), [pool], outputs)
 
 
-def _parse_args(argv):
-    parser = argparse.ArgumentParser(description="Run generated `fsp personalize --pool-csv` cases.")
+def _parse_args(argv, script):
+    parser = argparse.ArgumentParser(prog=script, description="Run a seeded corpus of fsp cases.")
     parser.add_argument("--cases", type=int, default=50, help="generated cases to run")
     parser.add_argument("--seed", type=int, default=0, help="seed of the generated cases")
     parser.add_argument("--case", type=int, help="rerun only generated case CASE of SEED")
@@ -199,21 +218,25 @@ def _parse_args(argv):
     return parser.parse_args(argv)
 
 
-def run(argv=None):
-    args = _parse_args(argv)
+def run(argv=None, corpus=None):
+    """Run the cases of a corpus module (this one by default) that argv asks for: its NAMED,
+    generated(seed, count) and generated_case(seed, i) cases, each by its run_case."""
+    corpus = corpus or sys.modules[__name__]
+    script = f"tests/{os.path.basename(corpus.__file__)}"
+    args = _parse_args(argv, script)
     if args.case is not None:
-        cases = [(args.case, _generated_case(args.seed, args.case))]
+        cases = [(args.case, corpus.generated_case(args.seed, args.case))]
     else:
-        cases = list(enumerate(generated(args.seed, args.cases)))
+        cases = list(enumerate(corpus.generated(args.seed, args.cases)))
     if args.named:
-        cases = [(None, case) for case in NAMED] + cases
+        cases = [(None, case) for case in corpus.NAMED] + cases
     failed = 0
     for index, case in cases:
-        problems = run_case(case)
+        problems = corpus.run_case(case)
         if problems:
             failed += 1
             repro = "--named" if index is None else f"--seed {args.seed} --case {index}"
-            print(f"FAIL {case.name} | repro: PYTHONPATH=src python tests/pool_corpus.py {repro} | "
+            print(f"FAIL {case.name} | repro: PYTHONPATH=src python {script} {repro} | "
                   + "; ".join(dict.fromkeys(problems)), flush=True)
     print(f"{len(cases) - failed} of {len(cases)} cases passed", flush=True)
     return 1 if failed else 0

@@ -200,6 +200,19 @@ def test_select_theta_with_no_finite_score_raises_data_error():
         select_theta(cands, val_x, rng.normal(size=20))
 
 
+def test_select_theta_raises_when_a_candidate_estimator_overflows():
+    # the overflowing candidate once scored inf, with a warning, and the other one won
+    rng = rng_stream(10, "sel")
+    train_x, val_x = rng.random((20, 2)), rng.random((10, 2))
+    cands = {
+        theta: PersonalizedEstimator(train_x, labels, ExpressionModel("x1", 2), theta, 2.0, UNIT2)
+        for theta, labels in [(HolderParams(0.0, 0.0), np.full(20, 1e308)),
+                              (HolderParams(1.0, 0.5), np.zeros(20))]
+    }
+    with pytest.raises(DataError, match=r"^the prediction at query point 0 = .* overflows float64"):
+        select_theta(cands, val_x, np.zeros(10))
+
+
 @pytest.mark.parametrize("bad", [0.0, -0.1, float("nan")], ids=["zero", "negative", "nan"])
 def test_bandwidths_must_be_positive_numbers(bad):
     rng = rng_stream(9, "sel")
@@ -220,7 +233,7 @@ def test_bandwidths_must_be_positive_numbers(bad):
 _BAD_SETTINGS = [
     ({"bandwidth": []}, "bandwidth list must be nonempty"),
     ({"bandwidth": ["0.2"]}, "bandwidths must be positive numbers"),
-    ({"thetas": [(0, 2)]}, "thetas: theta2 must lie in [0, 1], got 2.0"),
+    ({"thetas": [(0, 2)]}, "thetas: theta2 must be a number in [0, 1], got 2"),
     ({"thetas": [0.5]}, "thetas: "),
     ({"thetas": []}, "thetas must name at least one pair, got []"),
     ({"c1": np.inf}, "c1 must be a finite positive number, got inf"),
@@ -278,7 +291,7 @@ def test_validate_parses_a_numeric_bandwidth_string():
     assert FitConfig(bandwidth="inf").validate().bandwidth == np.inf
     with pytest.raises(ConfigError, match="^bandwidth must be 'cv', 'rule', a number, or a list$"):
         FitConfig(bandwidth="abc").validate()
-    with pytest.raises(ConfigError, match="^bandwidths must be positive numbers$"):
+    with pytest.raises(ConfigError, match="^bandwidths must be positive numbers, got -0.2$"):
         FitConfig(bandwidth="-0.2").validate()
 
 

@@ -5,6 +5,7 @@ import csv
 import dataclasses
 import inspect
 import json
+import math
 import os
 import subprocess
 import sys
@@ -101,6 +102,44 @@ def test_simulate_reruns_byte_identical(tmp_path):
     assert a == b
 
 
+def _replay(tmp_path, report, **outputs):
+    """Run a report's resolved_config again as --config, with the output keys set to `outputs`."""
+    resolved = json.loads(report.read_text())["resolved_config"]
+    config = tmp_path / "replay.json"
+    config.write_text(json.dumps({**resolved, **outputs}))
+    return main([json.loads(report.read_text())["command"], "--config", str(config)])
+
+
+def test_a_simulate_report_replays_to_the_same_csvs(tmp_path):
+    for sub in ("a", "b"):
+        (tmp_path / sub).mkdir()
+    assert main(["simulate", "--scenario", "regression", "-n", "32", "--reps", "2", "--n-test", "10",
+                 "--n-ptr", "50", "--seed", "3", "--bandwidth", "rule", "--methods", "fsp,pretrained",
+                 "--out-dir", str(tmp_path / "a")]) == 0
+    assert _replay(tmp_path, tmp_path / "a" / "regression_report.json", out_dir=str(tmp_path / "b")) == 0
+    for name in ("regression_runs.csv", "regression_summary.csv"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+@pytest.mark.parametrize("source", ["pool", "synthetic", "external"])
+def test_a_personalize_report_replays_to_the_same_estimator(tmp_path, source):
+    stub = tmp_path / "stub.py"
+    stub.write_text(STUB_MODEL)
+    if source == "pool":
+        _make_pool_csv(tmp_path / "pool.csv")
+        config = _personalize_config(tmp_path, source={
+            "kind": "pool", "csv": str(tmp_path / "pool.csv"), "covariates": ["x1", "x2"]}, domain=None)
+    else:
+        # the report writes the infinite bandwidth as the string "inf", which the replay reads back
+        config = _personalize_config(tmp_path, bandwidth=math.inf, seed=4, **(
+            {"source": {"kind": "external", "cmd": f"{sys.executable} {stub}"}} if source == "external" else {}
+        ))
+    assert main(["personalize", "--config", str(config), "--split", "strict"]) == 0
+    assert _replay(tmp_path, tmp_path / "r.json", out_estimator=str(tmp_path / "e2.json"),
+                   out_report=str(tmp_path / "r2.json")) == 0
+    assert (tmp_path / "e.json").read_bytes() == (tmp_path / "e2.json").read_bytes()
+
+
 def test_simulate_seed_env_precedence(tmp_path, monkeypatch):
     monkeypatch.setenv("FSP_SEED", "99")
     main([
@@ -125,7 +164,7 @@ def test_simulate_nan_bandwidth_exits_2(tmp_path, capsys):
     ])
     assert rc == 2
     assert capsys.readouterr().err.strip().splitlines()[-1] == (
-        "error: bandwidths must be positive numbers"
+        "error: bandwidths must be positive numbers, got nan"
     )
 
 
@@ -288,6 +327,11 @@ def _simulate_config(tmp_path, **changes):
     ("personalize", {"source": "pool.csv"}, "source must be a JSON object, got str"),
     ("personalize", {"source": {"kind": "synthetic", "f_star": "x1", "noise": 0.5}},
      "noise must be a JSON object, got float"),
+    # these exited 1 (ValueError), and a sigma of true ran as 1
+    ("personalize", {"source": {"kind": "synthetic", "f_star": "x1", "noise": {"sigma": True}}},
+     "sigma must be finite and nonnegative, got True"),
+    ("personalize", {"source": {"kind": "synthetic", "f_star": "x1", "noise": {"sigma": -1}}},
+     "sigma must be finite and nonnegative, got -1"),
     ("predict", None, "estimator file needs the field 'bandwidth'"),  # an old or edited file
     ("simulate", {"full_bandwidth_set": "false"},
      "full_bandwidth_set must be true or false, got 'false'"),
@@ -298,8 +342,8 @@ def _simulate_config(tmp_path, **changes):
     ("personalize", {"synthetic_cap": 0}, "synthetic_cap must be a positive integer, got 0"),
     ("personalize", {"h_sigma": -1}, "h_sigma must be a finite positive number, got -1"),
     ("personalize", {"bandwidth": []}, "bandwidth list must be nonempty"),
-    ("simulate", {"n": 40.7}, "n must be an integer, got 40.7"),
-    ("personalize", {"n": "abc"}, "n must be an integer, got 'abc'"),
+    ("simulate", {"n": 40.7}, "n must be a positive integer, got 40.7"),
+    ("personalize", {"n": "abc"}, "n must be a positive integer, got 'abc'"),
     ("personalize", {"seed": True}, "seed must be an integer, got True"),
     ("personalize", {"small_domain": "false"}, "small_domain must be true or false, got 'false'"),
     ("simulate", {"methods": "fsp"}, "methods must be a list of names, got 'fsp'"),
@@ -314,13 +358,16 @@ def _simulate_config(tmp_path, **changes):
     ("personalize", {"out_report": 5}, "out_report must be a path string, got 5"),
     # checked before the CSV is read, which would look for the columns 'x' and '1'
     ("personalize", {"source": {"kind": "pool", "csv": "pool.csv", "covariates": "x1"}},
-     "covariates must be a list of column names, got 'x1'"),
+     "covariates must be a list of one or more distinct column names, got 'x1'"),
+    ("personalize", {"source": {"kind": "pool", "csv": "pool.csv", "covariates": []}},
+     "covariates must be a list of one or more distinct column names, got []"),
 ], ids=["source-f_star", "model-expr", "model-cmd", "source-not-object", "noise-not-object",
-        "estimator-bandwidth", "full-set-string", "c1-string", "c1-overflow", "c1-overflow-simulate",
+        "sigma-bool", "sigma-negative", "estimator-bandwidth", "full-set-string", "c1-string", "c1-overflow", "c1-overflow-simulate",
         "cap-zero", "h-sigma-negative",
         "empty-bandwidths", "n-float", "n-string", "seed-bool", "small-domain-string",
         "methods-string", "methods-empty", "n-ptr-negative", "repetitions-negative", "n-test-zero",
-        "methods-unknown", "out-dir-int", "n-negative", "out-report-int", "covariates-string"])
+        "methods-unknown", "out-dir-int", "n-negative", "out-report-int", "covariates-string",
+        "covariates-empty"])
 def test_config_errors_exit_2_and_name_the_field(tmp_path, capsys, command, changes, names):
     if command == "predict":
         assert main(["personalize", "--config", str(_personalize_config(tmp_path))]) == 0
@@ -372,8 +419,14 @@ def test_personalize_rejects_a_non_finite_pool_cell(tmp_path, capsys, cell, row,
     lambda p: p["theta"].update(theta1="abc"),
     lambda p: p["train_y"].__setitem__(0, "nan"),
     lambda p: p.update(model={"kind": "table", "points": [[0, 0], [1, 1], ["nan", 0.5]], "values": [1, 2, 3]}),
+    # each of these once loaded as the number it stands for: h = 1, theta2 = 0.5, the unit box
+    lambda p: p.update(bandwidth=True),
+    lambda p: p["theta"].update(theta2="0.5"),
+    lambda p: p.update(domain={"lo": [False, False], "hi": [True, True]}),
+    lambda p: p["train_y"].__setitem__(0, 10**400),  # exited 1: int too large to convert to float
 ], ids=["negative-bandwidth", "theta2-3", "ragged-train-x", "short-train-y",
-        "train-point-outside", "lo-equals-hi", "string-theta1", "nan-label", "nan-table-point"])
+        "train-point-outside", "lo-equals-hi", "string-theta1", "nan-label", "nan-table-point",
+        "bool-bandwidth", "string-theta2", "bool-domain", "integer-label-beyond-float64"])
 def test_a_bad_estimator_file_exits_2_and_names_it(tmp_path, capsys, edit):
     assert main(["personalize", "--config", str(_personalize_config(tmp_path))]) == 0
     est_path = tmp_path / "e.json"
@@ -388,6 +441,28 @@ def test_a_bad_estimator_file_exits_2_and_names_it(tmp_path, capsys, edit):
     assert rc == 2
     assert capsys.readouterr().err.strip().splitlines()[-1].startswith(
         f"error: bad estimator file {est_path}: "
+    )
+    assert not (tmp_path / "p.csv").exists()
+
+
+def test_predictions_that_overflow_exit_2_without_writing(tmp_path, capsys):
+    # labels near 1e308 once wrote inf predictions with exit 0
+    assert main(["personalize", "--config", str(_personalize_config(tmp_path))]) == 0
+    est_path = tmp_path / "e.json"
+    payload = json.loads(est_path.read_text())
+    payload["train_y"] = [1e308] * len(payload["train_y"])
+    est_path.write_text(json.dumps(payload))
+    queries = tmp_path / "q.csv"
+    queries.write_text("x1,x2\n0.5,0.5\n")
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["predict", "--estimator", str(est_path), "--queries", str(queries),
+                   "--out", str(tmp_path / "p.csv")])
+    assert rc == 2
+    assert _one_error(capsys) == (
+        "error: the prediction at query point 0 = [0.5, 0.5] overflows float64; "
+        "rescale the model or the labels"
     )
     assert not (tmp_path / "p.csv").exists()
 
@@ -985,6 +1060,25 @@ def test_a_pool_csv_missing_a_column_exits_2_and_stops_the_model_child(tmp_path,
             model.close()
 
 
+def test_duplicate_pool_covariates_exit_2_before_a_model_child_starts(tmp_path, monkeypatch, capsys):
+    # the child was spawned first, and the pool read then refused the names
+    spawned = _record_spawns(monkeypatch)
+    pool = tmp_path / "pool.csv"
+    _make_pool_csv(pool)
+    stub = tmp_path / "stub.py"
+    stub.write_text(STUB_MODEL)
+    rc = main([
+        "personalize", "-n", "60", "--pool-csv", str(pool), "--covariates", "x1,x1",
+        "--model-cmd", f"{sys.executable} {stub}", "--out-estimator", str(tmp_path / "e.json"),
+        "--out-report", str(tmp_path / "r.json"),
+    ])
+    assert rc == 2
+    assert _one_error(capsys) == (
+        "error: covariates must be a list of one or more distinct column names, got ['x1', 'x1']"
+    )
+    assert spawned == []
+
+
 def test_a_wrong_handshake_exits_1_before_the_fit(tmp_path, monkeypatch, capsys):
     fits = []
     monkeypatch.setattr(cli, "fit_personalized_pool", lambda *args, **kwargs: fits.append(args))
@@ -1235,7 +1329,7 @@ def test_a_table_model_of_another_width_exits_2_before_the_pool_is_read(
     rc = main(["personalize", "--config", str(config), "--pool-csv", str(pool), "--covariates", "x1,x2"])
     assert rc == 2
     assert capsys.readouterr().err.strip().splitlines()[-1] == (
-        f"error: table model covariates {covariates!r} must list 2 columns, one per covariate"
+        f"error: table model covariates must be a list of 2 distinct column names, got {covariates!r}"
     )
     assert read == []  # neither the table nor the pool was read
     assert not (tmp_path / "e.json").exists()

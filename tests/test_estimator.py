@@ -195,6 +195,32 @@ def test_cached_model_values_must_align_with_training_points(f_train):
         )
 
 
+def test_the_cached_model_values_are_a_read_only_copy():
+    # they were kept as given, writeable, unlike the training samples
+    rng = rng_stream(9, "est")
+    f_train = np.zeros(20)
+    est = PersonalizedEstimator(
+        rng.random((20, 2)), rng.normal(size=20), ExpressionModel("x1", 2),
+        HolderParams(0.5, 0.5), 0.3, UNIT, f_train=f_train,
+    )
+    f_train[0] = 1.0
+    assert est.f_train[0] == 0.0 and not est.f_train.flags.writeable
+
+
+def test_a_prediction_that_overflows_raises_data_error_without_a_warning():
+    # labels near 1e308 once summed to inf in every window: inf predictions, with a warning
+    rng = rng_stream(9, "est")
+    xs = rng.random((5, 2))
+    est = PersonalizedEstimator(
+        rng.random((20, 2)), np.full(20, 1e308), ExpressionModel("x1", 2), HolderParams(0.0, 0.0), 2.0, UNIT
+    )
+    with pytest.raises(DataError, match=r"^the prediction at query point 0 = \[.*\] overflows float64; "
+                                        "rescale the model or the labels$"):
+        est.predict_batch(xs)
+    with pytest.raises(DataError, match=r"^the bias estimate at query point 0 = .* overflows float64"):
+        est.estimate_bias(xs[3])
+
+
 @pytest.mark.parametrize("bad", ["train_x", "train_y"])
 def test_non_finite_training_samples_are_rejected(bad):
     rng = rng_stream(9, "est")
