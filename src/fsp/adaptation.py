@@ -16,7 +16,7 @@ from .blackbox import FunctionModel, PoolOracle
 from .core import ConfigError, DataError, Domain, HolderParams, json_scalar, rng_stream
 from .estimator import Candidates, PersonalizedEstimator, window_passes
 from .sampling import (
-    SPLITS,
+    _split_rows,
     retrieve_budgeted,
     retrieve_from_pool,
     retrieve_uniform_small_domain,
@@ -226,8 +226,7 @@ class FitConfig:
         if h_sigma is not None:
             h_sigma = json_scalar(h_sigma, float, "h_sigma", "a finite positive number",
                                   lambda v: 0 < v < np.inf)
-        if self.split not in SPLITS:
-            raise ConfigError(f"unknown split mode {self.split!r}")
+        _split_rows(self.split, 0)  # ConfigError for an unknown split
         json_scalar(self.full_bandwidth_set, bool, "full_bandwidth_set", "true or false")
         cap = json_scalar(self.synthetic_cap, int, "synthetic_cap", "a positive integer", lambda v: v > 0)
         bandwidth = self.bandwidth

@@ -92,14 +92,14 @@ class Domain:
                 raise ValueError("domain bounds must be finite")
             if not a < b:
                 raise ValueError(f"every coordinate needs lo < hi, got [{a}, {b}]")
-        volume = math.prod(b - a for a, b in zip(lo, hi))
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
+        volume = self.volume()
         if not 0 < volume < math.inf:  # the samplers and densities scale by it
             raise ValueError(
                 f"the box's volume {'overflows' if volume else 'underflows'} float64; "
                 "rescale the covariates"
             )
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
 
     @classmethod
     def cube(cls, dim, lo=0.0, hi=1.0):
@@ -130,7 +130,7 @@ class Domain:
         return float(self.edge_lengths().max())
 
     def volume(self):
-        return float(np.prod(self.edge_lengths()))
+        return math.prod(b - a for a, b in zip(self.lo, self.hi))
 
     def _of_width(self, x, what):
         """x as a float array whose last axis holds d coordinates; DomainError naming
@@ -261,10 +261,6 @@ class SampleSet:
         return self.x.shape[0]
 
     @property
-    def dim(self):
-        return self.x.shape[1]
-
-    @property
     def train_x(self):
         return self.x[self.train_idx]
 
@@ -354,7 +350,7 @@ def load_column(path, preferred):
                               "or a single-column file")
         return names[:1]
 
-    return _read_columns(path, pick, allow_empty=True)[:, 0]
+    return _read_columns(path, pick, allow_empty=False)[:, 0]
 
 
 def _read_columns(path, pick, allow_empty):

@@ -661,12 +661,3 @@ class VarianceField:
                 cell, (k1 - k0) * stride, w_lo, w_hi, self.pilot_y.take(pilot), pilot_y2.take(pilot), gamma
             )
         return edges, lo, hi
-
-    def variance_at(self, x):
-        x = np.atleast_1d(np.asarray(x, float))
-        return float(self.variance_batch(x[None, :])[0])
-
-    def mean_sigma(self, points_per_dim):
-        """Average of sigma-hat over the domain's quadrature nodes."""
-        nodes = self.domain.quadrature_nodes(points_per_dim)
-        return float(np.sqrt(self.variance_batch(nodes)).mean())

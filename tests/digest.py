@@ -145,7 +145,7 @@ def kernels():
                 emit(f"kernel.d{dim}.{'ties' if ties else 'free'}.{name}", out)
         field = fsp.VarianceField(train_x, train_y, 0.3, fsp.Domain.cube(dim))
         emit(f"variance.d{dim}", field.variance_batch(xs))
-        emit(f"mean_sigma.d{dim}", field.mean_sigma(fsp.core.default_quadrature_points(dim)))
+        emit(f"mean_sigma.d{dim}", fsp.plug_in_density(field, fsp.core.default_quadrature_points(dim)).mean_sigma)
     # pilots above the 10,000 elements at which OpenBLAS splits a dot product across threads
     for n in (12_000, 40_000):
         rng = rng_stream(n, "digest-variance")

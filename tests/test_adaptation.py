@@ -25,12 +25,13 @@ from fsp import (
     fit_personalized_pool,
     fit_personalized_small_domain,
     fit_single_task,
+    plug_in_density,
     scenario_regression,
     select_theta,
     select_theta_h,
 )
 from fsp.adaptation import default_bandwidth_set, rule_bandwidth
-from fsp.core import default_quadrature_points, rng_stream
+from fsp.core import rng_stream
 from helpers import benchmark_pool_fit, brute_force_select
 
 UNIT2 = Domain.cube(2)
@@ -444,7 +445,7 @@ def test_small_domain_rule_fit_reports_the_validation_mean_sigma_at_its_h_sigma(
     ys = _oracle().label(xs, rng)
     assert np.array_equal(fit.estimator.train_x, xs[20:])
     field = VarianceField(xs[:20], ys[:20], 0.05, dom)
-    assert fit.mean_sigma == field.mean_sigma(default_quadrature_points(2))
+    assert fit.mean_sigma == plug_in_density(field).mean_sigma
     assert fit.mean_sigma != fit_personalized_small_domain(
         ExpressionModel("0", 2), dom, 80, _oracle(), FitConfig(bandwidth="rule"), seed=3
     ).mean_sigma

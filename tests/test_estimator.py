@@ -1000,13 +1000,13 @@ def test_variance_hand_example():
     dom = Domain.cube(1, -2.0, 2.0)
     field = VarianceField(np.array([[-0.5], [0.5]]), np.array([0.0, 2.0]), 1.5, dom)
     # both tent weights equal 1 at x=0: 4/2 - (2/2)^2 = 1
-    assert field.variance_at(np.array([0.0])) == pytest.approx(1.0)
+    assert field.variance_batch([[0.0]])[0] == pytest.approx(1.0)
 
 
 def test_variance_constant_labels_zero():
     rng = rng_stream(7, "est")
     field = VarianceField(rng.random((30, 2)), np.full(30, 3.25), 0.8, UNIT)
-    assert field.variance_at(rng.random(2)) == 0.0
+    assert field.variance_batch(rng.random((1, 2)))[0] == 0.0
 
 
 @pytest.mark.parametrize("width", [1, 3])
@@ -1025,7 +1025,7 @@ def test_variance_batch_refuses_queries_of_another_width(monkeypatch, width):
 
 def test_variance_no_support_zero():
     field = VarianceField(np.array([[0.1, 0.1]]), np.array([5.0]), 0.05, UNIT)
-    assert field.variance_at(np.array([0.9, 0.9])) == 0.0
+    assert field.variance_batch([[0.9, 0.9]])[0] == 0.0
 
 
 def test_variance_batch_turns_its_distances_into_weights_in_place():
@@ -1165,8 +1165,7 @@ def test_the_quadrature_average_takes_the_grid_path(monkeypatch, dim):
     box = Domain([-1.0] * dim, [0.5 + 0.5 * j for j in range(dim)])
     field = VarianceField(box.uniform(200, rng), rng.normal(size=200), 0.4, box)
     calls = _distance_calls(monkeypatch)
-    plug_in_density(field)
-    field.mean_sigma(default_quadrature_points(dim))
+    plug_in_density(field, default_quadrature_points(dim))
     assert calls == []
 
 
@@ -1201,7 +1200,7 @@ def test_variance_matches_loop_oracle_and_nonnegative():
         h = float(rng.uniform(0.1, 1.0))
         field = VarianceField(px, py, h, UNIT)
         x = rng.random(2)
-        got = field.variance_at(x)
+        got = field.variance_batch([x])[0]
         assert got >= 0.0
         assert got == pytest.approx(variance_oracle(px, py, x, h), rel=1e-10, abs=1e-12)
 
@@ -1217,15 +1216,15 @@ class _InjectedField(VarianceField):
 def test_mean_sigma_constant_field():
     field = VarianceField(np.array([[0.5, 0.5]]), np.array([0.0]), 1.0, UNIT)
     field.variance_batch = lambda xs: np.full(np.atleast_2d(xs).shape[0], 4.0)
-    assert field.mean_sigma(16) == pytest.approx(2.0)
+    assert plug_in_density(field, 16).mean_sigma == pytest.approx(2.0)
 
 
 def test_mean_sigma_linear_field_quadrature():
     dom = Domain.cube(1)
     field = _InjectedField(np.array([[0.5]]), np.array([0.0]), 1.0, dom)
-    value = field.mean_sigma(1000)
+    value = plug_in_density(field, 1000).mean_sigma
     assert value == pytest.approx(0.5, abs=1e-3)
-    refined = field.mean_sigma(2000)
+    refined = plug_in_density(field, 2000).mean_sigma
     assert abs(refined - value) < 1e-3
 
 
@@ -1239,7 +1238,7 @@ def test_pilot_variance_consistency_monte_carlo():
         xs = dom.uniform(n0, rng)
         ys = np.sin(3 * xs[:, 0]) + rng.standard_normal(n0)
         field = VarianceField(xs, ys, n0 ** (-1 / 4), dom)
-        errors.append(abs(field.variance_at(np.array([0.5, 0.5])) - 1.0))
+        errors.append(abs(field.variance_batch([[0.5, 0.5]])[0] - 1.0))
     assert np.median(errors) <= 0.15
 
 

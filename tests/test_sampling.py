@@ -25,7 +25,7 @@ from fsp import (
     uniform_density,
 )
 from fsp import sampling
-from fsp.core import DataError, DomainError, default_quadrature_points, rng_stream
+from fsp.core import DataError, DomainError, rng_stream
 from fsp.estimator import grid_cells
 from fsp.sampling import weighted_sample_without_replacement
 from helpers import benchmark_pool_fit, reference_rejection_sample
@@ -171,7 +171,7 @@ def test_plug_in_density_records_the_mean_sigma_of_its_field():
     rr = retrieve_budgeted(200, 0.25, UNIT2, _oracle(1.0, dim=2), rng_stream(8, "r"))
     pilot = slice(0, 50)  # under split="reuse" the whole pilot feeds the field
     field = VarianceField(rr.samples.x[pilot], rr.samples.y[pilot], pilot_bandwidth(200, 2), UNIT2)
-    assert rr.mean_sigma == field.mean_sigma(default_quadrature_points(2))
+    assert rr.mean_sigma == float(np.sqrt(field.variance_batch(UNIT2.quadrature_nodes())).mean())
     zero = plug_in_density(_SigmaField(UNIT2, lambda xs: np.zeros(len(xs))), 16)
     assert zero.uniform_fallback and zero.mean_sigma == 0.0
 
@@ -237,7 +237,7 @@ def test_retrieve_uniform_structure_and_support():
     assert np.array_equal(rr.samples.train_idx, np.arange(2, 10))
     assert small.contains(rr.samples.x).all()
     field = VarianceField(rr.samples.val_x, rr.samples.val_y, pilot_bandwidth(10, 2), small)
-    assert rr.mean_sigma == field.mean_sigma(default_quadrature_points(2))
+    assert rr.mean_sigma == plug_in_density(field).mean_sigma
 
 
 def test_retrieve_uniform_mean_clt():
