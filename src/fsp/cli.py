@@ -294,10 +294,11 @@ def _parse_domain(spec):
     if spec is None:
         return None
     if isinstance(spec, str):
-        try:
+        with contextlib.suppress(json.JSONDecodeError):
             spec = json.loads(spec)
-        except json.JSONDecodeError:
-            raise ConfigError("domain must be JSON like [[lo1, lo2], [hi1, hi2]]") from None
+    # not JSON, or an object, whose keys unpacking would take for the bounds
+    if isinstance(spec, (str, dict)):
+        raise ConfigError("domain must be JSON like [[lo1, lo2], [hi1, hi2]]")
     try:
         lo, hi = spec
         return Domain(lo, hi)

@@ -207,11 +207,27 @@ class HolderParams:
         object.__setattr__(self, "theta2", t2)
 
 
+def _real_cells(values, what):
+    """ConfigError naming `what` and the first cell of the nested lists `values` that
+    json_scalar does not read as a float: a boolean, or a string other than inf or nan.
+    An ndarray is not walked, and an integer beyond float64 is left to the caller."""
+    for v in values:
+        if isinstance(v, (list, tuple)):
+            _real_cells(v, what)
+        # a plain float or int passes without json_scalar's slower abstract-class check
+        elif type(v) not in (float, int) and not isinstance(v, np.ndarray):
+            json_scalar(v, float, what, "real numbers")
+
+
 def frozen_sample(x, y, what):
     """Read-only float copies of (n, d) points x and their n aligned values y;
     ValueError naming `what` for any other shapes, and DataError naming `what`
-    and the first row whose point or value is not finite, or naming `what` if it
-    holds an integer beyond float64."""
+    and the first row whose point or value is not finite, naming `what` if it
+    holds an integer beyond float64; ConfigError naming `what` and the cell if x or y
+    is a list holding a cell json_scalar does not read as a float."""
+    for values, part in ((x, "points"), (y, "values")):
+        if isinstance(values, (list, tuple)):
+            _real_cells(values, f"{what} {part}")
     try:
         x, y = np.array(x, dtype=float), np.array(y, dtype=float)
     except OverflowError:  # an integer, as JSON may hold one, beyond float64
@@ -358,7 +374,7 @@ def _read_columns(path, pick, allow_empty):
     file read once by read_input; see load_csv for the errors."""
     data = read_input(path)
     # the csv module reads the lines a text file object gives, decoded a chunk at a time
-    reader = csv.reader(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline=""))
+    reader = _csv_rows(csv.reader(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="")), path)
     header = next(reader, None)
     if header is None:
         raise DataError(f"empty data: {path} has no header row")
@@ -396,6 +412,15 @@ def _read_columns(path, pick, allow_empty):
         raise DataError(f"empty data: {path} has a header but no rows")
     block.setflags(write=False)
     return block
+
+
+def _csv_rows(reader, path):
+    """The rows of the csv `reader` of the file at `path`; DataError naming the file and
+    line where the csv module refuses one (a field beyond csv.field_size_limit())."""
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise DataError(f"line {reader.line_num} of {path}: {exc}") from None
 
 
 _PLAIN = b"0123456789.eE+-,\n"

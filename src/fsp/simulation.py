@@ -198,19 +198,24 @@ def misclassification_rate(labels, pred):
 METRICS = {"mse": mean_squared_error, "mce": misclassification_rate}
 
 
+def _predicted(predict, test_points):
+    """The test points as an (m, d) array and the finite predictions at them;
+    ValueError if there are no test points."""
+    test_points = np.atleast_2d(np.asarray(test_points, float))
+    if test_points.size == 0:  # [] is one point of no coordinates to atleast_2d
+        raise ValueError("need at least one test point")
+    return test_points, _finite_or_raise(predict(test_points), "prediction")
+
+
 def mse(predict, f_star, test_points):
     """Mean squared error of `predict` against the truth on the test points."""
-    test_points = np.atleast_2d(np.asarray(test_points, float))
-    if test_points.shape[0] < 1:
-        raise ValueError("need at least one test point")
-    pred = _finite_or_raise(predict(test_points), "prediction")
+    test_points, pred = _predicted(predict, test_points)
     return mean_squared_error(np.asarray(f_star(test_points), float), pred)
 
 
 def mce(predict, labels, test_points):
     """Misclassification rate of 1(predict >= 0.5) against binary labels."""
-    test_points = np.atleast_2d(np.asarray(test_points, float))
-    return misclassification_rate(labels, _finite_or_raise(predict(test_points), "prediction"))
+    return misclassification_rate(labels, _predicted(predict, test_points)[1])
 
 
 @dataclass(frozen=True)

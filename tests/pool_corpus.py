@@ -159,11 +159,12 @@ def _finite_csv(path):
         raise ValueError("a cell is not a finite number")
 
 
-def check_run(argv, inputs, outputs):
+def check_run(argv, inputs, outputs, refusal=None):
     """Run `fsp` on argv in-process; a list of the ways it failed.  It passes if it exits 0
     and every path of `outputs` holds strict JSON (a .json file) or CSV cells of finite
     numbers (any other), or exits 1 or 2 with exactly one `error:` line on stderr; in both
-    cases with no traceback, no warning and every file of `inputs` unchanged."""
+    cases with no traceback, no warning and every file of `inputs` unchanged.  Given a
+    `refusal`, it passes only by exiting 2 with an error line that holds that text."""
     before = {}
     for path in inputs:
         with open(path, "rb") as fh:
@@ -193,6 +194,8 @@ def check_run(argv, inputs, outputs):
             problems.append(f"exit {rc} with {len(errors)} error lines")
     else:
         problems.append(f"exit code {rc}")
+    if refusal is not None and not (rc == 2 and any(refusal in line for line in errors)):
+        problems.append(f"exit {rc} with {errors}, not a refusal naming {refusal!r}")
     for path, data in before.items():
         with open(path, "rb") as fh:
             if fh.read() != data:

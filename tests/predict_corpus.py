@@ -12,7 +12,8 @@ warning and its input files unchanged.
 short label columns, bandwidths, thetas and boxes of the wrong type, bad
 covariates, an unknown model, labels whose windows overflow, an integer
 beyond float64) and awkward
-eval files; `generated(seed, count)` drops fields of the valid estimator file
+eval files; a case with a `refusal` must exit 2 with an error line that holds
+it.  `generated(seed, count)` drops fields of the valid estimator file
 and swaps values for ones of other types, in plain numpy.  The tier-1 test
 `tests/test_predict_corpus.py` runs the named cases and a few generated ones.
 The manual mode runs more and prints a one-line repro for each failing case:
@@ -46,6 +47,7 @@ class Case:
     name: str
     files: dict
     argv: list
+    refusal: str | None = None  # if given, the run must exit 2 with an error line holding it
 
 
 def _valid_estimator():
@@ -63,16 +65,16 @@ def _valid_estimator():
 VALID = _valid_estimator()
 
 
-def predict_case(name, payload):
+def predict_case(name, payload, refusal=None):
     """`fsp predict` on the estimator `payload`, a JSON value, and QUERIES."""
     return Case(name, {"est.json": json.dumps(payload), "q.csv": QUERIES},
-                ["predict", "--estimator", "est.json", "--queries", "q.csv", "--out", "out.csv"])
+                ["predict", "--estimator", "est.json", "--queries", "q.csv", "--out", "out.csv"], refusal)
 
 
-def _edited(name, edit):
+def _edited(name, edit, refusal=None):
     payload = copy.deepcopy(VALID)
     edit(payload)
-    return predict_case(name, payload)
+    return predict_case(name, payload, refusal)
 
 
 def _eval_case(name, predictions, truth, metric="mse"):
@@ -107,6 +109,20 @@ def _named():
         ("training-point-outside", lambda p: p["train_x"].__setitem__(0, [2.0, 0.5])),
         ("labels-1e308", lambda p: p.update(train_y=[1e308] * len(p["train_y"]))),
         ("label-integer-beyond-float64", lambda p: p["train_y"].__setitem__(0, 10**400)),
+    ]]
+    # a sample given as a list holds real numbers, neither booleans nor numeric strings
+    table = {"kind": "table", "points": [[0.5, 0.5], [0.1, 0.9]], "values": [1.0, 2.0]}
+    cases += [_edited(name, edit, refusal) for name, edit, refusal in [
+        ("train-x-numeric-strings", lambda p: p["train_x"].__setitem__(0, ["0.5", "0.25"]),
+         "training samples points must be real numbers, got '0.5'"),
+        ("train-y-bool", lambda p: p["train_y"].__setitem__(0, True),
+         "training samples values must be real numbers, got True"),
+        ("f-train-numeric-string", lambda p: p["f_train"].__setitem__(0, "0.5"),
+         "f_train values must be real numbers, got '0.5'"),
+        ("table-points-bool", lambda p: p.update(model={**table, "points": [[True, 0.5], [0.1, 0.9]]}),
+         "table model points must be real numbers, got True"),
+        ("table-values-numeric-string", lambda p: p.update(model={**table, "values": ["1.0", 2.0]}),
+         "table model values must be real numbers, got '1.0'"),
     ]]
     cases += [
         predict_case("payload-not-object", [VALID]),
@@ -165,7 +181,7 @@ def run_case(case):
                 fh.write(text)
         argv = [paths.get(arg, arg) for arg in case.argv]
         outputs = [paths["out.csv"]] if case.argv[0] == "predict" else []
-        return check_run(argv, [paths[name] for name in case.files], outputs)
+        return check_run(argv, [paths[name] for name in case.files], outputs, case.refusal)
 
 
 if __name__ == "__main__":

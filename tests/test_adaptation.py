@@ -247,6 +247,8 @@ _BAD_SETTINGS = [
     ({"full_bandwidth_set": "false"}, "full_bandwidth_set must be true or false, got 'false'"),
     ({"synthetic_cap": 0}, "synthetic_cap must be a positive integer, got 0"),
     ({"synthetic_cap": 5.0}, "synthetic_cap must be a positive integer, got 5.0"),
+    # the small-domain retrieval never reads the split, so the check is validate's alone
+    ({"split": "bogus"}, "unknown split mode 'bogus' (use 'reuse' or 'strict')"),
 ]
 
 
@@ -256,7 +258,7 @@ _BAD_SETTINGS = [
         "empty-bandwidths", "string-bandwidth", "theta2-above-1", "theta-not-a-pair", "empty-thetas",
         "c1-inf", "c1-overflow",
         "c1-string", "c1-bool", "pilot-fraction-string", "h-sigma-negative", "h-sigma-inf",
-        "full-set-string", "cap-zero", "cap-float",
+        "full-set-string", "cap-zero", "cap-float", "split-unknown",
     ],
 )
 def test_bad_fit_settings_fail_before_the_first_label(fitter, setting, message):

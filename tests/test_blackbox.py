@@ -303,6 +303,52 @@ def test_external_bad_reply_is_named(tmp_path, replies, message):
             model.predict_batch(np.zeros((3, 2)))
 
 
+# the first query's reply, then no more output: stdout closes, and the child stays alive
+# until its input closes
+HALF_REPLY_SCRIPT = """\
+import os, sys
+sys.stdin.readline()  # DIM line
+sys.stdout.write("OK\\n")
+sys.stdout.flush()
+sys.stdin.readline()
+sys.stdout.write("1.5\\n")
+sys.stdout.flush()
+os.close(1)
+sys.stdin.read()
+"""
+
+# one batch answered, then the child exits
+ONE_BATCH_SCRIPT = """\
+import sys
+sys.stdin.readline()  # DIM line
+sys.stdout.write("OK\\n")
+sys.stdout.flush()
+for line in sys.stdin:
+    if line.strip() == "":
+        break
+    sys.stdout.write("1.5\\n")
+    sys.stdout.flush()
+"""
+
+
+def test_a_child_that_closes_its_output_mid_reply_is_named_and_reaped(tmp_path):
+    with _external(tmp_path, HALF_REPLY_SCRIPT, 1) as m:
+        with pytest.raises(QueryError, match=r"^model process closed its output \(stage: response\)$"):
+            m.predict_batch(np.zeros((3, 1)))
+        child = m._proc
+    assert child.poll() is not None
+
+
+def test_a_child_that_exits_between_batches_is_named_and_reaped(tmp_path):
+    with _external(tmp_path, ONE_BATCH_SCRIPT, 1) as m:
+        assert np.array_equal(m.predict_batch(np.zeros((2, 1))), [1.5, 1.5])
+        child = m._proc
+        child.wait(timeout=10)
+        with pytest.raises(QueryError, match=r"^model process exited \(stage: session\)$"):
+            m.predict_batch(np.zeros((2, 1)))
+    assert child.poll() is not None and m._proc is None
+
+
 def test_model_spec_round_trip(tmp_path):
     m = TableModel([[0.0], [1.0]], [5.0, 6.0])
     m2 = model_from_spec(m.spec())

@@ -311,6 +311,50 @@ def _personalize_config(tmp_path, **changes):
     return path
 
 
+_DOMAIN_FLAGS = {
+    "bounds": ("[[0, 0], [1, 1]]", None),
+    # the form an estimator file holds; unpacked, its keys were read as the bounds
+    "object": ('{"lo": [0, 0], "hi": [1, 1]}', "domain must be JSON like [[lo1, lo2], [hi1, hi2]]"),
+    "not-json": ("[[0, 0], [1, 1]", "domain must be JSON like [[lo1, lo2], [hi1, hi2]]"),
+    "json-string": ('"[[0, 0], [1, 1]]"', "domain must be JSON like [[lo1, lo2], [hi1, hi2]]"),
+    "one-bound": ("[[0, 0]]", "bad domain: not enough values to unpack (expected 2, got 1)"),
+    "empty-box": ("[[0, 0], [1, 0]]", "bad domain: every coordinate needs lo < hi, got [0.0, 0.0]"),
+}
+
+
+@pytest.mark.parametrize("case", _DOMAIN_FLAGS)
+def test_the_domain_flag_reads_a_pair_of_bound_lists_and_refuses_other_forms(tmp_path, capsys, case):
+    flag, error = _DOMAIN_FLAGS[case]
+    rc = main(["personalize", "--config", str(_personalize_config(tmp_path, domain=None)), "--domain", flag])
+    if error is None:
+        assert rc == 0
+        assert json.loads((tmp_path / "e.json").read_text())["domain"] == {"lo": [0.0, 0.0], "hi": [1.0, 1.0]}
+    else:
+        assert rc == 2 and _one_error(capsys) == f"error: {error}"
+        assert not (tmp_path / "e.json").exists()
+
+
+def test_a_synthetic_source_draws_bernoulli_labels_and_defaults_to_unit_gaussian_noise(tmp_path):
+    def train_y(noise):
+        source = {"kind": "synthetic", "f_star": "x1", **({} if noise is None else {"noise": noise})}
+        assert main(["personalize", "--config", str(_personalize_config(tmp_path, source=source))]) == 0
+        return json.loads((tmp_path / "e.json").read_text())["train_y"]
+
+    assert set(train_y({"kind": "bernoulli"})) == {0.0, 1.0}
+    assert train_y(None) == train_y({"kind": "gaussian", "sigma": 1.0})
+
+
+def test_a_pool_cell_beyond_the_csv_field_limit_exits_2_naming_the_file(tmp_path, capsys):
+    pool = tmp_path / "big.csv"
+    pool.write_text("x1,x2,y\n0.5,0.5,1\n0." + "5" * csv.field_size_limit() + ",0.5,1\n")
+    rc = main(["personalize", "-n", "8", "--pool-csv", str(pool), "--covariates", "x1,x2",
+               "--model-expr", "x1", "--out-estimator", str(tmp_path / "e.json"),
+               "--out-report", str(tmp_path / "r.json")])
+    assert rc == 2
+    limit = csv.field_size_limit()
+    assert _one_error(capsys) == f"error: line 3 of {pool}: field larger than field limit ({limit})"
+
+
 def _simulate_config(tmp_path, **changes):
     config = {"scenario": "regression", "n": 32, "repetitions": 1, "n_test": 10, "n_ptr": 50,
               "out_dir": str(tmp_path)}
@@ -826,6 +870,8 @@ _EVAL_CASES = {
                         "or a single-column file", 1),
     "labels": ("p\n0.6\n0.4\n", "label\n1.0\n0.5\n", "mce", "error: mce needs 0/1 labels; label 2 is 0.5",
                2),
+    # the reader refuses an empty file, naming it
+    "header-only": ("prediction\n", "y\n", "mse", "error: empty data: {p} has a header but no rows", 1),
 }
 
 

@@ -241,6 +241,16 @@ def test_load_csv_non_finite_cell_names_row_column_and_file(tmp_path, text, row,
         load_csv(path, ["x1"], response="y")
 
 
+@pytest.mark.parametrize("cell", ["1" * (csv.field_size_limit() + 1),
+                                  '"' + "a" * csv.field_size_limit() + 'b"'], ids=["plain-digits", "quoted"])
+def test_load_csv_names_the_file_and_line_of_a_cell_beyond_the_field_limit(tmp_path, cell):
+    # csv.Error once escaped, so the command exited 1 naming no file
+    path = _write(tmp_path, "d.csv", f"x1,y\n0.5,1\n{cell},2\n")
+    message = rf"^line 3 of .*d\.csv: field larger than field limit \({csv.field_size_limit()}\)$"
+    with pytest.raises(DataError, match=message):
+        load_csv(path, ["x1"], response="y")
+
+
 def test_load_csv_missing_column(tmp_path):
     path = _write(tmp_path, "d.csv", "x1,y\n0.5,1\n")
     with pytest.raises(DataError, match="missing column 'x9'"):
@@ -296,6 +306,7 @@ CSV_FORMATS = {
     "underscore-digits": ("x1,y\n1_000,2\n", ["x1"], "y", False, False),
     "crlf": ("x1,y\r\n0.5,1\r\n0.25,2\r\n", ["x1"], "y", False, True),
     "bare-cr": ("x1,y\r0.5,1\r0.25,2\r", ["x1"], "y", False, False),
+    "bare-cr-after-the-header": ("x1,y\n0.5,1\r0.25,2\n", ["x1"], "y", False, False),
     "no-final-newline": ("x1,y\n0.5,1\n0.25,2", ["x1"], "y", False, True),
     "blank-lines": ("x1,y\n\n0.5,1\n\n\n0.25,2\n\n", ["x1"], "y", False, True),
     "whitespace-only-line": ("x1,y\n0.5,1\n  \n0.25,2\n", ["x1"], "y", False, False),

@@ -24,7 +24,7 @@ from fsp import (
 )
 from fsp import adaptation, estimator
 from fsp.core import DataError, default_quadrature_points, rng_stream
-from fsp.estimator import Candidates, pilot_bandwidth
+from fsp.estimator import Candidates, grid_cells, pilot_bandwidth
 from fsp.sampling import plug_in_density
 from fsp.smoothing import smooth_values
 from helpers import (
@@ -1240,6 +1240,15 @@ def test_pilot_variance_consistency_monte_carlo():
         field = VarianceField(xs, ys, n0 ** (-1 / 4), dom)
         errors.append(abs(field.variance_batch([[0.5, 0.5]])[0] - 1.0))
     assert np.median(errors) <= 0.15
+
+
+def test_grid_cells_corrects_a_wrong_first_guess_on_uneven_edges():
+    # the first guess assumes even edges; on these it misses often
+    edges = [np.array([0.0, 0.1, 0.5, 0.55, 1.0]), np.array([-1.0, 0.9, 1.0])]
+    rng = rng_stream(60, "grid-cells")
+    xs = np.column_stack([rng.random(500), rng.uniform(-1.0, 1.0, 500)])
+    want = [np.searchsorted(e, xs[:, j], "right") - 1 for j, e in enumerate(edges)]
+    assert np.array_equal(grid_cells(edges, xs), want[0] * 2 + want[1])
 
 
 def test_pilot_bandwidth_rule():

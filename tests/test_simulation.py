@@ -194,6 +194,15 @@ def test_mce_threshold_convention():
         mce(lambda q: np.ones(len(q)), np.array([0.5] * 4), xs)
 
 
+@pytest.mark.parametrize("points", [np.empty((0, 2)), []], ids=["no-rows", "empty-list"])
+@pytest.mark.parametrize("score", [mse, mce])
+def test_a_score_on_no_test_points_is_refused(score, points):
+    # mce once warned "Mean of empty slice" and returned nan, and mse scored [] as 0.0
+    truth = (lambda q: np.zeros(len(q))) if score is mse else np.empty(0)
+    with pytest.raises(ValueError, match="^need at least one test point$"):
+        score(lambda q: np.zeros(len(q)), truth, points)
+
+
 def test_run_experiment_structure_and_determinism():
     sc = scenario_regression(n_test=40)
     res = run_experiment(sc, n=32, n_ptr=100, repetitions=1, seed=9)

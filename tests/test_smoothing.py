@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fsp import HolderParams, SmoothedView, check_local_smooth, local_smooth
+from fsp import ExpressionModel, HolderParams, SmoothedView, check_local_smooth, local_smooth
 from fsp.core import rng_stream
 from helpers import (
     anchor_fixed_point_holds,
@@ -155,3 +155,13 @@ def test_one_point_callables_are_read_one_point_at_a_time():
     view = SmoothedView(f, HolderParams(10.0, 1.0), anchor)
     assert view.batch(probes).tolist() == [view(p) for p in probes]
     assert view.batch(probes) == pytest.approx([0.2, 0.7])
+
+
+def test_a_black_box_model_is_smoothed_and_checked_as_its_function_is():
+    # a model answers through predict and predict_batch, not by being called
+    model = ExpressionModel("0.7 * abs(x1) ** 0.25", 1)
+    anchor, probes = np.array([0.1]), np.array([[0.3], [0.6], [-0.2]])
+    for x in probes:
+        assert local_smooth(model, THETA, anchor, x) == local_smooth(f_rough, THETA, anchor, x)
+    want = check_local_smooth(f_rough, THETA, anchor, probes)
+    assert check_local_smooth(model, THETA, anchor, probes) == want
