@@ -153,6 +153,37 @@ def kernels():
         emit(f"variance.pilot{n}", field.variance_batch(rng.random((300, 2))))
 
 
+def _bounds_bytes(bounds):
+    edges, lo, hi = bounds
+    return b"".join(_bytes(a) for a in (*edges, lo, hi))
+
+
+def squeeze_bounds():
+    """VarianceField.variance_bounds, whose bits the draws cannot show: the squeeze only
+    decides what the exact weight would.  Each field is sized so that its grid pays
+    for itself; the sparse d = 2 pilot leaves most of its cells at (0, inf)."""
+    rng = rng_stream(16, "digest-bounds")
+    for dim, n, h_sigma, rows in ((1, 400, 0.05, 8000), (2, 40, 0.25, 8000), (3, 400, 0.25, 65_536),
+                                  (4, 200, 0.3, 16 * 20**4)):
+        x = rng.random((n, dim))
+        y = x.sum(axis=1) + (0.1 + 0.9 * x[:, 0]) * rng.standard_normal(n)
+        emit(f"bounds.d{dim}", _bounds_bytes(fsp.VarianceField(x, y, h_sigma, fsp.Domain.cube(dim))
+                                             .variance_bounds(rows)))
+    # the benchmark's `cli` pool fit: its pilot's bounds at the rows of the first sampler batch
+    calls, variance_bounds = [], fsp.VarianceField.variance_bounds
+
+    def recorded(field, rows):
+        calls.append(variance_bounds(field, rows))
+        return calls[-1]
+
+    fsp.VarianceField.variance_bounds = recorded
+    try:
+        benchmark_pool_fit()
+    finally:
+        fsp.VarianceField.variance_bounds = variance_bounds
+    emit("bounds.pool", b"".join(map(_bounds_bytes, calls)))
+
+
 def experiments():
     for make in (fsp.scenario_regression, fsp.scenario_classification, fsp.scenario_adversarial):
         for bandwidth in ("cv", "rule"):
@@ -239,6 +270,6 @@ def command_line():
 
 
 if __name__ == "__main__":
-    for part in (fits, pool_fits, kernels, experiments, command_line):
+    for part in (fits, pool_fits, kernels, squeeze_bounds, experiments, command_line):
         part()
         sys.stdout.flush()
