@@ -31,7 +31,7 @@ __all__ = [
 ]
 
 _CHUNK_ELEMENTS = 2_000_000
-_SLAB_PAIRS = 32_768  # (cell, pilot) pairs a slab of variance bounds holds at a time
+_SLAB_PAIRS = 32_768  # a slab of variance bounds masks 8x this many (pilot, cell) pairs: 256 KB
 # pilot points a variance moment's dot product takes at a time: OpenBLAS splits a
 # dot product of more than 10,000 elements across its threads, so its bits would
 # depend on the thread count
@@ -277,25 +277,20 @@ def window_passes(train_x, train_y, f_train, xs, f_eval, candidates, consume):
 
     The sorted distinct bandwidths form a ladder of nested windows.  The pairs
     share residual passes: one per theta with theta1 > 0, and one for every
-    theta1 = 0 theta.  The passes are found per distinct theta, and a stable
-    sort of the pairs by pass gives each its pairs in order.  Each pair belongs
-    to one pass and each row's sums run over its pairs in training order, so
-    the pass order moves no bit.
+    theta1 = 0 theta.  The passes run in sorted (theta2, theta1) order, the
+    shared one first, and a stable sort of the pairs by pass gives each its
+    pairs in order.  Each pair belongs to one pass and each row's sums run
+    over its pairs in training order, so the pass order moves no bit.
     """
     hs = np.sort(candidates.bandwidth)  # then its distinct values (np.unique imports numpy.ma)
     distinct = np.ones(len(hs), bool)
     np.not_equal(hs[1:], hs[:-1], out=distinct[1:])
     hs = hs[distinct]
-    groups = {}  # theta2 (None for every theta1 = 0 theta) -> theta1 -> indices into thetas
-    for i, theta in enumerate(candidates.thetas):
-        theta2 = theta.theta2 if theta.theta1 > 0 else None
-        groups.setdefault(theta2, {}).setdefault(theta.theta1, []).append(i)
-    n_thetas = len(candidates.thetas)
-    keys, pass_of = [], np.empty(n_thetas, np.min_scalar_type(n_thetas))  # pass of each theta
-    for theta2, by_theta1 in groups.items():
-        for theta1, members in by_theta1.items():
-            pass_of[members] = len(keys)
-            keys.append((theta2, theta1))
+    # each theta's pass (theta2, theta1), or (None, 0.0) for every theta1 = 0 theta
+    of_theta = [(t.theta2, t.theta1) if t.theta1 > 0 else (None, 0.0) for t in candidates.thetas]
+    keys = sorted(set(of_theta), key=lambda key: (key[0] is not None, key))  # the shared pass first
+    slots = {key: k for k, key in enumerate(keys)}
+    pass_of = np.array([slots[key] for key in of_theta], np.min_scalar_type(len(keys)))
     pair_pass = pass_of.take(candidates.theta_index)
     order = np.argsort(pair_pass, kind="stable")  # the pairs, pass by pass
     ends = np.cumsum(np.bincount(pair_pass, minlength=len(keys))).tolist()
@@ -510,9 +505,10 @@ class VarianceField:
             blocks = self._grid_tent_blocks(m, step)
         else:
             blocks = self._tent_blocks(xs)
+        pilot_y2 = self.pilot_y**2
         for rows, weights in blocks:
             wsum = weights.sum(axis=1)
-            second = _row_dots(weights, self.pilot_y**2) / np.maximum(1.0, wsum)
+            second = _row_dots(weights, pilot_y2) / np.maximum(1.0, wsum)
             first = _row_dots(weights, self.pilot_y)
             out[rows] = second - first**2 / np.maximum(1.0, wsum**2)
         if not np.isfinite(out).all():
@@ -609,55 +605,50 @@ class VarianceField:
             m -= 1
         if m < 2 or (box_hi - box_lo).max() > m * h / 4:
             return box_cell(self.domain)
-        if not np.isfinite(self.pilot_y**2).all():
+        pilot_y2 = self.pilot_y**2
+        if not np.isfinite(pilot_y2).all():
             return box_cell(self.domain)  # the kernel's moments overflow, so it raises
-        edges, first, reach, near, far = [], [], [], [], []
+        edges, reach, near, far = [], [], [], []
         for j in range(dim):
             e = np.minimum(np.linspace(box_lo[j], box_hi[j], m + 1), box_hi[j])
-            diff = np.subtract.outer(e, self.pilot_x[:, j])  # the kernel's x - p at each edge
-            d_near = np.maximum(np.maximum(diff[:-1], -diff[1:]), 0.0)  # (cells, n)
-            inside = d_near < h  # an interval of cells for each pilot point
+            diff = e - self.pilot_x[:, j, None]  # the kernel's x - p at each edge, a row per pilot point
+            d_near = np.maximum(np.maximum(diff[:, :-1], -diff[:, 1:]), 0.0)  # (n, cells)
             edges.append(e)
-            first.append(inside.argmax(axis=0))
-            reach.append(inside.sum(axis=0))
+            reach.append(d_near < h)  # the cells within reach of each pilot point
             near.append(d_near.ravel())
-            far.append(np.maximum(-diff[:-1], diff[1:]).ravel())
-        across = np.ones(n, np.intp)  # cells within reach on the axes after the first
-        for r in reach[1:]:
-            across *= r
-        per_row = np.cumsum(np.bincount(first[0], across, m + 1)
-                            - np.bincount(first[0] + reach[0], across, m + 1))[:m]
-        if per_row.sum() > rows * n / 64:
+            far.append(np.maximum(-diff[:, :-1], diff[:, 1:]).ravel())
+        if np.prod([r.sum(axis=1) for r in reach], axis=0).sum() > rows * n / 64:
             return box_cell(self.domain)
-        stride = m ** (dim - 1)
-        pilot_y2 = self.pilot_y**2
         gamma = (2 * n + 16) * 2.0**-53 / (1 - (2 * n + 16) * 2.0**-53)
-        lo, hi = np.empty(m * stride), np.empty(m * stride)
-        # slabs of whole rows along the first axis, about _SLAB_PAIRS pairs each
-        slab_of = (np.cumsum(per_row) - per_row) // _SLAB_PAIRS
-        cuts = [0, *(np.flatnonzero(np.diff(slab_of)) + 1), m]
-        for k0, k1 in zip(cuts[:-1], cuts[1:]):
-            start = np.maximum(first[0], k0)
-            span0 = np.maximum(np.minimum(first[0] + reach[0], k1) - start, 0)
-            counts = span0 * across
-            pilot = np.repeat(np.arange(n), counts)
-            local = np.arange(pilot.size) - np.repeat(np.cumsum(counts) - counts, counts)
-            cell = np.zeros(pilot.size, np.intp)
-            d_min = np.zeros(pilot.size)
-            d_max = np.zeros(pilot.size)
-            for j in reversed(range(dim)):
-                span = (span0 if j == 0 else reach[j]).take(pilot)
-                k = (start if j == 0 else first[j]).take(pilot) + local % span
-                local //= span
-                at = k * n + pilot
+        n_lines = m ** (dim - 1)
+        lo, hi = np.empty(n_lines * m), np.empty(n_lines * m)
+        # slabs of whole lines along the last axis, as in _grid_tent_blocks, whose
+        # masks of the (pilot, cell) pairs within reach hold about 8 * _SLAB_PAIRS
+        # booleans; a mask's pairs come pilot by pilot, in C order of the slab's cells
+        step = max(1, 8 * _SLAB_PAIRS // max(n * m, 1))
+        for start in range(0, n_lines, step):
+            stop = min(start + step, n_lines)
+            # each line's index on every axis before the last
+            lines = np.unravel_index(np.arange(start, stop), (m,) * (dim - 1)) if dim > 1 else ()
+            width = (stop - start) * m
+            inner = np.ones((n, stop - start), bool)
+            for r, index in zip(reach, lines):
+                inner &= r.take(index, axis=1)
+            cell = np.flatnonzero(inner[:, :, None] & reach[-1][:, None, :])
+            pilot = cell // width
+            cell -= pilot * width
+            line = cell // m
+            row = pilot * m  # each pair's offset into every axis's (n, cells) tables
+            at = row + (cell - line * m)  # on the last axis
+            d_min, d_max = near[-1].take(at), far[-1].take(at)
+            for j, index in enumerate(lines):
+                at = row + index.take(line)
                 np.maximum(d_min, near[j].take(at), out=d_min)
                 np.maximum(d_max, far[j].take(at), out=d_max)
-                cell += (k - k0 if j == 0 else k) * m ** (dim - 1 - j)
-            del local, span, k, at
+            del line, row, at
             w_lo = np.maximum(np.subtract(h, d_max, out=d_max), 0.0, out=d_max)
             w_hi = np.maximum(np.subtract(h, d_min, out=d_min), 0.0, out=d_min)
-            cells = slice(k0 * stride, k1 * stride)
-            lo[cells], hi[cells] = _moment_bounds(
-                cell, (k1 - k0) * stride, w_lo, w_hi, self.pilot_y.take(pilot), pilot_y2.take(pilot), gamma
+            lo[start * m : stop * m], hi[start * m : stop * m] = _moment_bounds(
+                cell, width, w_lo, w_hi, self.pilot_y.take(pilot), pilot_y2.take(pilot), gamma
             )
         return edges, lo, hi

@@ -1251,6 +1251,29 @@ def test_grid_cells_corrects_a_wrong_first_guess_on_uneven_edges():
     assert np.array_equal(grid_cells(edges, xs), want[0] * 2 + want[1])
 
 
+def test_the_squeeze_bounds_walk_a_d3_grid_in_small_slabs():
+    # a slab of whole first-axis rows, 625 cells each here, held up to 238,000
+    # (pilot, cell) pairs at once: a 26 MB peak; a slab of lines along the last
+    # axis holds a mask of at most 8 * _SLAB_PAIRS booleans: 7.8 MB
+    rng = rng_stream(61, "bounds-memory")
+    field = VarianceField(rng.random((2000, 3)), rng.standard_normal(2000), 0.3, Domain.cube(3))
+    tracemalloc.start()
+    try:
+        _, lo, hi = field.variance_bounds(262_144)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(lo) == 25**3 and np.isfinite(hi).any()  # the grid pays for itself
+    assert peak < 16e6
+
+
+def test_an_empty_pilot_leaves_every_cell_of_the_squeeze_undecided():
+    field = VarianceField(np.empty((0, 3)), np.empty(0), 0.3, Domain.cube(3))
+    edges, lo, hi = field.variance_bounds(262_144)
+    assert [len(e) for e in edges] == [26] * 3
+    assert (lo == 0).all() and (hi == np.inf).all()
+
+
 def test_pilot_bandwidth_rule():
     assert pilot_bandwidth(4000, 2) == pytest.approx(4000 ** (-0.25))
     assert pilot_bandwidth(1000, 1) == pytest.approx(1000 ** (-1 / 3))
