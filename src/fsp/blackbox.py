@@ -89,7 +89,11 @@ class BlackBoxModel:
         pass
 
     def __enter__(self):
-        self.start()
+        try:
+            self.start()
+        except BaseException:  # no __exit__ follows: close what start() left open
+            self.close()
+            raise
         return self
 
     def __exit__(self, *exc_info):
@@ -252,7 +256,6 @@ class ExternalProcessModel(BlackBoxModel):
         self.timeout = float(timeout)
         self._proc = None
         self._ready = False  # whether the child answered its handshake
-        self._buffer = b""
         self._lock = threading.Lock()
 
     def launch(self):
@@ -291,11 +294,15 @@ class ExternalProcessModel(BlackBoxModel):
         self._ready = True
 
     def _exchange(self, text, n_lines, timeout, stage):
-        """Write `text` and read `n_lines` reply lines, whichever pipe is ready first."""
+        """Write `text` and read `n_lines` reply lines, whichever pipe is ready first.
+        Output waiting before the request or left after the reply raises QueryError."""
         request = memoryview(text.encode("utf-8"))
         stdin = self._proc.stdin.fileno()
         stdout = self._proc.stdout.fileno()
-        lines = []
+        overrun = f"model process wrote past its reply (stage: {stage})"
+        if select.select([stdout], [], [], 0)[0] and os.read(stdout, 65536):
+            raise QueryError(overrun)
+        lines, tail = [], b""
         deadline = time.monotonic() + timeout
         while request or len(lines) < n_lines:
             wait = deadline - time.monotonic()
@@ -317,12 +324,12 @@ class ExternalProcessModel(BlackBoxModel):
                 chunk = os.read(stdout, 65536)
                 if not chunk:
                     raise QueryError(f"model process closed its output (stage: {stage})")
-                *done, self._buffer = (self._buffer + chunk).split(b"\n")
+                *done, tail = (tail + chunk).split(b"\n")
                 if done:
                     deadline = time.monotonic() + timeout
                 lines += done
-        # lines beyond the reply stay buffered, as if they had not been read yet
-        self._buffer = b"\n".join(lines[n_lines:] + [self._buffer])
+        if len(lines) > n_lines or tail:
+            raise QueryError(overrun)
         return [line.decode("utf-8", errors="replace") for line in lines[:n_lines]]
 
     def predict_batch(self, xs):

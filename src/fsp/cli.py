@@ -67,7 +67,7 @@ _SIMULATE_DEFAULTS = {
     "n_ptr": 1000,
     "repetitions": 100,
     "n_test": 500,
-    "methods": ["single-task", "fsp", "pretrained"],
+    "methods": list(METHODS),
     "seed": 0,
     "out_dir": ".",
     "prefix": None,

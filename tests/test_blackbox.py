@@ -206,6 +206,16 @@ def test_external_handshake_failure(tmp_path):
     m.close()
 
 
+def test_a_with_block_whose_handshake_fails_closes_its_child(tmp_path):
+    # no __exit__ follows a failed __enter__: the child ran on until the model was collected
+    bad = "import sys\nsys.stdin.readline()\nprint('NOPE', flush=True)\nsys.stdin.read()\n"
+    m = _external(tmp_path, bad, 1)
+    with pytest.raises(QueryError, match="handshake"):
+        with m:
+            pass
+    assert m._proc is None
+
+
 def test_external_malformed_reply(tmp_path):
     bad = ECHO_SCRIPT.replace("1.5", "not-a-number")
     with _external(tmp_path, bad, 1) as m:
@@ -347,6 +357,45 @@ def test_a_child_that_exits_between_batches_is_named_and_reaped(tmp_path):
         with pytest.raises(QueryError, match=r"^model process exited \(stage: session\)$"):
             m.predict_batch(np.zeros((2, 1)))
     assert child.poll() is not None and m._proc is None
+
+
+# echoes each query; writes one line too many after its handshake or after its first
+# reply, in the same write as it or in one of its own a moment later
+EXTRA_LINE_SCRIPT = """\
+import sys, time
+after = sys.argv[1]
+sys.stdin.readline()  # DIM line
+sys.stdout.write("OK\\n999.0\\n" if after == "OK" else "OK\\n")
+sys.stdout.flush()
+reply, batches = "", 0
+for line in sys.stdin:
+    if line.strip():
+        reply += line
+        continue
+    batches += 1
+    if batches == 1 and after == "reply":
+        reply += "999.0\\n"
+    sys.stdout.write(reply)
+    sys.stdout.flush()
+    if batches == 1 and after == "late":
+        time.sleep(0.1)
+        sys.stdout.write("999.0\\n")
+        sys.stdout.flush()
+    reply = ""
+"""
+
+
+@pytest.mark.parametrize("after, stage", [("OK", "handshake"), ("reply", "response"), ("late", "response")])
+def test_a_child_that_writes_an_extra_line_fails_the_batch(tmp_path, after, stage):
+    # kept for the next batch, the extra line shifted its replies: [[0.2], [0.3]]
+    # returned [999.0, 0.2]
+    script = tmp_path / "extra.py"
+    script.write_text(EXTRA_LINE_SCRIPT, encoding="utf-8")
+    with pytest.raises(QueryError, match=rf"^model process wrote past its reply \(stage: {stage}\)$"), \
+            ExternalProcessModel([sys.executable, str(script), after], dim=1, timeout=10) as m:
+        for batch in ([[0.1]], [[0.2], [0.3]]):
+            m.predict_batch(batch)
+            time.sleep(0.5)  # the late line is waiting when the next batch starts
 
 
 def test_model_spec_round_trip(tmp_path):

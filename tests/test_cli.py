@@ -319,6 +319,7 @@ _DOMAIN_FLAGS = {
     "json-string": ('"[[0, 0], [1, 1]]"', "domain must be JSON like [[lo1, lo2], [hi1, hi2]]"),
     "one-bound": ("[[0, 0]]", "bad domain: not enough values to unpack (expected 2, got 1)"),
     "empty-box": ("[[0, 0], [1, 0]]", "bad domain: every coordinate needs lo < hi, got [0.0, 0.0]"),
+    "infinite-bound": ('[["inf", 0], [1, 1]]', "bad domain: domain bounds must be finite"),
 }
 
 
@@ -405,15 +406,42 @@ def _simulate_config(tmp_path, **changes):
      "covariates must be a list of one or more distinct column names, got 'x1'"),
     ("personalize", {"source": {"kind": "pool", "csv": "pool.csv", "covariates": []}},
      "covariates must be a list of one or more distinct column names, got []"),
+    ("personalize", {"source": {"kind": "synthetic", "f_star": "x1", "noise": {"kind": "poisson"}}},
+     "unknown noise kind 'poisson'"),
+    ("personalize", {"n": None}, "a labeling budget n is required"),
+    ("personalize", {"model": None}, "both a label source and a model backend are required"),
+    ("personalize", {"domain": None}, "synthetic sources require an explicit domain"),
+    ("personalize", {"source": {"kind": "bogus"}}, "unknown source kind 'bogus'"),
+    # a list: the config file holds it in place of an object
+    ("personalize", [1], "config file must hold a JSON object"),
+    # a tuple: the environment's settings and the flags of a command line run in tmp_path,
+    # which holds cfg.json, a valid personalize config
+    ("personalize", ({"FSP_SEED": "abc"}, ["--config", "cfg.json"]),
+     "FSP_SEED must be an integer, got 'abc'"),
+    ("predict", ({}, ["--estimator", "e.json"]), "predict needs --estimator and --queries"),
+    ("eval", ({}, ["--predictions", "p.csv"]), "eval needs --predictions and --truth"),
+    ("personalize", ({}, ["--config", "cfg.json", "--model-expr", "x1 +"]),
+     "cannot parse expression 'x1 +': invalid syntax (<expression>, line 1)"),
+    ("personalize", ({}, ["--config", "cfg.json", "--model-expr", "(lambda: 1)()"]),
+     "expression must be a plain arithmetic formula"),
 ], ids=["source-f_star", "model-expr", "model-cmd", "source-not-object", "noise-not-object",
         "sigma-bool", "sigma-negative", "estimator-bandwidth", "full-set-string", "c1-string", "c1-overflow", "c1-overflow-simulate",
         "cap-zero", "h-sigma-negative",
         "empty-bandwidths", "n-float", "n-string", "seed-bool", "small-domain-string",
         "methods-string", "methods-empty", "n-ptr-negative", "repetitions-negative", "n-test-zero",
         "methods-unknown", "out-dir-int", "n-negative", "out-report-int", "covariates-string",
-        "covariates-empty"])
-def test_config_errors_exit_2_and_name_the_field(tmp_path, capsys, command, changes, names):
-    if command == "predict":
+        "covariates-empty", "noise-kind-unknown", "n-missing", "model-missing", "domain-missing",
+        "source-kind-unknown", "config-list", "seed-env-string", "predict-no-queries", "eval-no-truth",
+        "model-expr-syntax", "model-expr-lambda"])
+def test_config_errors_exit_2_and_name_the_field(tmp_path, monkeypatch, capsys, command, changes, names):
+    if isinstance(changes, tuple):
+        env, flags = changes
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        _personalize_config(tmp_path)
+        monkeypatch.chdir(tmp_path)
+        rc = main([command, *flags])
+    elif command == "predict":
         assert main(["personalize", "--config", str(_personalize_config(tmp_path))]) == 0
         est_path = tmp_path / "e.json"
         payload = json.loads(est_path.read_text())
@@ -428,7 +456,10 @@ def test_config_errors_exit_2_and_name_the_field(tmp_path, capsys, command, chan
         rc = main(["simulate", "--config", str(_simulate_config(tmp_path, **changes))])
         assert not (tmp_path / "regression_runs.csv").exists()
     else:
-        rc = main(["personalize", "--config", str(_personalize_config(tmp_path, **changes))])
+        config = _personalize_config(tmp_path, **(changes if isinstance(changes, dict) else {}))
+        if isinstance(changes, list):
+            config.write_text(json.dumps(changes))
+        rc = main(["personalize", "--config", str(config)])
         assert not (tmp_path / "e.json").exists()
     assert rc == 2
     assert capsys.readouterr().err.strip().splitlines()[-1] == f"error: {names}"
