@@ -157,7 +157,7 @@ def _score_pairs(candidates, train_x, train_y, f_train, val_x, val_y, f_val):
         np.square(means, out=means)
         scores[ks] = _add_row_sums(scores[ks], means)
 
-    with np.errstate(over="ignore", invalid="ignore"):  # a split block's worker runs under it too
+    with np.errstate(over="ignore", invalid="ignore"):
         window_passes(train_x, train_y, f_train, val_x, f_val, candidates, add)
     return ScoreTable(candidates.thetas, candidates.theta_index, candidates.bandwidth, scores)
 

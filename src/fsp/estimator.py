@@ -5,8 +5,7 @@ over a sup-norm window of radius h around the query point; the personalized
 prediction adds that average back onto the black-box value at the query.
 """
 
-import contextvars
-import os
+import math
 from dataclasses import dataclass
 from functools import partial
 
@@ -37,13 +36,9 @@ _SLAB_PAIRS = 32_768  # a slab of variance bounds masks 8x this many (pilot, cel
 # depend on the thread count
 _DOT_COLUMNS = 8_192
 _TILE_PAIRS = 32_768  # a distance tile and its scratch take 512 KB, well inside a core's L2
-# a window block with fewer pairs runs its passes on one thread: below it the
-# hand-off costs more than the second thread saves
-_SPLIT_PAIRS = 32_768
-# threads a window block may run on: the calling thread and, with 2, one worker of its own
-_threads = min(
-    len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1, 2
-)
+# pairs a window block of more than one pass is expected to gather: one pass's
+# operands (about 160 KB each) then stay in a core's 2 MB L2 cache
+_PASS_PAIRS = 20_000
 
 
 def row_blocks(n_rows, n_points):
@@ -122,20 +117,6 @@ def truncate(anchor, sign, magnitude, band, out=None):
     return out
 
 
-def _start(fn, *args):
-    """(executor, Future) of fn(*args) on a new single-use worker thread, in a copy
-    of the caller's context (so under its numpy error handling), or None where
-    the thread cannot start.  No executor outlives its block, so a forked child
-    inherits no executor whose thread it lacks."""
-    from concurrent.futures import ThreadPoolExecutor  # pulls in logging: 2.5 ms
-
-    executor = ThreadPoolExecutor(1)
-    try:
-        return executor, executor.submit(contextvars.copy_context().run, fn, *args)
-    except RuntimeError:  # can't start new thread: the next block tries again
-        return None
-
-
 def smoothed_window_means(train_x, train_y, f_train, xs, f_eval, hs, passes, consume):
     """Window means of y_i - omega(f(x_i)) for one row block xs: consume(ks, means)
     gets each residual pass's means of its pairs ks, shape (rows, len(ks)).
@@ -159,18 +140,9 @@ def smoothed_window_means(train_x, train_y, f_train, xs, f_eval, hs, passes, con
     block.  Consecutive pairs fall in different rows' bins, so their adds do not
     wait on each other.  An empty window gives 0 through the max(1, count) guard.
 
-    A block of more than one pass whose window holds at least _SPLIT_PAIRS pairs
-    runs on two threads, as bincount and the residual chain let go of the GIL:
-    a worker thread of the block's own runs and consumes the passes from the
-    theta2 boundary nearest the middle of the list (the middle itself where every
-    pass shares one theta2), while the calling thread runs and consumes those
-    before it.  A block whose worker cannot start runs its passes serially.
-    A thread raises a theta2's Holder powers at its first pass of that theta2
-    and drops them before its next theta2's, so each thread holds one power
-    array at a time.
-    A pass reads only the block's shared arrays and hands over only its own
-    pairs ks, so the bits do not depend on the thread count; the block returns
-    or raises only once its worker thread has ended.
+    The passes run in order on the calling thread.  A theta2's Holder powers
+    are raised at its first pass and dropped before the next theta2's, so the
+    block holds one power array at a time.
     """
     n_rows, n_rungs = xs.shape[0], len(hs)
     dist_inf = chebyshev_distances(train_x, xs)
@@ -203,38 +175,22 @@ def smoothed_window_means(train_x, train_y, f_train, xs, f_eval, hs, passes, con
     counts = np.bincount(bins, minlength=n_rows * n_rungs).reshape(n_rows, n_rungs).cumsum(axis=1)
     np.maximum(counts, 1, out=counts)
 
-    def run_passes(todo):
-        held = power = None
-        for theta2, theta1, ks, rungs in todo:
-            if theta2 is None:
-                residuals = y_in - f0
-            else:
-                if theta2 != held:
-                    power = None  # before the next theta2's powers are raised
-                    held, power = theta2, holder_powers(dist, theta2)
-                band = np.multiply(theta1, power)
-                residuals = np.subtract(y_in, truncate(f0, sign, magnitude, band, out=band), out=band)
-            # float sums: bincount over no pairs returns integer zeros
-            sums = np.bincount(bins, residuals, n_rows * n_rungs).reshape(n_rows, n_rungs)
-            del residuals
-            means = sums.cumsum(axis=1, dtype=float)
-            means /= counts
-            consume(ks, means[:, rungs])
-
-    started = None
-    if _threads > 1 and len(passes) > 1 and bins.size >= _SPLIT_PAIRS:
-        # the theta2 boundary nearest the middle of the list, or the middle itself
-        cuts = [k for k in range(1, len(passes)) if passes[k][0] != passes[k - 1][0]]
-        cut = min(cuts or [len(passes) // 2], key=lambda k: abs(2 * k - len(passes)))
-        started = _start(run_passes, passes[cut:])
-    if started is None:
-        return run_passes(passes)
-    executor, worker = started
-    try:
-        run_passes(passes[:cut])
-    finally:  # joins the worker: no consume call follows this block's return or exception
-        executor.shutdown()
-    worker.result()
+    held = power = None
+    for theta2, theta1, ks, rungs in passes:
+        if theta2 is None:
+            residuals = y_in - f0
+        else:
+            if theta2 != held:
+                power = None  # before the next theta2's powers are raised
+                held, power = theta2, holder_powers(dist, theta2)
+            band = np.multiply(theta1, power)
+            residuals = np.subtract(y_in, truncate(f0, sign, magnitude, band, out=band), out=band)
+        # float sums: bincount over no pairs returns integer zeros
+        sums = np.bincount(bins, residuals, n_rows * n_rungs).reshape(n_rows, n_rungs)
+        del residuals
+        means = sums.cumsum(axis=1, dtype=float)
+        means /= counts
+        consume(ks, means[:, rungs])
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -271,9 +227,7 @@ def window_passes(train_x, train_y, f_train, xs, f_eval, candidates, consume):
     """Window means at xs of each (theta, h) pair of the Candidates, for CV
     scoring, rule mode and prediction alike, handed over as they are made:
     consume(rows, ks, means) gets, per row block and residual pass, the means of
-    the pass's pairs ks at the rows slice of xs, shape (rows, len(ks)).  In a
-    block split over two threads, each thread calls consume, so two calls may
-    run at once, with disjoint ks.
+    the pass's pairs ks at the rows slice of xs, shape (rows, len(ks)).
 
     The sorted distinct bandwidths form a ladder of nested windows.  The pairs
     share residual passes: one per theta with theta1 > 0, and one for every
@@ -304,13 +258,24 @@ def window_passes(train_x, train_y, f_train, xs, f_eval, candidates, consume):
     # holds every pair: per pair, the bins, rungs, two gathered operands (y and
     # f(x0)), the residual chain and a temporary, and with a theta1 > 0 pass
     # also the Euclidean distances, one power (whatever the number of theta2
-    # values) and two more gathered operands; with more than one pass, the
-    # second thread's power and residual chain; per (row, rung), the counts and
-    # one thread's sums, means and the means it hands to consume.  A block takes
-    # three eighths of the chunk budget, 6 MB
-    per_pair = 12 if len(passes) > 1 else 6 if passes[0][0] is None else 10
-    width = per_pair * train_x.shape[0] + 4 * len(hs)
-    for rows in row_blocks(xs.shape[0], 8 * width // 3):
+    # values) and two more gathered operands; per (row, rung), the counts, sums,
+    # means and the means handed to consume.  A block takes three eighths of the
+    # chunk budget, 6 MB.  The shared pass comes first, so the last is None only
+    # where it is the one pass
+    width = (6 if passes[-1][0] is None else 10) * train_x.shape[0] + 4 * len(hs)
+    budget = 8 * width // 3
+    if len(passes) > 1 and train_x.shape[0]:
+        # every pass reads the gathered pairs again, so a block holds about
+        # _PASS_PAIRS of them as the training points' spread predicts: a window
+        # covers at most 2 * hs[-1] of each axis's span.  Where a row's rungs
+        # outnumber its pairs, its (row, rung) sums set a pass's cost, and smaller
+        # blocks would only repeat each pass's work on its pairs' indices ks
+        reach = 2 * hs[-1]
+        spans = np.ptp(train_x, axis=0).tolist()
+        expected = train_x.shape[0] * math.prod(reach / s if s > reach else 1.0 for s in spans)
+        if expected > len(hs):
+            budget = max(budget, int(_CHUNK_ELEMENTS * expected / _PASS_PAIRS))
+    for rows in row_blocks(xs.shape[0], budget):
         smoothed_window_means(
             train_x, train_y, f_train, xs[rows], f_eval[rows], hs, passes, partial(consume, rows)
         )

@@ -8,6 +8,7 @@ streams, so result tables are bit-identical for a fixed master seed.
 """
 
 from dataclasses import dataclass, field, replace
+from functools import cache
 
 import numpy as np
 
@@ -144,30 +145,37 @@ def scenario_regression(n_test=500):
     )
 
 
+_CLASSIFICATION_BOX = Domain.cube(2, -0.2, 0.8)
+
+
+def _classification_truth(xs):
+    xs = np.atleast_2d(np.asarray(xs, float))
+    raw = np.abs(xs[:, 0]) ** 0.6 + np.abs(xs[:, 1] - 0.3) ** 0.6 - 0.1
+    return np.clip(raw, 0.0, 0.9)
+
+
+@cache
+def _classification_sigma_bar():
+    """Mean Bernoulli noise sd of the classification truth over its box's 200 x 200
+    midpoint grid: about 1.5 ms, so a process pays it once."""
+    p = _classification_truth(_CLASSIFICATION_BOX.grid(200)[0])
+    return float(np.mean(np.sqrt(p * (1.0 - p))))
+
+
 def scenario_classification(n_test=500):
     """Bernoulli truth clip(|x1|**0.6 + |x2 - 0.3|**0.6 - 0.1, 0, 0.9) on [-0.2, 0.8]^2."""
-    domain = Domain.cube(2, -0.2, 0.8)
-
-    def f_star(xs):
-        xs = np.atleast_2d(np.asarray(xs, float))
-        raw = np.abs(xs[:, 0]) ** 0.6 + np.abs(xs[:, 1] - 0.3) ** 0.6 - 0.1
-        return np.clip(raw, 0.0, 0.9)
-
-    centers, _ = domain.grid(200)
-    p = f_star(centers)
-    sigma_bar = float(np.mean(np.sqrt(p * (1.0 - p))))
     return Scenario(
         name="classification",
-        domain=domain,
-        f_star=f_star,
+        domain=_CLASSIFICATION_BOX,
+        f_star=_classification_truth,
         noise=BernoulliNoise(),
         metric="mce",
         pretrained_factory=lambda n_ptr, seed: _source_kernel_model(
-            n_ptr, seed, f_star, "classification"
+            n_ptr, seed, _classification_truth, "classification"
         ),
         n_test=n_test,
         theta2_star=0.6,
-        sigma_bar=sigma_bar,
+        sigma_bar=_classification_sigma_bar(),
     )
 
 

@@ -5,8 +5,6 @@ import sys
 import threading
 import time
 import tracemalloc
-import warnings
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -462,8 +460,8 @@ def test_window_blocks_do_not_shrink_with_the_number_of_theta2_values(monkeypatc
             train_x, train_y, train_x[:, 0], xs, xs[:, 0], Candidates.from_pairs(pairs), lambda *a: None
         )
     assert len({t.theta2 for t in thetas}) == 8
-    # each thread holds one Holder power at a time, so eight theta2 values take
-    # the row blocks of one
+    # a block holds one Holder power at a time, so eight theta2 values take the
+    # row blocks of one
     assert len(blocks[0]) > 1 and blocks[0] == blocks[1], blocks
 
 
@@ -687,32 +685,6 @@ def test_theta1_zero_ladder_rows_equal_per_pair_masked_sums():
             assert np.array_equal(row, want), (theta, h)
 
 
-class _StartSpy:
-    """The window kernel's _start, recording each function handed to it as (name,
-    args), and what it returned: (executor, Future), or None."""
-
-    def __init__(self, start):
-        self.start, self.handed, self.started = start, [], []
-
-    def __call__(self, fn, *args):
-        self.handed.append((fn.__name__, args))
-        self.started.append(self.start(fn, *args))
-        return self.started[-1]
-
-
-def _handed_names(spy):
-    return [name for name, _ in spy.handed]
-
-
-@pytest.fixture
-def two_threads(monkeypatch):
-    """Window blocks may split over two threads; returns the record of _start."""
-    spy = _StartSpy(estimator._start)
-    monkeypatch.setattr(estimator, "_threads", 2)
-    monkeypatch.setattr(estimator, "_start", spy)
-    return spy
-
-
 def _window_case(rng, n_train, n_rows):
     train_x = rng.random((n_train, 2))
     xs = rng.random((n_rows, 2))
@@ -720,211 +692,73 @@ def _window_case(rng, n_train, n_rows):
             np.sin(3 * xs).sum(axis=1), rng.normal(size=n_rows))
 
 
-def _window_bytes(case, pairs):
-    """The bytes of window_biases and of the CV scores of pairs on one case."""
-    train_x, train_y, f_train, xs, f_eval, val_y = case
-    biases = estimator.window_biases(train_x, train_y, f_train, xs, f_eval, pairs)
-    scores = adaptation._score_pairs(
-        Candidates.from_pairs(pairs), train_x, train_y, f_train, xs, val_y, f_eval
-    )
-    return biases.tobytes(), np.array([score for *_, score in scores]).tobytes()
+def test_cv_window_blocks_hold_about_pass_pairs_and_other_blocks_their_worst_case_rows(monkeypatch):
+    blocks = []
+    kernel = estimator.smoothed_window_means
 
+    def counted(train_x, train_y, f_train, xs, f_eval, hs, passes, consume):
+        gathered = int((estimator.chebyshev_distances(train_x, xs) <= hs[-1]).sum())
+        blocks.append((len(xs), gathered))
+        return kernel(train_x, train_y, f_train, xs, f_eval, hs, passes, consume)
 
-def test_window_bits_do_not_depend_on_the_thread_count(monkeypatch, two_threads):
-    rng = rng_stream(31, "window-threads")
+    monkeypatch.setattr(estimator, "smoothed_window_means", counted)
+    rng = rng_stream(33, "window-blocks")
+    # a fit's CV call at n = 1,000: 750 training points and 250 validation rows
+    train_x, train_y, f_train, xs, f_eval, _ = _window_case(rng, 750, 250)
     thetas = adaptation.build_grid(1000, 2.0).points
     hs = adaptation.default_bandwidth_set(1000, 1.0)
-    theta2 = sorted({theta.theta2 for theta in thetas})[3]
+    rule = [(t, adaptation.rule_bandwidth(t.theta2, 1000, 2, 1.0, UNIT)) for t in thetas]
+    full = adaptation.default_bandwidth_set(1000, 1.0, full=True)
     lists = {
-        # the shared theta1 = 0 pass and eight theta2 values, 57 passes
-        "cv-ladder": [(theta, h) for h in hs for theta in thetas],
-        # every pass in one power group, so the threads meet inside it
-        "one-theta2": [(t, h) for h in hs for t in thetas if t.theta2 == theta2 and t.theta1 > 0],
-        "rule": [(theta, 0.05 + 0.1 * (i % 7)) for i, theta in enumerate(thetas)],
-        "one-pair": [(HolderParams(0.5, 0.5), 0.3)],
+        "cv": [(theta, h) for h in hs for theta in thetas],
+        "rule": rule,
+        # 1,000 rungs a row against 750 pairs: the (row, rung) sums set a pass's cost
+        "full-ladder": [(theta, h) for h in full for theta in thetas],
+        "one-pass": [(HolderParams(1.0, 0.5), 0.3)],
+        "theta1-zero": [(HolderParams(0.0, 0.5), 0.3)],
     }
-    # blocks of 82 rows x 750 (61,500 pairs) split; 75 rows x 225 (16,875 pairs) do not
-    for n_train, n_rows in ((750, 250), (225, 75)):
-        case = _window_case(rng, n_train, n_rows)
-        for name, pairs in lists.items():
-            two_threads.handed.clear()
-            monkeypatch.setattr(estimator, "_threads", 2)
-            split = _window_bytes(case, pairs)
-            assert bool(two_threads.handed) == (n_train == 750 and name != "one-pair"), name
-            monkeypatch.setattr(estimator, "_threads", 1)
-            assert _window_bytes(case, pairs) == split, (n_train, name)
-
-
-def test_window_blocks_split_where_designed(two_threads):
-    rng = rng_stream(32, "window-split")
-    thetas = adaptation.build_grid(1000, 2.0).points
-    hs = adaptation.default_bandwidth_set(1000, 1.0)
-    cv = [(theta, h) for h in hs for theta in thetas]
-
-    def handed(n_train, n_rows, pairs):
-        two_threads.handed.clear()
-        train_x, train_y, f_train, xs, f_eval, _ = _window_case(rng, n_train, n_rows)
+    rows = {}
+    for name, pairs in lists.items():
+        blocks.clear()
         estimator.window_passes(
             train_x, train_y, f_train, xs, f_eval, Candidates.from_pairs(pairs), lambda *a: None
         )
-        return two_threads.handed
-
-    # a fit's CV call: 750 training points and 57 passes, in blocks of 82 rows
-    # (61,500 pairs); the first block hands the worker, once, the passes from the
-    # theta2 boundary nearest the middle: the last four of the eight theta2
-    # values, seven passes each (the 16-row block does not split)
-    ((runner, (theirs,)),) = handed(750, 98, cv)
-    assert runner == "run_passes"
-    assert len(theirs) == 28 and len({theta2 for theta2, *_ in theirs}) == 4
-    # with one theta2 the cut is the middle of the seven passes
-    one_theta2 = [(t, h) for h in hs for t in thetas if t.theta2 == 1.0 and t.theta1 > 0]
-    ((runner, (theirs,)),) = handed(750, 98, one_theta2)
-    assert (runner, len(theirs)) == ("run_passes", 4)
-    # simulate's CV blocks, and a one-pass prediction, stay on the calling thread
-    assert handed(225, 75, cv) == []
-    assert handed(750, 98, [(HolderParams(1.0, 0.5), 0.3)]) == []
+        assert sum(n_rows for n_rows, _ in blocks) == len(xs), name
+        rows[name] = blocks[0][0]
+        if name == "cv":  # the widest window spans the box, so a block gathers 26 x 750 pairs
+            assert len(blocks) == 10 and all(pairs <= estimator._PASS_PAIRS for _, pairs in blocks)
+    # the worst case of each block's buffers: every pair inside the widest window
+    rungs = len({h for _, h in rule})
+    worst = {"rule": 10 * 750 + 4 * rungs, "full-ladder": 10 * 750 + 4 * len(full),
+             "one-pass": 10 * 750 + 4, "theta1-zero": 6 * 750 + 4}
+    for name, width in worst.items():
+        assert rows[name] == estimator._CHUNK_ELEMENTS // (8 * width // 3), name
+    assert rows["cv"] == 26 < rows["rule"]
 
 
-def test_each_window_pass_runs_once_under_frequent_thread_switches(two_threads):
-    # the worker runs and consumes the passes after the cut, the calling thread
-    # those before it; a pass run twice or lost would show as a pair consumed
-    # twice or never in a block
-    rng = rng_stream(34, "window-switches")
-    train_x, train_y, f_train, xs, f_eval, _ = _window_case(rng, 750, 200)
-    pairs = [(theta, h) for h in (0.2, 1.0) for theta in adaptation.build_grid(1000, 2.0).points]
-    seen = {}
-
-    def record(rows, ks, means):
-        seen.setdefault(rows.start, []).extend(ks.tolist())
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for _ in range(3):
-            seen.clear()
-            estimator.window_passes(
-                train_x, train_y, f_train, xs, f_eval, Candidates.from_pairs(pairs), record
-            )
-            assert all(sorted(ks) == list(range(len(pairs))) for ks in seen.values())
-    finally:
-        sys.setswitchinterval(interval)
-    assert "run_passes" in _handed_names(two_threads)
-
-
-def test_window_worker_keeps_the_callers_numpy_error_handling(monkeypatch, two_threads):
-    rng = rng_stream(35, "window-errstate")
-    train_x, _, _, xs, f_eval, _ = _window_case(rng, 750, 100)
-    # the residual chains overflow to +-inf
-    train_y = np.where(rng.random(750) < 0.5, 1.5e308, -1.5e308)
-    f_eval = np.where(f_eval > 0, 1.5e308, -1.5e308)
-    pairs = [(theta, h) for h in (0.2, 1.0) for theta in adaptation.build_grid(1000, 2.0).points]
-    got = {}
-    for threads in (2, 1):
-        monkeypatch.setattr(estimator, "_threads", threads)
-        with np.errstate(all="ignore"), warnings.catch_warnings():
-            warnings.simplefilter("error")
-            got[threads] = estimator.window_biases(train_x, train_y, -train_y, xs, f_eval, pairs)
-    assert "run_passes" in _handed_names(two_threads)
-    assert got[2].tobytes() == got[1].tobytes()
-    assert np.isinf(got[1]).any()
-
-
-def test_a_split_cv_window_block_raises_each_theta2_power_once(monkeypatch, two_threads):
-    # CV scoring of one 82-row block of a fit's CV call: the shared theta1 = 0 pass
-    # and eight theta2 values; the cut falls between two theta2 values, so no
-    # thread raises a power the other raises too
+def test_a_cv_window_block_raises_each_theta2_power_once(monkeypatch):
+    # a fit's CV call: the shared theta1 = 0 pass and eight theta2 values in every block
     rng = rng_stream(36, "window-powers")
     train_x, train_y, f_train, xs, f_eval, val_y = _window_case(rng, 750, 82)
     thetas = adaptation.build_grid(1000, 2.0).points
     cv = [(theta, h) for h in adaptation.default_bandwidth_set(1000, 1.0) for theta in thetas]
     raised = []
-    powers = estimator.holder_powers
+    powers, kernel = estimator.holder_powers, estimator.smoothed_window_means
 
-    def counted(dist, theta2):
-        raised.append(theta2)
+    def counted_powers(dist, theta2):
+        raised[-1].append(theta2)
         return powers(dist, theta2)
 
-    monkeypatch.setattr(estimator, "holder_powers", counted)
-    for _ in range(10):
-        raised.clear()
-        two_threads.handed.clear()
-        adaptation._score_pairs(
-            Candidates.from_pairs(cv), train_x, train_y, f_train, xs, val_y, f_eval
-        )
-        assert sorted(raised) == sorted({theta.theta2 for theta in thetas}), raised
-        assert _handed_names(two_threads) == ["run_passes"]
+    def block(*args):
+        raised.append([])
+        return kernel(*args)
 
-
-def test_a_window_block_raises_only_after_its_worker_is_done(monkeypatch, two_threads):
-    rng = rng_stream(37, "window-raise")
-    train_x, train_y, f_train, xs, f_eval, _ = _window_case(rng, 750, 82)
-    thetas = adaptation.build_grid(1000, 2.0).points
-    cv = [(theta, h) for h in adaptation.default_bandwidth_set(1000, 1.0) for theta in thetas]
-    caller = threading.get_ident()
-    slow = estimator.truncate
-
-    def slow_on_the_worker(*args, **kwargs):
-        if threading.get_ident() != caller:
-            time.sleep(0.002)  # the worker is still busy when the calling thread raises
-        return slow(*args, **kwargs)
-
-    monkeypatch.setattr(estimator, "truncate", slow_on_the_worker)
-    for failing in ("caller", "worker"):
-        calls = []
-
-        def consume(rows, ks, means):
-            on_caller = threading.get_ident() == caller
-            calls.append(on_caller)
-            if on_caller == (failing == "caller"):
-                raise ValueError(f"consume failed on the {failing}")
-
-        two_threads.handed.clear()
-        two_threads.started.clear()
-        with pytest.raises(ValueError, match=f"on the {failing}"):
-            estimator.window_passes(
-                train_x, train_y, f_train, xs, f_eval, Candidates.from_pairs(cv), consume
-            )
-        assert _handed_names(two_threads) == ["run_passes"]
-        assert all(worker.done() for _, worker in two_threads.started)
-        made = len(calls)
-        time.sleep(0.05)
-        assert len(calls) == made  # no consume call after the block raised
-        # the other thread ran its passes to the end
-        assert calls.count(failing == "worker") == (29 if failing == "worker" else 28)
-
-
-def test_window_blocks_without_a_worker_thread_run_serially(monkeypatch):
-    attempts = []
-
-    def no_thread(executor):
-        attempts.append(executor)
-        raise RuntimeError("can't start new thread")
-
-    rng = rng_stream(33, "window-no-thread")
-    train_x, train_y, f_train, xs, f_eval, _ = _window_case(rng, 750, 250)
-    pairs = [(theta, h) for h in (0.1, 0.4, 1.0) for theta in adaptation.build_grid(1000, 2.0).points]
-    monkeypatch.setattr(estimator, "_threads", 1)
-    serial = estimator.window_biases(train_x, train_y, f_train, xs, f_eval, pairs)
-    monkeypatch.setattr(estimator, "_threads", 2)
-    monkeypatch.setattr(ThreadPoolExecutor, "_adjust_thread_count", no_thread)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        got = estimator.window_biases(train_x, train_y, f_train, xs, f_eval, pairs)
-    assert np.array_equal(got, serial)
-    # each of the three 82-row blocks tries a worker of its own (the 4-row block does not split)
-    assert len(attempts) == 3 and len({id(executor) for executor in attempts}) == 3
-
-
-def test_a_split_window_block_leaves_no_thread_running(two_threads):
-    rng = rng_stream(38, "window-thread-count")
-    train_x, train_y, f_train, xs, f_eval, _ = _window_case(rng, 750, 250)
-    pairs = [(theta, h) for h in (0.1, 0.4, 1.0) for theta in adaptation.build_grid(1000, 2.0).points]
-    before = threading.active_count()
-    estimator.window_passes(
-        train_x, train_y, f_train, xs, f_eval, Candidates.from_pairs(pairs), lambda *a: None
-    )
-    assert _handed_names(two_threads) == ["run_passes"] * 3
-    assert threading.active_count() == before
+    monkeypatch.setattr(estimator, "holder_powers", counted_powers)
+    monkeypatch.setattr(estimator, "smoothed_window_means", block)
+    adaptation._score_pairs(Candidates.from_pairs(cv), train_x, train_y, f_train, xs, val_y, f_eval)
+    assert len(raised) == 4
+    for theta2s in raised:
+        assert theta2s == sorted({theta.theta2 for theta in thetas}), theta2s
 
 
 def _fit_selection():
@@ -935,12 +769,32 @@ def _fit_selection():
     return repr((fit.theta, fit.bandwidth, fit.score))
 
 
+def test_a_fit_starts_no_thread(monkeypatch):
+    started, counts = [], []
+    start, kernel = threading.Thread.start, estimator.smoothed_window_means
+
+    def recorded(thread):
+        started.append(thread.name)
+        return start(thread)
+
+    def counted(*args):
+        counts.append(threading.active_count())
+        kernel(*args)
+        counts.append(threading.active_count())
+
+    monkeypatch.setattr(threading.Thread, "start", recorded)
+    monkeypatch.setattr(estimator, "smoothed_window_means", counted)
+    before = threading.active_count()
+    _fit_selection()
+    assert started == []
+    assert len(counts) > 20 and set(counts) == {before}
+
+
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-def test_a_fit_with_split_window_blocks_reruns_in_a_forked_child(two_threads):
-    # a worker kept across blocks would be inherited by the child without its thread,
-    # and the child's first split block would wait for it for ever
+def test_a_fit_reruns_in_a_forked_child():
+    # a thread or executor kept across fits would be inherited by the child without
+    # its thread, and the child's fit could wait for it for ever
     want = _fit_selection()
-    assert "run_passes" in _handed_names(two_threads)
     read, write = os.pipe()
     pid = os.fork()
     if pid == 0:  # the child never returns into pytest

@@ -55,6 +55,18 @@ def test_classification_truth_spot_values():
     assert (vals * (1 - vals)).max() <= 0.25 + 1e-12  # Bernoulli variance bound
 
 
+def test_classification_sigma_bar_is_computed_once_a_process(monkeypatch):
+    sc = scenario_classification()
+    p = sc.f_star(sc.domain.grid(200)[0])
+    assert sc.sigma_bar == float(np.mean(np.sqrt(p * (1.0 - p))))
+
+    def refuse(self, points_per_dim):
+        raise AssertionError("the 200 x 200 grid is evaluated again")
+
+    monkeypatch.setattr(Domain, "grid", refuse)
+    assert scenario_classification().sigma_bar == sc.sigma_bar
+
+
 def test_classification_pretrained_probabilities_clamped():
     sc = scenario_classification()
     model = sc.make_pretrained(500, 3)
